@@ -63,13 +63,14 @@ from .learning import (
     solve_response,
     sweep_alpha,
 )
-from .mesh import TriangleMesh, farthest_point_sample, intrinsic_diameter, load_mesh
-from .synth import (
-    SyntheticCorpusSpec,
-    generate_corpus,
-    load_correspondence,
-    load_symmetry,
+from .mesh import (
+    CorrespondenceMap,
+    TriangleMesh,
+    farthest_point_sample,
+    intrinsic_diameter,
+    load_mesh,
 )
+from .synth import SyntheticCorpusSpec, generate_corpus, load_index_map
 
 log = logging.getLogger("specdesc")
 
@@ -168,15 +169,12 @@ class Workspace:
     def correspondence(self, entry: ManifestEntry):
         if not entry.corr_path:
             return None
-        corr = load_correspondence(self.base / entry.corr_path)
-        if entry.sym_path:
-            corr.symmetric = load_symmetry(self.base / entry.sym_path)
-        return corr
+        return CorrespondenceMap(load_index_map(self.base / entry.corr_path, "corr"))
 
     def symmetry(self, entry: ManifestEntry):
         if not entry.sym_path:
             return None
-        return load_symmetry(self.base / entry.sym_path)
+        return load_index_map(self.base / entry.sym_path, "sym")
 
     def shape_sample(self, entry: ManifestEntry, gvecs=None, sample_refs=True) -> ShapeSample:
         return ShapeSample(
@@ -308,7 +306,8 @@ def _train_model(ws: Workspace):
     cfg = ws.cfg
     basis = _training_basis(ws)
     train_pairs = _build_split_pairs(ws, ("train",), ("train_neg",), basis, "rng_seed")
-    log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
+    log.info("training pairs: %d triplets %s", len(train_pairs),
+             train_pairs.indices.tag_counts())
     ridge = cfg.get_float("learning", "ridge")
     stats = estimate_covariances(train_pairs, ridge=ridge)
     n = cfg.get_int("descriptor", "n")
@@ -557,7 +556,7 @@ def cmd_match(args, cfg: PipelineConfig) -> int:
         dist = np.linalg.norm(target_values - fields[source.shape_id][ref], axis=1)
         order = np.argsort(dist, kind="stable")[: args.top]
         for rank, tv in enumerate(order, start=1):
-            lines.append(f"{ref},{rank},{tv},{dist[tv]!r}")
+            lines.append(f"{ref},{rank},{tv},{float(dist[tv])!r}")
     (out / "matches.csv").write_text("\n".join(lines) + "\n")
     maps = distance_maps([target_values], fields[source.shape_id][refs[0]])
     emit_report(out, maps=[(maps[0], ws.mesh(target))])

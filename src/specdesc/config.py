@@ -174,10 +174,6 @@ def parse_config(path) -> PipelineConfig:
         raise ParseError(f"{p}: {exc}") from exc
 
 
-def default_config(base_dir: Path = Path(".")) -> PipelineConfig:
-    return PipelineConfig(values=_fresh_defaults(), base_dir=Path(base_dir))
-
-
 # ---------------------------------------------------------------------------
 # shape manifest
 # ---------------------------------------------------------------------------

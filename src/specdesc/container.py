@@ -1,0 +1,37 @@
+"""Binary container shared by the spectrum cache and the descriptor files."""
+
+import struct
+from pathlib import Path
+
+import numpy as np
+
+from .errors import DataError
+
+
+class Container:
+    """An 8-byte magic, a little-endian struct header, then raw bytes and float64
+    values that end exactly at the end of the file; `what` names the kind."""
+
+    def __init__(self, magic: bytes, fmt: str, what: str):
+        self.magic, self.fmt, self.what = magic, fmt, what
+        self.size = len(magic) + struct.calcsize(fmt)
+
+    def pack(self, header, *parts) -> bytes:
+        """Bytes parts go in as they are, arrays as row-major float64."""
+        blobs = [p if isinstance(p, bytes) else np.asarray(p, "<f8").tobytes() for p in parts]
+        return b"".join([self.magic, struct.pack(self.fmt, *header), *blobs])
+
+    def read(self, path) -> tuple[bytes, tuple]:
+        """File bytes and header fields; the body starts at ``self.size``."""
+        if not Path(path).is_file():
+            raise DataError(f"{self.what} file not found: {path}")
+        raw = Path(path).read_bytes()
+        if len(raw) < self.size or raw[: len(self.magic)] != self.magic:
+            raise DataError(f"{path}: not a {self.what} file")
+        return raw, struct.unpack_from(self.fmt, raw, len(self.magic))
+
+    def floats(self, raw: bytes, offset: int, count: int, path) -> np.ndarray:
+        """`count` float64 values from `offset` to the very end of the file."""
+        if len(raw) != offset + 8 * count:
+            raise DataError(f"{path}: truncated {self.what} file")
+        return np.frombuffer(raw, "<f8", count, offset).copy()

@@ -12,7 +12,6 @@ built from squared eigenfunctions, so eigenvector sign flips never matter.
 from __future__ import annotations
 
 import json
-import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import BSpline
 
+from .container import Container
 from .errors import DataError
 from .laplacian import Spectrum
 
@@ -35,7 +35,6 @@ __all__ = [
     "wks_default_bands",
     "geometry_vectors",
     "apply_response",
-    "descriptor_distance",
     "shape_dna_field",
     "save_response_model",
     "load_response_model",
@@ -267,15 +266,6 @@ def apply_response(field: GeometryVectorField, model: ResponseModel) -> Descript
     return DescriptorField(values=field.values @ model.coefficients.T, family="learned")
 
 
-def descriptor_distance(p, q) -> float:
-    """Euclidean distance between two descriptor vectors."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise DataError(f"descriptor dimensions differ: {p.shape} vs {q.shape}")
-    return float(np.linalg.norm(p - q))
-
-
 # ---------------------------------------------------------------------------
 # file formats
 # ---------------------------------------------------------------------------
@@ -322,36 +312,16 @@ def save_descriptor_csv(field: DescriptorField, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_DESC_MAGIC = b"SDDESC01"
+_DESC = Container(b"SDDESC01", "<IIB", "descriptor")
 
 
 def save_descriptor_binary(field: DescriptorField, path) -> None:
     fam = field.family.encode()
-    payload = [
-        _DESC_MAGIC,
-        struct.pack("<IIB", len(field), field.dim, len(fam)),
-        fam,
-        np.ascontiguousarray(field.values, dtype="<f8").tobytes(),
-    ]
-    Path(path).write_bytes(b"".join(payload))
+    Path(path).write_bytes(_DESC.pack((len(field), field.dim, len(fam)), fam, field.values))
 
 
 def load_descriptor_binary(path) -> DescriptorField:
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"descriptor file not found: {p}")
-    raw = p.read_bytes()
-    head = len(_DESC_MAGIC) + struct.calcsize("<IIB")
-    if len(raw) < head or raw[: len(_DESC_MAGIC)] != _DESC_MAGIC:
-        raise DataError(f"{p}: not a descriptor file")
-    nv, n, fam_len = struct.unpack_from("<IIB", raw, len(_DESC_MAGIC))
-    fam = raw[head:head + fam_len].decode()
-    expected = head + fam_len + 8 * nv * n
-    if len(raw) != expected:
-        raise DataError(f"{p}: truncated descriptor file")
-    values = (
-        np.frombuffer(raw, dtype="<f8", count=nv * n, offset=head + fam_len)
-        .reshape(nv, n)
-        .copy()
-    )
-    return DescriptorField(values=values, family=fam)
+    raw, (nv, n, fam_len) = _DESC.read(path)
+    fam = raw[_DESC.size:_DESC.size + fam_len].decode()
+    values = _DESC.floats(raw, _DESC.size + fam_len, nv * n, path)
+    return DescriptorField(values=values.reshape(nv, n), family=fam)

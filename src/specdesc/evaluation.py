@@ -22,7 +22,6 @@ __all__ = [
     "rate_at",
     "cmc",
     "match_ground_truth",
-    "distance_map",
     "distance_maps",
     "emit_report",
 ]
@@ -190,11 +189,6 @@ def distance_maps(fields: Sequence[np.ndarray], ref_descriptor) -> list[np.ndarr
     if peak <= 0.0:
         return [np.zeros_like(r) for r in raw]
     return [r / peak for r in raw]
-
-
-def distance_map(field, ref_descriptor) -> np.ndarray:
-    """Single-shape convenience wrapper around :func:`distance_maps`."""
-    return distance_maps([field], ref_descriptor)[0]
 
 
 # ---------------------------------------------------------------------------

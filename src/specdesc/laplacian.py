@@ -16,7 +16,6 @@ cluster sums of squared eigenfunctions stay well defined.
 from __future__ import annotations
 
 import hashlib
-import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +25,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
+from .container import Container
 from .errors import DataError, NumericalError
 from .mesh import TriangleMesh
 
@@ -34,7 +34,6 @@ __all__ = [
     "Spectrum",
     "assemble_fem",
     "compute_spectrum",
-    "shape_dna",
     "save_spectrum",
     "load_spectrum",
 ]
@@ -53,7 +52,6 @@ class FemOperator:
     stiffness: sparse.csr_matrix
     mass: sparse.csr_matrix
     mass_mode: str
-    boundary_condition: str = "neumann"
 
     @property
     def n_vertices(self) -> int:
@@ -259,18 +257,11 @@ def _check_residuals(op: FemOperator, vals: np.ndarray, funcs: np.ndarray) -> No
         )
 
 
-def shape_dna(spectrum: Spectrum, length: int) -> np.ndarray:
-    """First `length` eigenvalues, ascending: the global shape descriptor."""
-    if length < 0 or length > len(spectrum):
-        raise DataError(f"length={length} outside [0, {len(spectrum)}]")
-    return spectrum.eigenvalues[:length].copy()
-
-
 # ---------------------------------------------------------------------------
 # binary spectrum cache
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"SDSPEC01"
+_CACHE = Container(b"SDSPEC01", "<IIB32s", "spectrum cache")
 
 
 def save_spectrum(spectrum: Spectrum, mesh_hash: str, path) -> None:
@@ -279,45 +270,25 @@ def save_spectrum(spectrum: Spectrum, mesh_hash: str, path) -> None:
     digest = bytes.fromhex(mesh_hash)
     if len(digest) != 32:
         raise DataError("mesh_hash must be a sha256 hex digest")
-    nv, s = spectrum.eigenfunctions.shape
-    payload = [
-        _MAGIC,
-        struct.pack("<IIB", nv, s, MASS_MODES.index(spectrum.mass_mode)),
-        digest,
-        np.ascontiguousarray(spectrum.eigenvalues, dtype="<f8").tobytes(),
-        np.ascontiguousarray(spectrum.eigenfunctions, dtype="<f8").tobytes(),
-    ]
+    header = (*spectrum.eigenfunctions.shape, MASS_MODES.index(spectrum.mass_mode), digest)
     tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(b"".join(payload))
+    tmp.write_bytes(_CACHE.pack(header, spectrum.eigenvalues, spectrum.eigenfunctions))
     tmp.replace(path)
 
 
 def load_spectrum(path, mass: sparse.csr_matrix, mesh_hash: str) -> Spectrum:
     """Load a cached spectrum; raises DataError on any mismatch or damage."""
-    raw = Path(path).read_bytes()
-    head = len(_MAGIC) + struct.calcsize("<IIB") + 32
-    if len(raw) < head or raw[: len(_MAGIC)] != _MAGIC:
-        raise DataError(f"{path}: not a spectrum cache file")
-    nv, s, mode_idx = struct.unpack_from("<IIB", raw, len(_MAGIC))
-    digest = raw[len(_MAGIC) + struct.calcsize("<IIB"):head]
+    raw, (nv, s, mode_idx, digest) = _CACHE.read(path)
     if digest.hex() != mesh_hash:
         raise DataError(f"{path}: cached spectrum belongs to a different mesh")
     if mode_idx >= len(MASS_MODES):
         raise DataError(f"{path}: unknown mass mode tag {mode_idx}")
-    expected = head + 8 * s + 8 * nv * s
-    if len(raw) != expected:
-        raise DataError(f"{path}: truncated spectrum cache")
-    vals = np.frombuffer(raw, dtype="<f8", count=s, offset=head).copy()
-    funcs = (
-        np.frombuffer(raw, dtype="<f8", count=nv * s, offset=head + 8 * s)
-        .reshape(nv, s)
-        .copy()
-    )
+    flat = _CACHE.floats(raw, _CACHE.size, s + nv * s, path)
     if mass.shape[0] != nv:
         raise DataError(f"{path}: cache vertex count {nv} does not match the mesh")
     return Spectrum(
-        eigenvalues=vals,
-        eigenfunctions=funcs,
+        eigenvalues=flat[:s],
+        eigenfunctions=flat[s:].reshape(nv, s),
         mass=mass,
         mass_mode=MASS_MODES[mode_idx],
     )

@@ -17,9 +17,7 @@ trace of the uncentered moment.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 import warnings
 
@@ -45,8 +43,6 @@ __all__ = [
     "solve_response",
     "sweep_alpha",
     "pair_distances",
-    "save_pairs",
-    "load_pairs",
 ]
 
 TAG_NAMES = ("localization", "invariance", "discriminativity")
@@ -74,9 +70,9 @@ class ShapeSample:
 class PairIndices:
     """Sampled triplet provenance without the vectors."""
 
-    tags: np.ndarray
+    tags: np.ndarray  # (N,) uint8
     shape_ids: list[str]
-    anchor_shape: np.ndarray
+    anchor_shape: np.ndarray  # (N,) int32 indices into shape_ids
     pos_shape: np.ndarray
     neg_shape: np.ndarray
     anchor_vertex: np.ndarray
@@ -85,6 +81,20 @@ class PairIndices:
 
     def __len__(self) -> int:
         return len(self.tags)
+
+    def tag_counts(self) -> dict[str, int]:
+        return {
+            name: int((self.tags == code).sum())
+            for code, name in enumerate(TAG_NAMES)
+        }
+
+    def describe_triplet(self, i: int) -> str:
+        return (
+            f"triplet {i} [{TAG_NAMES[self.tags[i]]}] "
+            f"{self.shape_ids[self.anchor_shape[i]]}:{self.anchor_vertex[i]} / "
+            f"{self.shape_ids[self.pos_shape[i]]}:{self.pos_vertex[i]} / "
+            f"{self.shape_ids[self.neg_shape[i]]}:{self.neg_vertex[i]}"
+        )
 
     def gather(self, per_shape_values: Sequence[np.ndarray]) -> "PairSet":
         """Attach per-vertex vectors (one array per shape, aligned with
@@ -107,33 +117,19 @@ class PairIndices:
             anchors=rows(self.anchor_shape, self.anchor_vertex),
             positives=rows(self.pos_shape, self.pos_vertex),
             negatives=rows(self.neg_shape, self.neg_vertex),
-            tags=self.tags,
-            shape_ids=self.shape_ids,
-            anchor_shape=self.anchor_shape,
-            pos_shape=self.pos_shape,
-            neg_shape=self.neg_shape,
-            anchor_vertex=self.anchor_vertex,
-            pos_vertex=self.pos_vertex,
-            neg_vertex=self.neg_vertex,
+            indices=self,
         )
 
 
 @dataclass
 class PairSet:
     """Triplets of geometry vectors (anchor, positive, negative) with their
-    provenance: generating mechanism tag, shape ids and vertex indices."""
+    provenance: the sampled indices they were gathered from."""
 
     anchors: np.ndarray  # (N, m)
     positives: np.ndarray  # (N, m)
     negatives: np.ndarray  # (N, m)
-    tags: np.ndarray  # (N,) uint8
-    shape_ids: list[str]
-    anchor_shape: np.ndarray  # (N,) int32 indices into shape_ids
-    pos_shape: np.ndarray
-    neg_shape: np.ndarray
-    anchor_vertex: np.ndarray
-    pos_vertex: np.ndarray
-    neg_vertex: np.ndarray
+    indices: PairIndices
 
     def __len__(self) -> int:
         return self.anchors.shape[0]
@@ -141,20 +137,6 @@ class PairSet:
     @property
     def m(self) -> int:
         return self.anchors.shape[1]
-
-    def tag_counts(self) -> dict[str, int]:
-        return {
-            name: int((self.tags == code).sum())
-            for code, name in enumerate(TAG_NAMES)
-        }
-
-    def describe_triplet(self, i: int) -> str:
-        return (
-            f"triplet {i} [{TAG_NAMES[self.tags[i]]}] "
-            f"{self.shape_ids[self.anchor_shape[i]]}:{self.anchor_vertex[i]} / "
-            f"{self.shape_ids[self.pos_shape[i]]}:{self.pos_vertex[i]} / "
-            f"{self.shape_ids[self.neg_shape[i]]}:{self.neg_vertex[i]}"
-        )
 
 
 def _ball_masks(sample: ShapeSample, ref: int, r: float, big_r: float):
@@ -367,7 +349,9 @@ def estimate_covariances(pairs: PairSet, ridge: float = 1e-6) -> CovarianceStats
         finite = np.isfinite(arr).all(axis=1)
         if not finite.all():
             i = int(np.flatnonzero(~finite)[0])
-            raise DataError(f"non-finite {name} vector in {pairs.describe_triplet(i)}")
+            raise DataError(
+                f"non-finite {name} vector in {pairs.indices.describe_triplet(i)}"
+            )
     n = len(pairs)
     m = pairs.m
     n_vectors = 3 * n
@@ -511,7 +495,7 @@ def sweep_alpha(
     if not alphas:
         raise DataError("alpha grid is empty")
     if isinstance(train, PairSet):
-        overlap = set(train.shape_ids) & set(eval_pairs.shape_ids)
+        overlap = set(train.indices.shape_ids) & set(eval_pairs.indices.shape_ids)
         if overlap:
             raise DataError(
                 f"training and held-out pairs share shapes: {sorted(overlap)}"
@@ -547,70 +531,3 @@ def sweep_alpha(
         raise NumericalError("every alpha in the sweep failed to train")
     best = alphas[int(np.nanargmin(scores))]
     return best, table
-
-
-# ---------------------------------------------------------------------------
-# pair set file format
-# ---------------------------------------------------------------------------
-
-_PAIR_MAGIC = b"SDPAIR01"
-
-
-def save_pairs(pairs: PairSet, path) -> None:
-    ids_blob = "\n".join(pairs.shape_ids).encode()
-    n, m = pairs.anchors.shape
-    payload = [
-        _PAIR_MAGIC,
-        struct.pack("<QII", n, m, len(ids_blob)),
-        ids_blob,
-        np.ascontiguousarray(pairs.anchors, dtype="<f8").tobytes(),
-        np.ascontiguousarray(pairs.positives, dtype="<f8").tobytes(),
-        np.ascontiguousarray(pairs.negatives, dtype="<f8").tobytes(),
-        pairs.tags.astype("u1").tobytes(),
-        np.ascontiguousarray(pairs.anchor_shape, dtype="<i4").tobytes(),
-        np.ascontiguousarray(pairs.pos_shape, dtype="<i4").tobytes(),
-        np.ascontiguousarray(pairs.neg_shape, dtype="<i4").tobytes(),
-        np.ascontiguousarray(pairs.anchor_vertex, dtype="<i4").tobytes(),
-        np.ascontiguousarray(pairs.pos_vertex, dtype="<i4").tobytes(),
-        np.ascontiguousarray(pairs.neg_vertex, dtype="<i4").tobytes(),
-    ]
-    Path(path).write_bytes(b"".join(payload))
-
-
-def load_pairs(path) -> PairSet:
-    p = Path(path)
-    raw = p.read_bytes()
-    head = len(_PAIR_MAGIC) + struct.calcsize("<QII")
-    if len(raw) < head or raw[: len(_PAIR_MAGIC)] != _PAIR_MAGIC:
-        raise DataError(f"{p}: not a pair set file")
-    n, m, ids_len = struct.unpack_from("<QII", raw, len(_PAIR_MAGIC))
-    offset = head + ids_len
-    shape_ids = raw[head:offset].decode().split("\n")
-    expected = offset + 3 * 8 * n * m + n + 6 * 4 * n
-    if len(raw) != expected:
-        raise DataError(f"{p}: truncated pair set file")
-
-    def take_f8(count):
-        nonlocal offset
-        out = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
-        return out
-
-    anchors = take_f8(n * m).reshape(n, m).copy()
-    positives = take_f8(n * m).reshape(n, m).copy()
-    negatives = take_f8(n * m).reshape(n, m).copy()
-    tags = np.frombuffer(raw, dtype="u1", count=n, offset=offset).copy()
-    offset += n
-
-    def take_i4(count):
-        nonlocal offset
-        out = np.frombuffer(raw, dtype="<i4", count=count, offset=offset).copy()
-        offset += 4 * count
-        return out
-
-    return PairSet(
-        anchors=anchors, positives=positives, negatives=negatives, tags=tags,
-        shape_ids=shape_ids,
-        anchor_shape=take_i4(n), pos_shape=take_i4(n), neg_shape=take_i4(n),
-        anchor_vertex=take_i4(n), pos_vertex=take_i4(n), neg_vertex=take_i4(n),
-    )

@@ -23,12 +23,10 @@ from .errors import DataError, MeshValidationError, ParseError
 
 __all__ = [
     "TriangleMesh",
-    "GeodesicField",
     "CorrespondenceMap",
     "load_mesh",
     "save_off",
     "save_coff",
-    "geodesic_distances",
     "geodesic_distance_fields",
     "intrinsic_diameter",
     "farthest_point_sample",
@@ -77,11 +75,19 @@ class TriangleMesh:
     # -- derived structure -------------------------------------------------
 
     @cached_property
+    def _edge_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unique undirected edges (sorted index pairs in lexicographic order)
+        and the number of faces sharing each; the key i * V + j sorts the
+        same way as the pairs."""
+        nv = self.n_vertices
+        half = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        keys, counts = np.unique(half[:, 0] * nv + half[:, 1], return_counts=True)
+        return np.column_stack([keys // nv, keys % nv]), counts
+
+    @property
     def edges(self) -> np.ndarray:
         """Unique undirected edges as an (E, 2) array of sorted index pairs."""
-        half = self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        half = np.sort(half, axis=1)
-        return np.unique(half, axis=0)
+        return self._edge_table[0]
 
     @cached_property
     def edge_lengths(self) -> np.ndarray:
@@ -98,8 +104,7 @@ class TriangleMesh:
     @cached_property
     def boundary_vertex(self) -> np.ndarray:
         """Boolean flag per vertex: incident to an edge with a single face."""
-        half = np.sort(self.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        edges, counts = np.unique(half, axis=0, return_counts=True)
+        edges, counts = self._edge_table
         flag = np.zeros(self.n_vertices, dtype=bool)
         flag[edges[counts == 1].ravel()] = True
         return flag
@@ -151,15 +156,13 @@ class TriangleMesh:
             raise MeshValidationError(
                 f"face {bad} is degenerate (area {self.face_areas[bad]:.3e})"
             )
-        half = np.sort(f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        uniq, counts = np.unique(half, axis=0, return_counts=True)
+        edges, counts = self._edge_table
         if (counts > 2).any():
-            e = uniq[np.flatnonzero(counts > 2)[0]]
+            e = edges[np.flatnonzero(counts > 2)[0]]
             raise MeshValidationError(
                 f"edge ({e[0]}, {e[1]}) is shared by more than two faces"
             )
-        degree = np.zeros(nv, dtype=np.int64)
-        np.add.at(degree, uniq.ravel(), 1)
+        degree = np.bincount(edges.ravel(), minlength=nv)
         if (degree == 0).any():
             bad = int(np.flatnonzero(degree == 0)[0])
             raise MeshValidationError(f"vertex {bad} belongs to no face")
@@ -170,31 +173,18 @@ class TriangleMesh:
             )
 
 
-@dataclass(frozen=True)
-class GeodesicField:
-    """Single-source geodesic distances over the mesh edge graph."""
-
-    source: int
-    distances: np.ndarray
-
-
 @dataclass
 class CorrespondenceMap:
     """Per-vertex index map from one shape onto another.
 
     ``target[i]`` is the matching vertex index on the other shape; ``-1``
-    marks vertices with no image (e.g. removed by decimation). ``symmetric``
-    optionally maps each vertex onto its intrinsically symmetric counterpart
-    on the *same* shape.
+    marks vertices with no image (e.g. removed by decimation).
     """
 
     target: np.ndarray
-    symmetric: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.target = np.asarray(self.target, dtype=np.int64)
-        if self.symmetric is not None:
-            self.symmetric = np.asarray(self.symmetric, dtype=np.int64)
 
     def validate_against(self, target_vertex_count: int) -> None:
         mapped = self.target[self.target >= 0]
@@ -362,14 +352,6 @@ def save_coff(mesh: TriangleMesh, colors: np.ndarray, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def geodesic_distances(mesh: TriangleMesh, source: int) -> GeodesicField:
-    """Single-source Dijkstra distances on the edge graph."""
-    if not 0 <= source < mesh.n_vertices:
-        raise DataError(f"source vertex {source} outside [0, {mesh.n_vertices})")
-    dist = csgraph.dijkstra(mesh._edge_graph, directed=False, indices=source)
-    return GeodesicField(source=int(source), distances=dist)
-
-
 def geodesic_distance_fields(mesh: TriangleMesh, sources) -> np.ndarray:
     """Dijkstra distances from several sources at once; rows follow `sources`."""
     sources = np.asarray(sources, dtype=np.int64)
@@ -379,6 +361,12 @@ def geodesic_distance_fields(mesh: TriangleMesh, sources) -> np.ndarray:
         raise DataError("source vertex outside mesh")
     dist = csgraph.dijkstra(mesh._edge_graph, directed=False, indices=sources)
     return np.atleast_2d(dist)
+
+
+def _graph_distance(mesh: TriangleMesh):
+    """Single-source edge-graph distance field, as a function of the source."""
+    graph = mesh._edge_graph
+    return lambda v: csgraph.dijkstra(graph, directed=False, indices=v)
 
 
 def _fps(distance_from, k: int, record_pairs: bool = False):
@@ -417,11 +405,7 @@ def farthest_point_sample(
     if not 1 <= k <= nv:
         raise DataError(f"k={k} outside [1, {nv}]")
     if field is None:
-        graph = mesh._edge_graph
-
-        def dist_from(v):
-            return csgraph.dijkstra(graph, directed=False, indices=v)
-
+        dist_from = _graph_distance(mesh)
     else:
         values = np.asarray(field, dtype=np.float64)
         if values.ndim == 1:
@@ -443,10 +427,5 @@ def intrinsic_diameter(mesh: TriangleMesh, samples: int) -> float:
     if samples < 2:
         raise DataError("samples must be at least 2")
     samples = min(samples, mesh.n_vertices)
-    graph = mesh._edge_graph
-
-    def dist_from(v):
-        return csgraph.dijkstra(graph, directed=False, indices=v)
-
-    _, diameter = _fps(dist_from, samples, record_pairs=True)
+    _, diameter = _fps(_graph_distance(mesh), samples, record_pairs=True)
     return diameter

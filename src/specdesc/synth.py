@@ -47,8 +47,8 @@ __all__ = [
     "jitter",
     "punch_holes",
     "generate_corpus",
-    "save_correspondence",
-    "load_correspondence",
+    "save_index_map",
+    "load_index_map",
 ]
 
 JITTER_DIAMETER_FRACTION = 0.001  # displacement std per unit strength
@@ -539,34 +539,24 @@ _DEFORM_PLAN = {
 }
 
 
-def save_correspondence(corr: CorrespondenceMap, path) -> None:
-    lines = [f"corr {len(corr.target)}"]
-    lines.extend(str(int(v)) for v in corr.target)
+_INDEX_MAP_NAMES = {"corr": "correspondence", "sym": "symmetry"}
+
+
+def save_index_map(values, path, tag: str) -> None:
+    """Text index map: a ``<tag> N`` header line, then N vertex indices one
+    per line, -1 for no image. ``corr`` maps a deformed shape onto its null
+    shape, ``sym`` maps a shape onto its intrinsically symmetric self."""
+    lines = [f"{tag} {len(values)}", *(str(int(v)) for v in values)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_correspondence(path) -> CorrespondenceMap:
-    lines = Path(path).read_text().split()
-    if len(lines) < 2 or lines[0] != "corr":
-        raise DataError(f"{path}: not a correspondence file")
-    n = int(lines[1])
-    if len(lines) != 2 + n:
-        raise DataError(f"{path}: truncated correspondence file")
-    return CorrespondenceMap(target=np.asarray(lines[2:], dtype=np.int64))
-
-
-def save_symmetry(sym: np.ndarray, path) -> None:
-    lines = [f"sym {len(sym)}"]
-    lines.extend(str(int(v)) for v in sym)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_symmetry(path) -> np.ndarray:
-    lines = Path(path).read_text().split()
-    if len(lines) < 2 or lines[0] != "sym":
-        raise DataError(f"{path}: not a symmetry file")
-    n = int(lines[1])
-    return np.asarray(lines[2:2 + n], dtype=np.int64)
+def load_index_map(path, tag: str) -> np.ndarray:
+    tokens = Path(path).read_text().split()
+    if len(tokens) < 2 or tokens[0] != tag:
+        raise DataError(f"{path}: not a {_INDEX_MAP_NAMES[tag]} file")
+    if len(tokens) != 2 + int(tokens[1]):
+        raise DataError(f"{path}: truncated {_INDEX_MAP_NAMES[tag]} file")
+    return np.asarray(tokens[2:], dtype=np.int64)
 
 
 @dataclass
@@ -693,7 +683,7 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
         sym_path = ""
         if base.symmetry is not None:
             sym_path = f"{base_name}.sym"
-            save_symmetry(base.symmetry, out / sym_path)
+            save_index_map(base.symmetry, out / sym_path, "sym")
         entries.append(
             ManifestEntry(
                 shape_id=base_name,
@@ -722,11 +712,11 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
                 dmesh, corr, sym = _deform(base, kind, strength, seed_seq, diameter)
                 shape_id = f"{base_name}_{kind}_{strength}"
                 save_off(dmesh, out / f"{shape_id}.off")
-                save_correspondence(corr, out / f"{shape_id}.corr")
+                save_index_map(corr.target, out / f"{shape_id}.corr", "corr")
                 dsym_path = ""
                 if sym is not None:
                     dsym_path = f"{shape_id}.sym"
-                    save_symmetry(sym, out / dsym_path)
+                    save_index_map(sym, out / dsym_path, "sym")
                 if split == "train":
                     # odd strengths train, even strengths are held out for
                     # the alpha sweep; shape ids never cross the split

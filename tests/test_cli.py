@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 from specdesc.cli import main
-from specdesc.config import DEFAULTS, default_config, parse_config_text, read_manifest
+from specdesc.config import DEFAULTS, parse_config_text, read_manifest
 from specdesc.descriptors import load_descriptor_binary
 from specdesc.errors import DataError, ParseError
-from specdesc.mesh import intrinsic_diameter, load_mesh
+from specdesc.mesh import CorrespondenceMap, intrinsic_diameter, load_mesh
 from specdesc.synth import (
     SyntheticCorpusSpec,
     bend,
     generate_corpus,
     jitter,
-    load_correspondence,
+    load_index_map,
     multi_sphere,
     rigid_motion,
+    save_index_map,
     save_off,
 )
 
@@ -73,7 +74,7 @@ def run(args):
 
 
 def test_config_defaults_match_contract():
-    cfg = default_config()
+    cfg = parse_config_text("")
     assert cfg.get_int("spectral", "s") == 300
     assert cfg.get_float("basis", "nu_max_percentile") == 95
     assert cfg.get_int("basis", "m") == 150
@@ -102,7 +103,7 @@ def test_config_unknown_key_rejected():
 
 
 def test_config_override_unique_keys():
-    cfg = default_config()
+    cfg = parse_config_text("")
     cfg.override("s", "55")
     assert cfg.get_int("spectral", "s") == 55
     with pytest.raises(DataError):
@@ -161,9 +162,21 @@ def test_jitter_strength_scales_displacement(mini_corpus):
 
 
 def test_correspondence_files_valid(mini_corpus):
-    corr = load_correspondence(mini_corpus / "corpus" / "multisphere_jitter_1.corr")
+    corr = load_index_map(mini_corpus / "corpus" / "multisphere_jitter_1.corr", "corr")
     null = load_mesh(mini_corpus / "corpus" / "multisphere.off")
-    np.testing.assert_array_equal(corr.target, np.arange(null.n_vertices))
+    np.testing.assert_array_equal(corr, np.arange(null.n_vertices))
+
+
+@pytest.mark.parametrize("tag", ["corr", "sym"])
+def test_index_map_truncated(tmp_path, tag):
+    path = tmp_path / f"shape.{tag}"
+    save_index_map(np.array([2, -1, 0, 1]), path, tag)
+    np.testing.assert_array_equal(load_index_map(path, tag), [2, -1, 0, 1])
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(DataError, match="truncated"):
+        load_index_map(path, tag)
+    with pytest.raises(DataError, match="not a"):
+        load_index_map(path, "sym" if tag == "corr" else "corr")
 
 
 def test_full_deformation_taxonomy(tmp_path):
@@ -185,7 +198,7 @@ def test_full_deformation_taxonomy(tmp_path):
         if not e.corr_path:
             continue
         mesh = load_mesh(tmp_path / "all" / e.path)
-        corr = load_correspondence(tmp_path / "all" / e.corr_path)
+        corr = CorrespondenceMap(load_index_map(tmp_path / "all" / e.corr_path, "corr"))
         assert len(corr.target) == mesh.n_vertices
         corr.validate_against(null.n_vertices)
         if "decimate" in e.shape_id:
@@ -345,6 +358,8 @@ def test_match_command(mini_pipeline):
     lines = (out / "matches.csv").read_text().splitlines()
     assert lines[0] == "ref_vertex,rank,target_vertex,distance"
     assert len(lines) == 1 + 3 * 5
+    distances = [float(line.split(",")[3]) for line in lines[1:]]
+    assert all(d >= 0.0 for d in distances)
 
 
 def test_usage_error_for_missing_subcommand():

@@ -1,11 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 
 from specdesc.descriptors import (
+    DescriptorField,
     FrequencyBasis,
     ResponseModel,
     apply_response,
-    descriptor_distance,
     geometry_vectors,
     hks,
     hks_default_times,
@@ -19,6 +21,7 @@ from specdesc.descriptors import (
     wks_default_bands,
 )
 from specdesc.errors import DataError
+from specdesc.evaluation import distance_maps
 from specdesc.laplacian import Spectrum, assemble_fem, compute_spectrum
 from specdesc.mesh import TriangleMesh
 from specdesc.synth import grid_mesh, icosphere
@@ -305,6 +308,14 @@ def test_response_queryable_at_any_frequency(sphere_basis):
 # ---------------------------------------------------------------------------
 
 
+def descriptor_distance(p, q):
+    """Raw Euclidean descriptor distance read off a distance map: a second
+    row 1e3 away from `q` fixes the normalization peak."""
+    q = np.asarray(q, dtype=np.float64)
+    far = q + np.eye(q.size)[0] * 1e3
+    return distance_maps([np.vstack([p, far])], q)[0][0] * 1e3
+
+
 def test_distance_identical():
     assert descriptor_distance([1.0, 2.0], [1.0, 2.0]) == 0.0
 
@@ -315,7 +326,7 @@ def test_distance_unit_vectors():
 
 def test_distance_dimension_mismatch():
     with pytest.raises(DataError):
-        descriptor_distance([1, 2], [1, 2, 3])
+        distance_maps([np.array([[1.0, 2.0]])], [1, 2, 3])
 
 
 def test_distance_triangle_inequality():
@@ -365,6 +376,28 @@ def test_descriptor_binary_roundtrip(tmp_path, ico4_spectrum):
     loaded = load_descriptor_binary(path)
     assert loaded.family == "hks"
     np.testing.assert_array_equal(loaded.values, field.values)
+
+
+def test_descriptor_binary_golden_layout(tmp_path):
+    # README layout: magic, <IIB header (V, n, family name length), the family
+    # name, then V x n little-endian float64 values row-major
+    values = np.array([[1.0, -2.5], [3.25, 4.0], [0.0, 6.5]])
+    expected = (b"SDDESC01" + struct.pack("<IIB", 3, 2, 3) + b"wks"
+                + struct.pack("<6d", *values.ravel()))
+    path = tmp_path / "tiny.dsc"
+    save_descriptor_binary(DescriptorField(values=values, family="wks"), path)
+    assert path.read_bytes() == expected
+    loaded = load_descriptor_binary(path)
+    assert loaded.family == "wks"
+    np.testing.assert_array_equal(loaded.values, values)
+
+
+def test_descriptor_binary_truncated(tmp_path, ico4_spectrum):
+    path = tmp_path / "field.dsc"
+    save_descriptor_binary(hks(ico4_spectrum, [0.1, 1.0]), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(DataError, match="truncated"):
+        load_descriptor_binary(path)
 
 
 def test_descriptor_csv_schema(tmp_path, ico4_spectrum):

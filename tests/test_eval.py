@@ -8,14 +8,13 @@ from specdesc.evaluation import (
     CmcCurve,
     MatchGroundTruth,
     cmc,
-    distance_map,
     distance_maps,
     emit_report,
     match_ground_truth,
     rate_at,
     roc,
 )
-from specdesc.mesh import geodesic_distances
+from specdesc.mesh import geodesic_distance_fields
 from specdesc.synth import icosphere
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ def test_match_ground_truth_balls():
     refs = np.array([0, 5, 40])
     gt = match_ground_truth(mesh, refs, radius=0.4)
     for i, ref in enumerate(refs):
-        d = geodesic_distances(mesh, int(ref)).distances
+        d = geodesic_distance_fields(mesh, [int(ref)])[0]
         np.testing.assert_array_equal(np.flatnonzero(d <= 0.4), np.sort(gt.sets[i]))
         assert ref in gt.sets[i]
 
@@ -204,8 +203,8 @@ def test_match_ground_truth_includes_symmetric_ball():
          for v in mesh.vertices]
     )
     gt = match_ground_truth(mesh, np.array([3]), radius=0.3, symmetry=antipode)
-    d_own = geodesic_distances(mesh, 3).distances
-    d_sym = geodesic_distances(mesh, int(antipode[3])).distances
+    d_own = geodesic_distance_fields(mesh, [3])[0]
+    d_sym = geodesic_distance_fields(mesh, [int(antipode[3])])[0]
     expected = np.flatnonzero((d_own <= 0.3) | (d_sym <= 0.3))
     np.testing.assert_array_equal(np.sort(gt.sets[0]), expected)
 
@@ -218,14 +217,14 @@ def test_match_ground_truth_includes_symmetric_ball():
 def test_distance_map_zero_at_reference():
     rng = np.random.default_rng(5)
     field = rng.standard_normal((30, 4))
-    values = distance_map(field, field[7])
+    values = distance_maps([field], field[7])[0]
     assert values[7] == 0.0
     assert values.max() == 1.0
 
 
 def test_distance_map_degenerate_all_zero():
     field = np.ones((10, 3))
-    values = distance_map(field, field[0])
+    values = distance_maps([field], field[0])[0]
     assert (values == 0.0).all()
 
 
@@ -245,7 +244,7 @@ def test_distance_maps_share_scale():
 
 def test_distance_map_dimension_check():
     with pytest.raises(DataError):
-        distance_map(np.zeros((5, 3)), np.zeros(4))
+        distance_maps([np.zeros((5, 3))], np.zeros(4))
 
 
 # ---------------------------------------------------------------------------

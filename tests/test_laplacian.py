@@ -1,15 +1,19 @@
+import struct
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh
 
 from specdesc.errors import DataError
 from specdesc.laplacian import (
+    Spectrum,
     assemble_fem,
     compute_spectrum,
     load_spectrum,
     save_spectrum,
-    shape_dna,
 )
+from specdesc.descriptors import shape_dna_field
 from specdesc.mesh import TriangleMesh
 from specdesc.synth import grid_mesh, icosphere
 
@@ -221,8 +225,12 @@ def test_scaling_covariance(ico4, ico4_spectrum):
 
 
 # ---------------------------------------------------------------------------
-# shape DNA
+# shape DNA (the leading eigenvalues, broadcast to every vertex)
 # ---------------------------------------------------------------------------
+
+
+def shape_dna(spectrum, length):
+    return shape_dna_field(spectrum, length).values[0]
 
 
 def test_shape_dna_sphere(ico4_spectrum):
@@ -232,12 +240,14 @@ def test_shape_dna_sphere(ico4_spectrum):
 
 
 def test_shape_dna_empty(ico4_spectrum):
-    assert shape_dna(ico4_spectrum, 0).size == 0
+    # a per-vertex field needs at least one column
+    with pytest.raises(DataError):
+        shape_dna_field(ico4_spectrum, 0)
 
 
 def test_shape_dna_too_long(ico4_spectrum):
     with pytest.raises(DataError):
-        shape_dna(ico4_spectrum, len(ico4_spectrum) + 1)
+        shape_dna_field(ico4_spectrum, len(ico4_spectrum) + 1)
 
 
 def test_shape_dna_rigid_invariance(ico4, ico4_spectrum):
@@ -259,6 +269,24 @@ def test_spectrum_cache_roundtrip(tmp_path, ico4, ico4_spectrum):
     np.testing.assert_array_equal(loaded.eigenvalues, ico4_spectrum.eigenvalues)
     np.testing.assert_array_equal(loaded.eigenfunctions, ico4_spectrum.eigenfunctions)
     assert loaded.mass_mode == ico4_spectrum.mass_mode
+
+
+def test_spectrum_cache_golden_layout(tmp_path):
+    # README layout: magic, <IIB header (V, s, mass mode index), 32-byte mesh
+    # hash, s eigenvalues, V x s eigenfunctions row-major, all little-endian
+    vals = np.array([0.0, 1.5])
+    funcs = np.array([[0.25, -1.0], [2.0, 3.5], [-0.5, 4.0]])
+    mesh_hash = "ab" * 32
+    expected = (b"SDSPEC01" + struct.pack("<IIB", 3, 2, 1) + bytes.fromhex(mesh_hash)
+                + struct.pack("<2d", *vals) + struct.pack("<6d", *funcs.ravel()))
+    path = tmp_path / "tiny.spec"
+    spectrum = Spectrum(eigenvalues=vals, eigenfunctions=funcs,
+                        mass=sparse.identity(3, format="csr"), mass_mode="consistent")
+    save_spectrum(spectrum, mesh_hash, path)
+    assert path.read_bytes() == expected
+    loaded = load_spectrum(path, spectrum.mass, mesh_hash)
+    np.testing.assert_array_equal(loaded.eigenfunctions, funcs)
+    assert loaded.mass_mode == "consistent"
 
 
 def test_spectrum_cache_hash_mismatch(tmp_path, ico4, ico4_spectrum):

@@ -6,14 +6,13 @@ from specdesc.errors import DataError, NumericalError
 from specdesc.learning import (
     TAG_INVARIANCE,
     CovarianceStats,
+    PairIndices,
     PairSet,
     ShapeSample,
     build_pairs,
     estimate_covariances,
-    load_pairs,
     pair_distances,
     sample_pair_indices,
-    save_pairs,
     solve_response,
     solve_tradeoff,
     sweep_alpha,
@@ -29,10 +28,12 @@ def make_pairset(anchors, positives, negatives, shape_ids=("s0",)):
         anchors=np.asarray(anchors, float),
         positives=np.asarray(positives, float),
         negatives=np.asarray(negatives, float),
-        tags=np.zeros(n, dtype=np.uint8),
-        shape_ids=list(shape_ids),
-        anchor_shape=z.copy(), pos_shape=z.copy(), neg_shape=z.copy(),
-        anchor_vertex=z.copy(), pos_vertex=z.copy(), neg_vertex=z.copy(),
+        indices=PairIndices(
+            tags=np.zeros(n, dtype=np.uint8),
+            shape_ids=list(shape_ids),
+            anchor_shape=z.copy(), pos_shape=z.copy(), neg_shape=z.copy(),
+            anchor_vertex=z.copy(), pos_vertex=z.copy(), neg_vertex=z.copy(),
+        ),
     )
 
 
@@ -74,13 +75,13 @@ def sample_args(**overrides):
 
 def test_build_pairs_ring_exclusion(blob_shape):
     mesh, gvecs, _ = blob_shape
-    from specdesc.mesh import geodesic_distances, intrinsic_diameter
+    from specdesc.mesh import geodesic_distance_fields, intrinsic_diameter
 
     shapes = [ShapeSample("a", mesh, "blob", gvecs=gvecs)]
-    pairs = build_pairs(shapes, **sample_args())
+    pairs = build_pairs(shapes, **sample_args()).indices
     diam = intrinsic_diameter(mesh, 25)
     for i in range(len(pairs)):
-        d = geodesic_distances(mesh, int(pairs.anchor_vertex[i])).distances
+        d = geodesic_distance_fields(mesh, [pairs.anchor_vertex[i]])[0]
         assert d[pairs.pos_vertex[i]] <= 0.04 * diam
         assert d[pairs.neg_vertex[i]] > 0.1 * diam
         assert pairs.pos_vertex[i] != pairs.anchor_vertex[i]
@@ -88,12 +89,13 @@ def test_build_pairs_ring_exclusion(blob_shape):
 
 def test_identity_symmetry_equals_no_symmetry(blob_shape):
     mesh, gvecs, _ = blob_shape
-    plain = build_pairs([ShapeSample("a", mesh, "blob", gvecs=gvecs)], **sample_args())
+    plain = build_pairs([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
+                        **sample_args()).indices
     with_sym = build_pairs(
         [ShapeSample("a", mesh, "blob", gvecs=gvecs,
                      symmetry=np.arange(mesh.n_vertices))],
         **sample_args(),
-    )
+    ).indices
     np.testing.assert_array_equal(plain.anchor_vertex, with_sym.anchor_vertex)
     np.testing.assert_array_equal(plain.pos_vertex, with_sym.pos_vertex)
     np.testing.assert_array_equal(plain.neg_vertex, with_sym.neg_vertex)
@@ -104,7 +106,7 @@ def test_symmetric_ball_joins_positive_set(blob_shape):
     pairs = build_pairs(
         [ShapeSample("a", mesh, "blob", gvecs=gvecs, symmetry=sym)],
         **sample_args(refs_per_shape=12, negatives_per_ref=20, positives_per_ref=12),
-    )
+    ).indices
     from specdesc.mesh import geodesic_distance_fields, intrinsic_diameter
 
     diam = intrinsic_diameter(mesh, 25)
@@ -131,7 +133,7 @@ def test_invariance_pairs_are_exact_for_identity_correspondence(blob_shape):
                     corr_target="null"),
     ]
     pairs = build_pairs(shapes, **sample_args())
-    inv = pairs.tags == TAG_INVARIANCE
+    inv = pairs.indices.tags == TAG_INVARIANCE
     assert inv.any()
     np.testing.assert_array_equal(pairs.anchors[inv], pairs.positives[inv])
 
@@ -142,9 +144,9 @@ def test_pairs_reproducible_and_seed_sensitive(blob_shape):
     a = build_pairs(shapes, **sample_args())
     b = build_pairs(shapes, **sample_args())
     np.testing.assert_array_equal(a.anchors, b.anchors)
-    np.testing.assert_array_equal(a.neg_vertex, b.neg_vertex)
+    np.testing.assert_array_equal(a.indices.neg_vertex, b.indices.neg_vertex)
     c = build_pairs(shapes, **sample_args(rng_seed=4))
-    assert not np.array_equal(a.neg_vertex, c.neg_vertex)
+    assert not np.array_equal(a.indices.neg_vertex, c.indices.neg_vertex)
 
 
 def test_cross_class_negatives_tagged(blob_shape):
@@ -157,7 +159,7 @@ def test_cross_class_negatives_tagged(blob_shape):
                     gvecs=rng.standard_normal((other.n_vertices, 7)),
                     sample_refs=False),
     ]
-    pairs = build_pairs(shapes, **sample_args(cross_negatives_per_ref=6))
+    pairs = build_pairs(shapes, **sample_args(cross_negatives_per_ref=6)).indices
     counts = pairs.tag_counts()
     assert counts["discriminativity"] == 5 * 6
     cross = pairs.tags == 2
@@ -482,37 +484,3 @@ def test_sweep_mode_validation():
     basis = FrequencyBasis(nu_max=1.0, m=6)
     with pytest.raises(DataError):
         sweep_alpha(train, [0.3], 2, held, basis, mode="balanced")
-
-
-# ---------------------------------------------------------------------------
-# pair set file format
-# ---------------------------------------------------------------------------
-
-
-def test_pairs_roundtrip_bitwise(tmp_path, blob_shape):
-    mesh, gvecs, sym = blob_shape
-    pairs = build_pairs(
-        [ShapeSample("a", mesh, "blob", gvecs=gvecs, symmetry=sym)],
-        **sample_args(),
-    )
-    path = tmp_path / "pairs.bin"
-    save_pairs(pairs, path)
-    loaded = load_pairs(path)
-    np.testing.assert_array_equal(loaded.anchors, pairs.anchors)
-    np.testing.assert_array_equal(loaded.positives, pairs.positives)
-    np.testing.assert_array_equal(loaded.negatives, pairs.negatives)
-    np.testing.assert_array_equal(loaded.tags, pairs.tags)
-    np.testing.assert_array_equal(loaded.neg_vertex, pairs.neg_vertex)
-    assert loaded.shape_ids == pairs.shape_ids
-
-
-def test_pairs_file_truncation_detected(tmp_path, blob_shape):
-    mesh, gvecs, _ = blob_shape
-    pairs = build_pairs([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
-                        **sample_args())
-    path = tmp_path / "pairs.bin"
-    save_pairs(pairs, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-16])
-    with pytest.raises(DataError, match="truncated"):
-        load_pairs(path)

@@ -9,7 +9,6 @@ from specdesc.mesh import (
     TriangleMesh,
     farthest_point_sample,
     geodesic_distance_fields,
-    geodesic_distances,
     intrinsic_diameter,
     load_mesh,
     save_coff,
@@ -173,6 +172,19 @@ def test_boundary_flags():
     assert not closed.boundary_vertex.any()
 
 
+@pytest.mark.parametrize("mesh", [grid_mesh(5), icosphere(2)], ids=["grid", "sphere"])
+def test_edge_table_matches_rowwise_unique(mesh):
+    # reference: row-wise unique of the sorted half-edges, in face-shuffled order
+    faces = mesh.faces[np.random.default_rng(4).permutation(mesh.n_faces)]
+    shuffled = TriangleMesh(mesh.vertices, faces)
+    half = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges, counts = np.unique(half, axis=0, return_counts=True)
+    np.testing.assert_array_equal(shuffled.edges, edges)
+    boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    boundary[edges[counts == 1].ravel()] = True
+    np.testing.assert_array_equal(shuffled.boundary_vertex, boundary)
+
+
 # ---------------------------------------------------------------------------
 # geodesics
 # ---------------------------------------------------------------------------
@@ -180,25 +192,25 @@ def test_boundary_flags():
 
 def test_grid_axis_distance_exact():
     mesh = grid_mesh(3, width=3.0, height=3.0)  # unit cells
-    field = geodesic_distances(mesh, 0)
-    assert field.distances[3] == 3.0  # corner (3, 0): straight edge path
-    assert field.distances[0] == 0.0
+    d = geodesic_distance_fields(mesh, [0])[0]
+    assert d[3] == 3.0  # corner (3, 0): straight edge path
+    assert d[0] == 0.0
 
 
 def test_geodesic_source_out_of_range():
     with pytest.raises(DataError):
-        geodesic_distances(tetrahedron(), 4)
+        geodesic_distance_fields(tetrahedron(), [4])
 
 
 def test_icosphere_antipodal_distance(ico4):
     # the icosphere is centrally symmetric so the exact antipode exists
     j = int(np.argmin(np.linalg.norm(ico4.vertices + ico4.vertices[0], axis=1)))
-    d = geodesic_distances(ico4, 0).distances[j]
+    d = geodesic_distance_fields(ico4, [0])[0][j]
     assert np.pi * 0.95 <= d <= np.pi * 1.10
 
 
 def test_triangle_inequality_along_edges(ico4):
-    d = geodesic_distances(ico4, 17).distances
+    d = geodesic_distance_fields(ico4, [17])[0]
     edges = ico4.edges
     lengths = ico4.edge_lengths
     slack = d[edges[:, 0]] + lengths - d[edges[:, 1]]
@@ -209,15 +221,15 @@ def test_dijkstra_invariant_under_face_permutation(ico4):
     rng = np.random.default_rng(11)
     perm = rng.permutation(ico4.n_faces)
     shuffled = TriangleMesh(ico4.vertices.copy(), ico4.faces[perm], validate=False)
-    d0 = geodesic_distances(ico4, 5).distances
-    d1 = geodesic_distances(shuffled, 5).distances
+    d0 = geodesic_distance_fields(ico4, [5])[0]
+    d1 = geodesic_distance_fields(shuffled, [5])[0]
     np.testing.assert_array_equal(d0, d1)
 
 
 def test_geodesic_distance_fields_batched(ico4):
     batch = geodesic_distance_fields(ico4, [0, 7])
-    np.testing.assert_array_equal(batch[0], geodesic_distances(ico4, 0).distances)
-    np.testing.assert_array_equal(batch[1], geodesic_distances(ico4, 7).distances)
+    np.testing.assert_array_equal(batch[0], geodesic_distance_fields(ico4, [0])[0])
+    np.testing.assert_array_equal(batch[1], geodesic_distance_fields(ico4, [7])[0])
 
 
 # ---------------------------------------------------------------------------
