@@ -22,7 +22,6 @@ from .config import ManifestEntry, PipelineConfig, parse_config, read_manifest
 from .descriptors import (
     DescriptorField,
     FrequencyBasis,
-    GeometryVectorField,
     ResponseModel,
     apply_response,
     geometry_vectors,
@@ -115,33 +114,36 @@ class Workspace:
 
     def file_hash(self, entry: ManifestEntry) -> str:
         if entry.shape_id not in self._file_hashes:
-            digest = hashlib.sha256((self.base / entry.path).read_bytes()).hexdigest()
-            self._file_hashes[entry.shape_id] = digest
+            path = self.base / entry.path
+            if not path.is_file():
+                raise DataError(f"mesh file not found: {path}")
+            self._file_hashes[entry.shape_id] = hashlib.sha256(path.read_bytes()).hexdigest()
         return self._file_hashes[entry.shape_id]
 
     def spectrum(self, entry: ManifestEntry, count: Optional[int] = None) -> Spectrum:
-        mesh = self.mesh(entry)
+        """The first `count` eigenpairs (at most one per vertex), cached by the
+        mesh file's digest: a cache hit parses no mesh."""
         if count is None:
             count = self.cfg.get_int("spectral", "s")
-        count = min(count, mesh.n_vertices)
         memo = (entry.shape_id, count)
         if memo in self._spectra:
             return self._spectra[memo]
         mass_mode = self.cfg.get("spectral", "mass_mode")
-        op = assemble_fem(mesh, mass_mode=mass_mode)
-        key = spectrum_cache_key(self.file_hash(entry), count, mass_mode)
+        mesh_hash = self.file_hash(entry)
+        key = spectrum_cache_key(mesh_hash, count, mass_mode)
         cache_path = self.cache_dir / f"{entry.shape_id}.{key}.spec"
-        mesh_hash = mesh.content_hash()
         spectrum = None
         if cache_path.is_file():
             try:
-                spectrum = load_spectrum(cache_path, op.mass, mesh_hash)
+                spectrum = load_spectrum(cache_path, mesh_hash)
                 log.info("spectrum cache hit for %s (s=%d)", entry.shape_id, count)
             except DataError as exc:
                 log.warning("spectrum cache unusable for %s (%s); recomputing",
                             entry.shape_id, exc)
         if spectrum is None:
-            spectrum = compute_spectrum(op, count)
+            mesh = self.mesh(entry)
+            op = assemble_fem(mesh, mass_mode=mass_mode)
+            spectrum = compute_spectrum(op, min(count, mesh.n_vertices))
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             save_spectrum(spectrum, mesh_hash, cache_path)
             log.info("computed spectrum for %s (s=%d)", entry.shape_id, count)
@@ -151,30 +153,44 @@ class Workspace:
     def spectrum_reaching(self, entry: ManifestEntry, nu_target: float) -> Spectrum:
         """Spectrum extended until it covers `nu_target` (basis cutoff)."""
         count = self.cfg.get_int("spectral", "s")
-        mesh = self.mesh(entry)
         while True:
             spectrum = self.spectrum(entry, count)
             if spectrum.eigenvalues[-1] * (1.0 + 1e-12) >= nu_target:
                 return spectrum
-            if count >= mesh.n_vertices:
+            if count >= spectrum.n_vertices:
                 return spectrum  # geometry_vectors will raise with details
-            count = min(mesh.n_vertices, int(count * 1.3) + 8)
+            count = min(spectrum.n_vertices, int(count * 1.3) + 8)
             log.info("extending spectrum of %s to s=%d to reach nu=%.4g",
                      entry.shape_id, count, nu_target)
 
     def geometry_vectors(self, entry: ManifestEntry, basis: FrequencyBasis) -> np.ndarray:
-        spectrum = self.spectrum_reaching(entry, basis.nu_max)
-        return geometry_vectors(spectrum, basis).values
+        return geometry_vectors(self.spectrum_reaching(entry, basis.nu_max), basis)
 
-    def correspondence(self, entry: ManifestEntry):
+    def _index_map(self, entry: ManifestEntry, rel_path: str, tag: str,
+                   target: ManifestEntry) -> CorrespondenceMap:
+        """Index map file of `entry` onto `target`: one entry per vertex of
+        `entry`, each -1 or a vertex of `target`."""
+        path = self.base / rel_path
+        index_map = CorrespondenceMap(load_index_map(path, tag))
+        n = self.mesh(entry).n_vertices
+        if len(index_map.target) != n:
+            raise DataError(f"{path}: {len(index_map.target)} entries for a shape "
+                            f"with {n} vertices")
+        try:
+            index_map.validate_against(self.mesh(target).n_vertices)
+        except MeshValidationError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+        return index_map
+
+    def correspondence(self, entry: ManifestEntry) -> Optional[CorrespondenceMap]:
         if not entry.corr_path:
             return None
-        return CorrespondenceMap(load_index_map(self.base / entry.corr_path, "corr"))
+        return self._index_map(entry, entry.corr_path, "corr", self.entry(entry.null_id))
 
-    def symmetry(self, entry: ManifestEntry):
+    def symmetry(self, entry: ManifestEntry) -> Optional[np.ndarray]:
         if not entry.sym_path:
             return None
-        return load_index_map(self.base / entry.sym_path, "sym")
+        return self._index_map(entry, entry.sym_path, "sym", entry).target
 
     def shape_sample(self, entry: ManifestEntry, gvecs=None, sample_refs=True) -> ShapeSample:
         return ShapeSample(
@@ -263,8 +279,7 @@ def _describe_field(ws: Workspace, entry: ManifestEntry, family: str,
     cfg = ws.cfg
     n = cfg.get_int("descriptor", "n")
     if family == "learned":
-        gvecs = ws.geometry_vectors(entry, model.basis)
-        return apply_response(GeometryVectorField(values=gvecs, basis=model.basis), model)
+        return apply_response(ws.geometry_vectors(entry, model.basis), model)
     spectrum = ws.spectrum(entry)
     if family == "hks":
         times = cfg.get_floats("descriptor", "hks_times")
@@ -308,8 +323,7 @@ def _train_model(ws: Workspace):
     train_pairs = _build_split_pairs(ws, ("train",), ("train_neg",), basis, "rng_seed")
     log.info("training pairs: %d triplets %s", len(train_pairs),
              train_pairs.indices.tag_counts())
-    ridge = cfg.get_float("learning", "ridge")
-    stats = estimate_covariances(train_pairs, ridge=ridge)
+    stats = estimate_covariances(train_pairs, ridge=cfg.get_float("learning", "ridge"))
     n = cfg.get_int("descriptor", "n")
     alpha_raw = cfg.get("learning", "alpha").strip()
     table: list[AlphaSweepEntry] = []
@@ -318,14 +332,13 @@ def _train_model(ws: Workspace):
     else:
         val_pairs = _build_split_pairs(ws, ("val",), ("val_neg",), basis, "rng_seed")
         best_alpha, table = sweep_alpha(
-            train_pairs,
+            stats,
             cfg.get_floats("learning", "alpha_grid"),
             n,
             val_pairs,
             basis,
             mode=cfg.get("eval", "mode"),
             work_point=cfg.get_float("eval", "work_point"),
-            ridge=ridge,
         )
         log.info("alpha sweep selected %.4g (%s mode)", best_alpha, cfg.get("eval", "mode"))
     model = solve_response(stats, best_alpha, n, basis)
@@ -381,7 +394,11 @@ def _load_family_fields(ws: Workspace, family: str, directory: Path,
         path = directory / f"{entry.shape_id}.{family}.dsc"
         if not path.is_file():
             raise DataError(f"missing descriptor file: {path}")
-        fields[entry.shape_id] = load_descriptor_binary(path).values
+        values = load_descriptor_binary(path).values
+        n = ws.mesh(entry).n_vertices
+        if len(values) != n:
+            raise DataError(f"{path}: {len(values)} rows for a mesh with {n} vertices")
+        fields[entry.shape_id] = values
     return fields
 
 

@@ -26,7 +26,6 @@ from .laplacian import Spectrum
 
 __all__ = [
     "FrequencyBasis",
-    "GeometryVectorField",
     "ResponseModel",
     "DescriptorField",
     "hks",
@@ -83,22 +82,6 @@ class FrequencyBasis:
         design = BSpline.design_matrix(clipped, self.knots, 3).toarray()
         design[~inside] = 0.0
         return design
-
-
-@dataclass
-class GeometryVectorField:
-    """Shape-independent per-vertex summary: basis responses accumulated over
-    the spectrum with squared-eigenfunction weights."""
-
-    values: np.ndarray  # (V, m)
-    basis: FrequencyBasis
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -242,10 +225,12 @@ def shape_dna_field(spectrum: Spectrum, n: int) -> DescriptorField:
 # ---------------------------------------------------------------------------
 
 
-def geometry_vectors(spectrum: Spectrum, basis: FrequencyBasis) -> GeometryVectorField:
-    """Accumulate the basis design matrix over the spectrum, one geometry
-    vector per vertex. Requires the spectrum to reach nu_max, otherwise the
-    series truncation is invalid and more eigenpairs must be computed."""
+def geometry_vectors(spectrum: Spectrum, basis: FrequencyBasis) -> np.ndarray:
+    """Accumulate the basis design matrix over the spectrum: a (V, m) array,
+    one shape-independent geometry vector of basis responses per vertex,
+    weighted by the squared eigenfunctions. Requires the spectrum to reach
+    nu_max, otherwise the series truncation is invalid and more eigenpairs
+    must be computed."""
     top = float(spectrum.eigenvalues[-1])
     if basis.nu_max > top * (1.0 + 1e-12):
         raise DataError(
@@ -253,17 +238,17 @@ def geometry_vectors(spectrum: Spectrum, basis: FrequencyBasis) -> GeometryVecto
             f"{basis.nu_max:.6g}; compute more eigenpairs"
         )
     design = basis.evaluate(spectrum.eigenvalues)  # (s, m)
-    return GeometryVectorField(values=spectrum.squared() @ design, basis=basis)
+    return spectrum.squared() @ design
 
 
-def apply_response(field: GeometryVectorField, model: ResponseModel) -> DescriptorField:
-    """Linear map from geometry vectors to descriptors, vertex by vertex."""
-    if model.coefficients.shape[1] != field.m:
+def apply_response(gvecs: np.ndarray, model: ResponseModel) -> DescriptorField:
+    """Linear map from (V, m) geometry vectors to descriptors, vertex by vertex."""
+    if model.coefficients.shape[1] != gvecs.shape[1]:
         raise DataError(
             f"model expects {model.coefficients.shape[1]}-dim geometry vectors, "
-            f"field has {field.m}"
+            f"field has {gvecs.shape[1]}"
         )
-    return DescriptorField(values=field.values @ model.coefficients.T, family="learned")
+    return DescriptorField(values=gvecs @ model.coefficients.T, family="learned")
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray  # (s,)
     eigenfunctions: np.ndarray  # (V, s)
-    mass: sparse.csr_matrix
     mass_mode: str
 
     def __len__(self) -> int:
@@ -236,9 +235,7 @@ def compute_spectrum(op: FemOperator, count: int) -> Spectrum:
     if defect > 1e-6:
         raise NumericalError(f"eigenfunctions not mass-orthonormal (defect {defect:.2e})")
     _check_residuals(op, vals, funcs)
-    return Spectrum(
-        eigenvalues=vals, eigenfunctions=funcs, mass=op.mass, mass_mode=op.mass_mode
-    )
+    return Spectrum(eigenvalues=vals, eigenfunctions=funcs, mass_mode=op.mass_mode)
 
 
 def _check_residuals(op: FemOperator, vals: np.ndarray, funcs: np.ndarray) -> None:
@@ -266,7 +263,8 @@ _CACHE = Container(b"SDSPEC01", "<IIB32s", "spectrum cache")
 
 def save_spectrum(spectrum: Spectrum, mesh_hash: str, path) -> None:
     """Binary cache: header (vertex count, pair count, mass mode, version via
-    magic), mesh content hash, eigenvalues, then eigenfunctions row-major."""
+    magic), SHA-256 of the mesh file, eigenvalues, then eigenfunctions
+    row-major."""
     digest = bytes.fromhex(mesh_hash)
     if len(digest) != 32:
         raise DataError("mesh_hash must be a sha256 hex digest")
@@ -276,20 +274,18 @@ def save_spectrum(spectrum: Spectrum, mesh_hash: str, path) -> None:
     tmp.replace(path)
 
 
-def load_spectrum(path, mass: sparse.csr_matrix, mesh_hash: str) -> Spectrum:
-    """Load a cached spectrum; raises DataError on any mismatch or damage."""
+def load_spectrum(path, mesh_hash: str) -> Spectrum:
+    """Load a cached spectrum of the mesh file whose SHA-256 is `mesh_hash`;
+    raises DataError on any mismatch or damage."""
     raw, (nv, s, mode_idx, digest) = _CACHE.read(path)
     if digest.hex() != mesh_hash:
         raise DataError(f"{path}: cached spectrum belongs to a different mesh")
     if mode_idx >= len(MASS_MODES):
         raise DataError(f"{path}: unknown mass mode tag {mode_idx}")
     flat = _CACHE.floats(raw, _CACHE.size, s + nv * s, path)
-    if mass.shape[0] != nv:
-        raise DataError(f"{path}: cache vertex count {nv} does not match the mesh")
     return Spectrum(
         eigenvalues=flat[:s],
         eigenfunctions=flat[s:].reshape(nv, s),
-        mass=mass,
         mass_mode=MASS_MODES[mode_idx],
     )
 

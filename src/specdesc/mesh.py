@@ -9,7 +9,6 @@ runs always produce the same sequence.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -123,18 +122,13 @@ class TriangleMesh:
         )
         return graph.tocsr()
 
-    def content_hash(self) -> str:
-        """SHA-256 over vertex and face buffers; identifies mesh content."""
-        h = hashlib.sha256()
-        h.update(np.int64(self.n_vertices).tobytes())
-        h.update(np.int64(self.n_faces).tobytes())
-        h.update(np.ascontiguousarray(self.vertices).tobytes())
-        h.update(np.ascontiguousarray(self.faces).tobytes())
-        return h.hexdigest()
-
     # -- validation ---------------------------------------------------------
 
     def _validate(self) -> None:
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise MeshValidationError(f"vertex {bad} has a non-finite coordinate")
         nv, nf = self.n_vertices, self.n_faces
         if nv == 0 or nf == 0:
             raise MeshValidationError("mesh has no vertices or no faces")
@@ -187,11 +181,13 @@ class CorrespondenceMap:
         self.target = np.asarray(self.target, dtype=np.int64)
 
     def validate_against(self, target_vertex_count: int) -> None:
-        mapped = self.target[self.target >= 0]
-        if mapped.size and mapped.max() >= target_vertex_count:
+        """Raise unless every entry is -1 or a vertex index of the target."""
+        bad = (self.target < -1) | (self.target >= target_vertex_count)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
             raise MeshValidationError(
-                "correspondence references vertex "
-                f"{int(mapped.max())} outside the target mesh"
+                f"entry {i} references vertex {int(self.target[i])} outside "
+                f"[-1, {target_vertex_count})"
             )
 
 
@@ -207,8 +203,8 @@ def _significant_lines(text: str):
             yield line
 
 
-def _read_off(path: Path):
-    lines = list(_significant_lines(path.read_text()))
+def _read_off(path: Path, text: str):
+    lines = list(_significant_lines(text))
     if not lines:
         raise ParseError(f"{path}: empty OFF file")
     header = lines[0].split()
@@ -227,6 +223,8 @@ def _read_off(path: Path):
         nv, nf = int(rest[0]), int(rest[1])
     except ValueError as exc:
         raise ParseError(f"{path}: malformed OFF counts line") from exc
+    if nv < 0 or nf < 0:
+        raise ParseError(f"{path}: malformed OFF counts line")
     if len(lines) < idx + nv + nf:
         raise ParseError(f"{path}: truncated OFF file")
     verts = np.empty((nv, 3), dtype=np.float64)
@@ -254,10 +252,10 @@ def _read_off(path: Path):
     return verts, faces
 
 
-def _read_obj(path: Path):
+def _read_obj(path: Path, text: str):
     verts = []
     faces = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -304,12 +302,14 @@ def load_mesh(path, format: Optional[str] = None) -> TriangleMesh:
     if not p.is_file():
         raise DataError(f"mesh file not found: {p}")
     fmt = (format or p.suffix.lstrip(".")).lower()
-    if fmt == "off":
-        verts, faces = _read_off(p)
-    elif fmt == "obj":
-        verts, faces = _read_obj(p)
-    else:
+    readers = {"off": _read_off, "obj": _read_obj}
+    if fmt not in readers:
         raise ParseError(f"{p}: unsupported mesh format {fmt!r}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: mesh file is not UTF-8 text") from exc
+    verts, faces = readers[fmt](p, text)
     try:
         return TriangleMesh(verts, faces)
     except MeshValidationError as exc:

@@ -551,12 +551,20 @@ def save_index_map(values, path, tag: str) -> None:
 
 
 def load_index_map(path, tag: str) -> np.ndarray:
-    tokens = Path(path).read_text().split()
+    name = _INDEX_MAP_NAMES[tag]
+    try:
+        tokens = Path(path).read_text(encoding="utf-8").split()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read {name} file ({type(exc).__name__})") from exc
     if len(tokens) < 2 or tokens[0] != tag:
-        raise DataError(f"{path}: not a {_INDEX_MAP_NAMES[tag]} file")
-    if len(tokens) != 2 + int(tokens[1]):
-        raise DataError(f"{path}: truncated {_INDEX_MAP_NAMES[tag]} file")
-    return np.asarray(tokens[2:], dtype=np.int64)
+        raise DataError(f"{path}: not a {name} file")
+    try:
+        count, values = int(tokens[1]), np.asarray(tokens[2:], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{path}: {name} file holds a non-integer token") from exc
+    if len(values) != count:
+        raise DataError(f"{path}: truncated {name} file")
+    return values
 
 
 @dataclass

@@ -228,7 +228,7 @@ def test_criterion_06_isometry_invariance():
     basis = FrequencyBasis(nu_max=cut, m=24)
     ga = geometry_vectors(spec_a, basis)
     gb = geometry_vectors(spec_b, basis)
-    sample = ShapeSample("null", mesh, "blob", gvecs=ga.values,
+    sample = ShapeSample("null", mesh, "blob", gvecs=ga,
                          symmetry=shape.symmetry())
     pairs = build_pairs([sample], 0.04, 0.1, 40, 12, 5, positives_per_ref=6)
     stats = estimate_covariances(pairs, ridge=1e-4)

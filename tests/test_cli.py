@@ -1,12 +1,19 @@
 import filecmp
+import hashlib
 import logging
+import re
+import shutil
 
 import numpy as np
 import pytest
 
-from specdesc.cli import main
-from specdesc.config import DEFAULTS, parse_config_text, read_manifest
-from specdesc.descriptors import load_descriptor_binary
+from specdesc.cli import DESCRIBE_FAMILIES, Workspace, main
+from specdesc.config import DEFAULTS, parse_config, parse_config_text, read_manifest
+from specdesc.descriptors import (
+    DescriptorField,
+    load_descriptor_binary,
+    save_descriptor_binary,
+)
 from specdesc.errors import DataError, ParseError
 from specdesc.mesh import CorrespondenceMap, intrinsic_diameter, load_mesh
 from specdesc.synth import (
@@ -177,6 +184,13 @@ def test_index_map_truncated(tmp_path, tag):
         load_index_map(path, tag)
     with pytest.raises(DataError, match="not a"):
         load_index_map(path, "sym" if tag == "corr" else "corr")
+    for text in (f"{tag} x\n0\n", f"{tag} 2\n0\nfoo\n"):
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"{path.name}: .* non-integer"):
+            load_index_map(path, tag)
+    path.write_bytes(f"{tag} 1\n\xe9\n".encode("latin-1"))
+    with pytest.raises(DataError, match=f"{path.name}: cannot read"):
+        load_index_map(path, tag)
 
 
 def test_full_deformation_taxonomy(tmp_path):
@@ -239,6 +253,25 @@ def test_spectrum_cache_hit_and_corruption(mini_corpus, caplog):
     assert any("recomputing" in r.message for r in caplog.records)
 
 
+def test_spectrum_cache_rejects_other_shapes_file(mini_corpus, tmp_path, caplog):
+    cfg = parse_config(mini_corpus / "config.cfg")
+    ws = Workspace(cfg, cache_dir=tmp_path)
+    dumbbell, torus = ws.entry("dumbbell"), ws.entry("torus")
+    expected = ws.spectrum(torus)
+    ws.spectrum(dumbbell)
+    torus_file = next(tmp_path.glob("torus.*.spec"))
+    torus_file.write_bytes(next(tmp_path.glob("dumbbell.*.spec")).read_bytes())
+    with caplog.at_level(logging.INFO, logger="specdesc"):
+        again = Workspace(cfg, cache_dir=tmp_path).spectrum(torus)
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("different mesh" in m for m in messages)
+    assert any("computed spectrum for torus" in m for m in messages)
+    np.testing.assert_array_equal(again.eigenfunctions, expected.eigenfunctions)
+    # the header digest is the SHA-256 of the mesh file
+    digest = hashlib.sha256((mini_corpus / "corpus" / "torus.off").read_bytes()).digest()
+    assert torus_file.read_bytes()[17:49] == digest
+
+
 def test_spectrum_cache_dir_flag(mini_corpus, tmp_path):
     cache = tmp_path / "mycache"
     assert run(["spectrum", "--config", mini_corpus / "config.cfg",
@@ -279,6 +312,44 @@ def mini_pipeline(mini_corpus):
                 "--model", mini_corpus / "train" / "model.json",
                 "--out", desc]) == 0
     return mini_corpus
+
+
+@pytest.fixture
+def pipeline_copy(mini_pipeline, tmp_path):
+    """Writable copy of the mini corpus, its warm spectrum cache and its
+    descriptor files."""
+    shutil.copytree(mini_pipeline / "corpus", tmp_path / "corpus")
+    shutil.copytree(mini_pipeline / "desc", tmp_path / "desc")
+    shutil.copy(mini_pipeline / "config.cfg", tmp_path / "config.cfg")
+    return tmp_path
+
+
+def test_warm_describe_parses_no_mesh(mini_pipeline, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm describe parses no mesh and assembles no operator")
+
+    monkeypatch.setattr("specdesc.cli.load_mesh", refuse)
+    monkeypatch.setattr("specdesc.cli.assemble_fem", refuse)
+    config = mini_pipeline / "config.cfg"
+    for family in DESCRIBE_FAMILIES:
+        model = ["--model", mini_pipeline / "train" / "model.json"] if family == "learned" else []
+        assert run(["describe", "--config", config, "--family", family, *model,
+                    "--out", tmp_path]) == 0
+    expected = sorted((mini_pipeline / "desc").glob("*.dsc"))
+    assert len(expected) == 4 * len(read_manifest(mini_pipeline / "corpus" / "manifest.csv"))
+    assert sorted(p.name for p in tmp_path.glob("*.dsc")) == [p.name for p in expected]
+    for path in expected:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_warm_describe_missing_mesh_is_data_error(pipeline_copy, caplog):
+    mesh = pipeline_copy / "corpus" / "torus.off"
+    mesh.unlink()
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["describe", "--config", pipeline_copy / "config.cfg",
+                    "--family", "hks", "--out", pipeline_copy / "out"])
+    assert code == 3
+    assert any(f"mesh file not found: {mesh}" in r.getMessage() for r in caplog.records)
 
 
 def test_describe_dimension_defaults(mini_pipeline):
@@ -329,6 +400,49 @@ def test_eval_missing_descriptor_file(mini_pipeline, caplog):
                     "--out", mini_pipeline / "r"])
     assert code == 3
     assert any("missing descriptor file" in r.message for r in caplog.records)
+
+
+def _rewrite_index_map(path, tag, edit):
+    save_index_map(edit(load_index_map(path, tag)), path, tag)
+
+
+BAD_INDEX_MAPS = {
+    "non_integer_count": ("multisphere_jitter_1.corr", "non-integer",
+                          lambda p: p.write_text("corr x\n0\n")),
+    "short_corr": ("multisphere_jitter_1.corr", "entries for a shape with",
+                   lambda p: _rewrite_index_map(p, "corr", lambda v: v[:-1])),
+    "sym_out_of_range": ("torus.sym", "outside \\[-1, ",
+                         lambda p: _rewrite_index_map(p, "sym", lambda v: v + 10**6)),
+    "missing_sym": ("torus.sym", "cannot read", lambda p: p.unlink()),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INDEX_MAPS))
+def test_eval_rejects_bad_index_map(pipeline_copy, caplog, case):
+    name, message, corrupt = BAD_INDEX_MAPS[case]
+    path = pipeline_copy / "corpus" / name
+    corrupt(path)
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["eval", "--config", pipeline_copy / "config.cfg",
+                    "--descriptors", f"hks={pipeline_copy / 'desc'}",
+                    "--out", pipeline_copy / "report"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors and errors[-1].startswith(f"{path}: ")
+    assert re.search(message, errors[-1])
+
+
+def test_eval_rejects_short_descriptor(pipeline_copy, caplog):
+    path = pipeline_copy / "desc" / "torus.hks.dsc"
+    field = load_descriptor_binary(path)
+    save_descriptor_binary(DescriptorField(field.values[:-1], field.family), path)
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["eval", "--config", pipeline_copy / "config.cfg",
+                    "--descriptors", f"hks={pipeline_copy / 'desc'}",
+                    "--out", pipeline_copy / "report"])
+    assert code == 3
+    assert any(r.getMessage().startswith(f"{path}: {len(field) - 1} rows for a mesh with")
+               for r in caplog.records)
 
 
 def test_eval_report_and_manifest(mini_pipeline):

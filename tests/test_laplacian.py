@@ -1,8 +1,8 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.linalg import eigh
 
 from specdesc.errors import DataError
@@ -139,9 +139,9 @@ def test_single_pair_is_constant_mode(ico4_operator):
     assert np.std(phi) / abs(np.mean(phi)) < 1e-4
 
 
-def test_mass_orthonormality(ico4_spectrum):
+def test_mass_orthonormality(ico4_operator, ico4_spectrum):
     gram = ico4_spectrum.eigenfunctions.T @ (
-        ico4_spectrum.mass @ ico4_spectrum.eigenfunctions
+        ico4_operator.mass @ ico4_spectrum.eigenfunctions
     )
     assert np.abs(gram - np.eye(len(ico4_spectrum))).max() <= 1e-6
 
@@ -261,11 +261,11 @@ def test_shape_dna_rigid_invariance(ico4, ico4_spectrum):
 # ---------------------------------------------------------------------------
 
 
-def test_spectrum_cache_roundtrip(tmp_path, ico4, ico4_spectrum):
+def test_spectrum_cache_roundtrip(tmp_path, ico4_spectrum):
     path = tmp_path / "sphere.spec"
-    mesh_hash = ico4.content_hash()
+    mesh_hash = hashlib.sha256(b"sphere mesh file").hexdigest()
     save_spectrum(ico4_spectrum, mesh_hash, path)
-    loaded = load_spectrum(path, ico4_spectrum.mass, mesh_hash)
+    loaded = load_spectrum(path, mesh_hash)
     np.testing.assert_array_equal(loaded.eigenvalues, ico4_spectrum.eigenvalues)
     np.testing.assert_array_equal(loaded.eigenfunctions, ico4_spectrum.eigenfunctions)
     assert loaded.mass_mode == ico4_spectrum.mass_mode
@@ -280,26 +280,26 @@ def test_spectrum_cache_golden_layout(tmp_path):
     expected = (b"SDSPEC01" + struct.pack("<IIB", 3, 2, 1) + bytes.fromhex(mesh_hash)
                 + struct.pack("<2d", *vals) + struct.pack("<6d", *funcs.ravel()))
     path = tmp_path / "tiny.spec"
-    spectrum = Spectrum(eigenvalues=vals, eigenfunctions=funcs,
-                        mass=sparse.identity(3, format="csr"), mass_mode="consistent")
+    spectrum = Spectrum(eigenvalues=vals, eigenfunctions=funcs, mass_mode="consistent")
     save_spectrum(spectrum, mesh_hash, path)
     assert path.read_bytes() == expected
-    loaded = load_spectrum(path, spectrum.mass, mesh_hash)
+    loaded = load_spectrum(path, mesh_hash)
     np.testing.assert_array_equal(loaded.eigenfunctions, funcs)
     assert loaded.mass_mode == "consistent"
 
 
-def test_spectrum_cache_hash_mismatch(tmp_path, ico4, ico4_spectrum):
+def test_spectrum_cache_hash_mismatch(tmp_path, ico4_spectrum):
     path = tmp_path / "sphere.spec"
-    save_spectrum(ico4_spectrum, ico4.content_hash(), path)
+    save_spectrum(ico4_spectrum, hashlib.sha256(b"sphere mesh file").hexdigest(), path)
     with pytest.raises(DataError, match="different mesh"):
-        load_spectrum(path, ico4_spectrum.mass, "0" * 64)
+        load_spectrum(path, "0" * 64)
 
 
-def test_spectrum_cache_truncated(tmp_path, ico4, ico4_spectrum):
+def test_spectrum_cache_truncated(tmp_path, ico4_spectrum):
     path = tmp_path / "sphere.spec"
-    save_spectrum(ico4_spectrum, ico4.content_hash(), path)
+    mesh_hash = hashlib.sha256(b"sphere mesh file").hexdigest()
+    save_spectrum(ico4_spectrum, mesh_hash, path)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataError, match="truncated"):
-        load_spectrum(path, ico4_spectrum.mass, ico4.content_hash())
+        load_spectrum(path, mesh_hash)

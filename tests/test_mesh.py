@@ -99,6 +99,21 @@ def test_off_non_triangle_face(tmp_path):
         load_mesh(path)
 
 
+def test_off_negative_counts(tmp_path):
+    path = tmp_path / "neg.off"
+    path.write_text("OFF\n-3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(ParseError, match="malformed OFF counts line"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("suffix", ["off", "obj"])
+def test_non_utf8_mesh_is_parse_error(tmp_path, suffix):
+    path = tmp_path / f"latin1.{suffix}"
+    path.write_bytes(TETRA_OFF.replace("OFF", "OFF # caf\xe9").encode("latin-1"))
+    with pytest.raises(ParseError, match=f"latin1.{suffix}: .*not UTF-8"):
+        load_mesh(path)
+
+
 def test_unknown_format(tmp_path):
     path = tmp_path / "mesh.ply"
     path.write_text("ply\n")
@@ -125,6 +140,12 @@ def test_coff_export_roundtrip_colors(tmp_path):
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validation_non_finite_coordinate(bad):
+    with pytest.raises(MeshValidationError, match="vertex 1 has a non-finite coordinate"):
+        TriangleMesh([[0, 0, 0], [1, bad, 0], [0, 1, 0]], [[0, 1, 2]])
 
 
 def test_validation_bad_index():
