@@ -56,9 +56,9 @@ from .laplacian import (
 from .learning import (
     AlphaSweepEntry,
     ShapeSample,
-    build_pairs,
     estimate_covariances,
     sample_pair_indices,
+    shape_vectors,
     solve_response,
     sweep_alpha,
 )
@@ -232,9 +232,12 @@ def _collect_samples(ws: Workspace, ref_splits, pool_splits, basis) -> list[Shap
 
 
 def _build_split_pairs(ws: Workspace, ref_splits, pool_splits, basis, seed_key: str):
+    """Sampled triplet indices of a split and the per-shape geometry vectors
+    they index."""
     cfg = ws.cfg
     samples = _collect_samples(ws, ref_splits, pool_splits, basis)
-    return build_pairs(
+    gvecs = shape_vectors(samples)
+    indices = sample_pair_indices(
         samples,
         r_frac=cfg.get_float("learning", "r_frac"),
         big_r_frac=cfg.get_float("learning", "big_r_frac"),
@@ -245,6 +248,7 @@ def _build_split_pairs(ws: Workspace, ref_splits, pool_splits, basis, seed_key: 
         cross_negatives_per_ref=cfg.get_int("learning", "cross_negatives_per_ref"),
         diameter_samples=cfg.get_int("learning", "diameter_samples"),
     )
+    return indices, gvecs
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +324,20 @@ def _train_model(ws: Workspace):
     basis). When the config pins alpha the sweep is skipped."""
     cfg = ws.cfg
     basis = _training_basis(ws)
-    train_pairs = _build_split_pairs(ws, ("train",), ("train_neg",), basis, "rng_seed")
-    log.info("training pairs: %d triplets %s", len(train_pairs),
-             train_pairs.indices.tag_counts())
-    stats = estimate_covariances(train_pairs, ridge=cfg.get_float("learning", "ridge"))
+    train_pairs, train_gvecs = _build_split_pairs(ws, ("train",), ("train_neg",), basis,
+                                                  "rng_seed")
+    log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
+    stats = estimate_covariances(train_pairs, train_gvecs,
+                                 ridge=cfg.get_float("learning", "ridge"))
+    del train_pairs, train_gvecs  # the sweep's held-out data takes their place
     n = cfg.get_int("descriptor", "n")
     alpha_raw = cfg.get("learning", "alpha").strip()
     table: list[AlphaSweepEntry] = []
     if alpha_raw:
         best_alpha = float(alpha_raw)
     else:
-        val_pairs = _build_split_pairs(ws, ("val",), ("val_neg",), basis, "rng_seed")
+        val_pairs, val_gvecs = _build_split_pairs(ws, ("val",), ("val_neg",), basis,
+                                                  "rng_seed")
         best_alpha, table = sweep_alpha(
             stats,
             cfg.get_floats("learning", "alpha_grid"),
@@ -339,6 +346,7 @@ def _train_model(ws: Workspace):
             basis,
             mode=cfg.get("eval", "mode"),
             work_point=cfg.get_float("eval", "work_point"),
+            eval_values=val_gvecs,
         )
         log.info("alpha sweep selected %.4g (%s mode)", best_alpha, cfg.get("eval", "mode"))
     model = solve_response(stats, best_alpha, n, basis)
@@ -389,16 +397,25 @@ def cmd_sweep_alpha(args, cfg: PipelineConfig) -> int:
 
 def _load_family_fields(ws: Workspace, family: str, directory: Path,
                         entries) -> dict[str, np.ndarray]:
+    """Each entry's `family` descriptor values, checked against the header's
+    family, the mesh's vertex count and the family's first file's columns."""
     fields = {}
+    first = None  # path and column count of the family's first file
     for entry in entries:
         path = directory / f"{entry.shape_id}.{family}.dsc"
         if not path.is_file():
             raise DataError(f"missing descriptor file: {path}")
-        values = load_descriptor_binary(path).values
+        field = load_descriptor_binary(path)
+        if field.family != family:
+            raise DataError(f"{path}: holds {field.family!r} descriptors, not {family!r}")
         n = ws.mesh(entry).n_vertices
-        if len(values) != n:
-            raise DataError(f"{path}: {len(values)} rows for a mesh with {n} vertices")
-        fields[entry.shape_id] = values
+        if len(field) != n:
+            raise DataError(f"{path}: {len(field)} rows for a mesh with {n} vertices")
+        if first is None:
+            first = (path, field.dim)
+        elif field.dim != first[1]:
+            raise DataError(f"{path}: {field.dim} columns, but {first[0]} has {first[1]}")
+        fields[entry.shape_id] = field.values
     return fields
 
 

@@ -307,6 +307,11 @@ def save_descriptor_binary(field: DescriptorField, path) -> None:
 
 def load_descriptor_binary(path) -> DescriptorField:
     raw, (nv, n, fam_len) = _DESC.read(path)
-    fam = raw[_DESC.size:_DESC.size + fam_len].decode()
+    try:
+        fam = raw[_DESC.size:_DESC.size + fam_len].decode()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: descriptor family name is not UTF-8") from exc
+    if fam not in DESCRIPTOR_FAMILIES:
+        raise DataError(f"{path}: unknown descriptor family {fam!r}")
     values = _DESC.floats(raw, _DESC.size + fam_len, nv * n, path)
     return DescriptorField(values=values.reshape(nv, n), family=fam)

@@ -12,7 +12,9 @@ the inverse square root of the geometry-vector second moment and keeping the
 eigenvectors with negative eigenvalues of the weighted covariance
 difference. Raw second moments (no mean subtraction) are used throughout:
 the objective is the expected squared pair distance, which is exactly a
-trace of the uncentered moment.
+trace of the uncentered moment. Moments and held-out distances are summed
+over fixed-size blocks of triplets, gathered from the sampled indices one
+block at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
     "LearnedModel",
     "AlphaSweepEntry",
     "sample_pair_indices",
-    "build_pairs",
+    "shape_vectors",
     "estimate_covariances",
     "solve_tradeoff",
     "solve_response",
@@ -49,6 +51,12 @@ TAG_NAMES = ("localization", "invariance", "discriminativity")
 TAG_LOCALIZATION, TAG_INVARIANCE, TAG_DISCRIMINATIVITY = 0, 1, 2
 
 MAX_REF_RESAMPLES = 25
+
+# triplets whose vectors are gathered at a time by the moment accumulator and
+# the sweep: their working memory is a few TRIPLET_CHUNK x m float64 arrays
+# (3.3 MB each at m = 100), whatever the number of sampled triplets
+TRIPLET_CHUNK = 4096
+ROLES = ("anchor", "positive", "negative")
 
 
 @dataclass
@@ -96,29 +104,46 @@ class PairIndices:
             f"{self.shape_ids[self.neg_shape[i]]}:{self.neg_vertex[i]}"
         )
 
-    def gather(self, per_shape_values: Sequence[np.ndarray]) -> "PairSet":
-        """Attach per-vertex vectors (one array per shape, aligned with
-        shape_ids) to the sampled indices."""
+    def _roles(self):
+        """(shape indices, vertex indices) of the anchors, positives and
+        negatives, in the order of ``ROLES``."""
+        return (
+            (self.anchor_shape, self.anchor_vertex),
+            (self.pos_shape, self.pos_vertex),
+            (self.neg_shape, self.neg_vertex),
+        )
+
+    def _vector_dim(self, per_shape_values: Sequence[np.ndarray]) -> int:
+        """Common column count of the per-vertex vectors (one array per
+        shape, aligned with shape_ids)."""
         for sid, values in zip(self.shape_ids, per_shape_values):
             if values is None:
                 raise DataError(f"shape {sid}: missing per-vertex vectors")
         stacked_dims = {v.shape[1] for v in per_shape_values}
         if len(stacked_dims) != 1:
             raise DataError("per-shape vector dimensions differ")
+        return stacked_dims.pop()
 
-        def rows(shape_idx, vertex_idx):
-            out = np.empty((len(self), per_shape_values[0].shape[1]))
-            for s in np.unique(shape_idx):
-                mask = shape_idx == s
-                out[mask] = per_shape_values[s][vertex_idx[mask]]
-            return out
-
-        return PairSet(
-            anchors=rows(self.anchor_shape, self.anchor_vertex),
-            positives=rows(self.pos_shape, self.pos_vertex),
-            negatives=rows(self.neg_shape, self.neg_vertex),
-            indices=self,
+    def gather(self, per_shape_values: Sequence[np.ndarray]) -> "PairSet":
+        """Attach per-vertex vectors (one array per shape, aligned with
+        shape_ids) to the sampled indices."""
+        m = self._vector_dim(per_shape_values)
+        anchors, positives, negatives = (
+            _gather_rows(per_shape_values, shapes, vertices, np.empty((len(self), m)))
+            for shapes, vertices in self._roles()
         )
+        return PairSet(anchors=anchors, positives=positives, negatives=negatives,
+                       indices=self)
+
+
+def _gather_rows(per_shape_values, shape_idx, vertex_idx, out) -> np.ndarray:
+    """The rows the (shape, vertex) index pairs point to, written into the
+    first len(shape_idx) rows of `out`."""
+    out = out[: len(shape_idx)]
+    for s in np.unique(shape_idx):
+        mask = shape_idx == s
+        out[mask] = per_shape_values[s][vertex_idx[mask]]
+    return out
 
 
 @dataclass
@@ -137,6 +162,39 @@ class PairSet:
     @property
     def m(self) -> int:
         return self.anchors.shape[1]
+
+
+def _provenance(pairs: Union[PairSet, PairIndices]) -> PairIndices:
+    return pairs.indices if isinstance(pairs, PairSet) else pairs
+
+
+def _triplet_blocks(pairs: Union[PairSet, PairIndices], per_shape_values=None):
+    """Vector dimension and an iterator of (start, anchors, positives,
+    negatives) over consecutive blocks of at most TRIPLET_CHUNK triplets. A
+    PairSet is sliced. Sampled PairIndices are gathered from
+    `per_shape_values` one block at a time into three reused buffers, so a
+    block is valid only until the next one is drawn and no triplet-sized
+    vector array is ever built."""
+    if isinstance(pairs, PairSet):
+        m = pairs.m
+
+        def take(rows):
+            return pairs.anchors[rows], pairs.positives[rows], pairs.negatives[rows]
+    else:
+        m = pairs._vector_dim(per_shape_values)
+        buffers = np.empty((3, min(len(pairs), TRIPLET_CHUNK), m))
+
+        def take(rows):
+            return tuple(
+                _gather_rows(per_shape_values, shapes[rows], vertices[rows], out)
+                for out, (shapes, vertices) in zip(buffers, pairs._roles())
+            )
+
+    blocks = (
+        (start, *take(slice(start, start + TRIPLET_CHUNK)))
+        for start in range(0, len(pairs), TRIPLET_CHUNK)
+    )
+    return m, blocks
 
 
 def _ball_masks(sample: ShapeSample, ref: int, r: float, big_r: float):
@@ -191,18 +249,15 @@ def sample_pair_indices(
     if cross_negatives_per_ref > 0 and len({sh.class_label for sh in shapes}) < 2:
         raise DataError("cross-class negatives requested but only one class present")
 
-    tags: list[int] = []
-    prov = {k: [] for k in ("as", "ps", "ns", "av", "pv", "nv")}
-
-    def append(a_shape, a_vert, p_shape, p_vert, n_shape, n_vert, tag):
-        tags.append(tag)
-        prov["as"].append(a_shape)
-        prov["ps"].append(p_shape)
-        prov["ns"].append(n_shape)
-        prov["av"].append(a_vert)
-        prov["pv"].append(p_vert)
-        prov["nv"].append(n_vert)
-
+    # every reference yields the same number of triplets, written in place;
+    # index rows: anchor shape, anchor vertex, positive shape, positive
+    # vertex, negative shape, negative vertex
+    n_geo = negatives_per_ref
+    per_ref = negatives_per_ref + cross_negatives_per_ref
+    n_total = per_ref * refs_per_shape * sum(1 for sh in shapes if sh.sample_refs)
+    tags = np.empty(n_total, dtype=np.uint8)
+    index = np.empty((6, n_total), dtype=np.int32)
+    start = 0
     for si, sh in enumerate(shapes):
         if not sh.sample_refs:
             continue
@@ -250,69 +305,64 @@ def sample_pair_indices(
                     f"{big_r:.4g}"
                 )
 
-            pos_list = [
-                (si, int(v), TAG_LOCALIZATION)
-                for v in rng.choice(pos_idx, size=positives_per_ref, replace=True)
-            ]
+            pos_vertex = rng.choice(pos_idx, size=positives_per_ref, replace=True)
+            pos_shape = np.full(positives_per_ref, si)
+            pos_tag = np.full(positives_per_ref, TAG_LOCALIZATION)
             if corr is not None and corr_shape >= 0:
                 mapped = int(corr.target[ref])
                 if mapped >= 0:
-                    pos_list.append((corr_shape, mapped, TAG_INVARIANCE))
+                    pos_vertex = np.append(pos_vertex, mapped)
+                    pos_shape = np.append(pos_shape, corr_shape)
+                    pos_tag = np.append(pos_tag, TAG_INVARIANCE)
 
             geo_negs = rng.choice(far_idx, size=negatives_per_ref, replace=True)
-            for i, neg_vert in enumerate(geo_negs):
-                pshape, pvert, ptag = pos_list[i % len(pos_list)]
-                append(si, ref, pshape, pvert, si, int(neg_vert), ptag)
+            cross_shape = np.empty(cross_negatives_per_ref, dtype=np.int64)
+            cross_vertex = np.empty(cross_negatives_per_ref, dtype=np.int64)
             for i in range(cross_negatives_per_ref):
                 tj = int(cross_pool[int(rng.integers(len(cross_pool)))])
-                tv = int(rng.integers(shapes[tj].mesh.n_vertices))
-                pshape, pvert, _ = pos_list[i % len(pos_list)]
-                append(si, ref, pshape, pvert, tj, tv, TAG_DISCRIMINATIVITY)
+                cross_shape[i] = tj
+                cross_vertex[i] = int(rng.integers(shapes[tj].mesh.n_vertices))
 
-    if not tags:
+            # positives are cycled against the geometric negatives, then again
+            # from the first one against the cross negatives
+            cycle = np.concatenate([np.arange(negatives_per_ref),
+                                    np.arange(cross_negatives_per_ref)]) % len(pos_vertex)
+            block = index[:, start:start + per_ref]
+            block[0] = si
+            block[1] = ref
+            block[2] = pos_shape[cycle]
+            block[3] = pos_vertex[cycle]
+            block[4, :n_geo] = si
+            block[4, n_geo:] = cross_shape
+            block[5, :n_geo] = geo_negs
+            block[5, n_geo:] = cross_vertex
+            tags[start:start + n_geo] = pos_tag[cycle[:n_geo]]
+            tags[start + n_geo:start + per_ref] = TAG_DISCRIMINATIVITY
+            start += per_ref
+
+    if n_total == 0:
         raise DataError("no triplets generated; check refs_per_shape and flags")
     return PairIndices(
-        tags=np.asarray(tags, dtype=np.uint8),
+        tags=tags,
         shape_ids=shape_ids,
-        anchor_shape=np.asarray(prov["as"], dtype=np.int32),
-        pos_shape=np.asarray(prov["ps"], dtype=np.int32),
-        neg_shape=np.asarray(prov["ns"], dtype=np.int32),
-        anchor_vertex=np.asarray(prov["av"], dtype=np.int32),
-        pos_vertex=np.asarray(prov["pv"], dtype=np.int32),
-        neg_vertex=np.asarray(prov["nv"], dtype=np.int32),
+        anchor_shape=index[0],
+        pos_shape=index[2],
+        neg_shape=index[4],
+        anchor_vertex=index[1],
+        pos_vertex=index[3],
+        neg_vertex=index[5],
     )
 
 
-def build_pairs(
-    shapes: Sequence[ShapeSample],
-    r_frac: float,
-    big_r_frac: float,
-    negatives_per_ref: int,
-    refs_per_shape: int,
-    rng_seed: int,
-    positives_per_ref: int = 10,
-    cross_negatives_per_ref: int = 0,
-    diameter_samples: int = 32,
-) -> PairSet:
-    """Sample triplets and gather their geometry vectors; see
-    :func:`sample_pair_indices` for the sampling contract."""
+def shape_vectors(shapes: Sequence[ShapeSample]) -> list[np.ndarray]:
+    """The geometry vectors of each shape, indexed like the shape_ids of a
+    sampling over `shapes`; each shape must carry one row per vertex."""
     for sh in shapes:
         if sh.gvecs is None:
             raise DataError(f"shape {sh.shape_id}: geometry vectors required")
         if sh.gvecs.shape[0] != sh.mesh.n_vertices:
             raise DataError(f"shape {sh.shape_id}: geometry vectors have wrong shape")
-    indices = sample_pair_indices(
-        shapes,
-        r_frac,
-        big_r_frac,
-        negatives_per_ref,
-        refs_per_shape,
-        rng_seed,
-        positives_per_ref=positives_per_ref,
-        cross_negatives_per_ref=cross_negatives_per_ref,
-        diameter_samples=diameter_samples,
-    )
-    return indices.gather([sh.gvecs for sh in shapes])
+    return [sh.gvecs for sh in shapes]
 
 
 # ---------------------------------------------------------------------------
@@ -340,32 +390,50 @@ class CovarianceStats:
         return self.cov_g.shape[0]
 
 
-def estimate_covariances(pairs: PairSet, ridge: float = 1e-6) -> CovarianceStats:
+def estimate_covariances(
+    pairs: Union[PairIndices, PairSet],
+    per_shape_values: Optional[Sequence[np.ndarray]] = None,
+    ridge: float = 1e-6,
+) -> CovarianceStats:
     """Average outer products of difference vectors; the geometry-vector
     moment uses every sampled vector (anchors, positives and negatives) and
-    gets `ridge * trace/m` added to its diagonal."""
-    for name, arr in (("anchor", pairs.anchors), ("positive", pairs.positives),
-                      ("negative", pairs.negatives)):
-        finite = np.isfinite(arr).all(axis=1)
-        if not finite.all():
-            i = int(np.flatnonzero(~finite)[0])
-            raise DataError(
-                f"non-finite {name} vector in {pairs.indices.describe_triplet(i)}"
-            )
+    gets `ridge * trace/m` added to its diagonal.
+
+    `pairs` is either sampled PairIndices together with the per-shape (V, m)
+    vectors they index, or a PairSet that carries its vectors. Both are
+    summed over blocks of TRIPLET_CHUNK triplets, so the memory used is
+    O(m^2 + TRIPLET_CHUNK * m) beyond the index arrays.
+    """
+    m, blocks = _triplet_blocks(pairs, per_shape_values)
+    cov_pos, cov_neg, cov_g = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m))
+    diff = np.empty((min(len(pairs), TRIPLET_CHUNK), m))
+    first_bad: dict[str, int] = {}
+    for start, *vectors in blocks:
+        for role, block in zip(ROLES, vectors):
+            finite = np.isfinite(block).all(axis=1)
+            if role not in first_bad and not finite.all():
+                first_bad[role] = start + int(np.flatnonzero(~finite)[0])
+            cov_g += block.T @ block
+        anchors, positives, negatives = vectors
+        e = np.subtract(anchors, positives, out=diff[: len(anchors)])
+        cov_pos += e.T @ e
+        np.subtract(anchors, negatives, out=e)
+        cov_neg += e.T @ e
+    # every anchor is checked before any positive, as a whole-array scan would
+    for role in ROLES:
+        if role in first_bad:
+            triplet = _provenance(pairs).describe_triplet(first_bad[role])
+            raise DataError(f"non-finite {role} vector in {triplet}")
     n = len(pairs)
-    m = pairs.m
     n_vectors = 3 * n
     if n_vectors < m + 1:
         raise DataError(
             f"need at least {m + 1} sampled vectors to estimate an {m}x{m} "
             f"moment, got {n_vectors}; add data or raise the ridge"
         )
-    e_pos = pairs.anchors - pairs.positives
-    e_neg = pairs.anchors - pairs.negatives
-    cov_pos = (e_pos.T @ e_pos) / n
-    cov_neg = (e_neg.T @ e_neg) / n
-    stacked = np.vstack([pairs.anchors, pairs.positives, pairs.negatives])
-    cov_g = (stacked.T @ stacked) / n_vectors
+    cov_pos /= n
+    cov_neg /= n
+    cov_g /= n_vectors
     cov_g = cov_g + (ridge * np.trace(cov_g) / m) * np.eye(m)
     return CovarianceStats(
         cov_pos=0.5 * (cov_pos + cov_pos.T),
@@ -464,11 +532,21 @@ class AlphaSweepEntry(NamedTuple):
     achieved_n: int
 
 
-def pair_distances(pairs: PairSet, model: ResponseModel):
-    """Descriptor distances of the positive and negative pairs."""
+def pair_distances(
+    pairs: Union[PairIndices, PairSet],
+    model: ResponseModel,
+    per_shape_values: Optional[Sequence[np.ndarray]] = None,
+):
+    """Descriptor distances of the positive and negative pairs, computed one
+    block of triplets at a time (see :func:`estimate_covariances` for
+    `pairs`)."""
     coef = model.coefficients
-    d_pos = np.linalg.norm((pairs.anchors - pairs.positives) @ coef.T, axis=1)
-    d_neg = np.linalg.norm((pairs.anchors - pairs.negatives) @ coef.T, axis=1)
+    _, blocks = _triplet_blocks(pairs, per_shape_values)
+    d_pos, d_neg = np.empty(len(pairs)), np.empty(len(pairs))
+    for start, anchors, positives, negatives in blocks:
+        rows = slice(start, start + len(anchors))
+        d_pos[rows] = np.linalg.norm((anchors - positives) @ coef.T, axis=1)
+        d_neg[rows] = np.linalg.norm((anchors - negatives) @ coef.T, axis=1)
     return d_pos, d_neg
 
 
@@ -476,18 +554,20 @@ def sweep_alpha(
     train: Union[PairSet, CovarianceStats],
     alphas: Sequence[float],
     n: int,
-    eval_pairs: PairSet,
+    eval_pairs: Union[PairIndices, PairSet],
     basis: FrequencyBasis,
     mode: str = "sensitivity",
     work_point: float = 0.01,
     ridge: float = 1e-6,
+    eval_values: Optional[Sequence[np.ndarray]] = None,
 ) -> tuple[float, list[AlphaSweepEntry]]:
     """Train once per alpha and score each model on held-out pairs.
 
     Sensitivity mode minimizes the false negative rate at a fixed false
     positive work point; specificity mode minimizes the false positive rate
     at a fixed false negative work point. When `train` is a PairSet its
-    shapes must be disjoint from the held-out shapes.
+    shapes must be disjoint from the held-out shapes. Held-out PairIndices
+    take their vectors from `eval_values` and are never gathered whole.
     """
     if mode not in ("sensitivity", "specificity"):
         raise DataError(f"mode must be sensitivity or specificity, got {mode!r}")
@@ -495,7 +575,7 @@ def sweep_alpha(
     if not alphas:
         raise DataError("alpha grid is empty")
     if isinstance(train, PairSet):
-        overlap = set(train.indices.shape_ids) & set(eval_pairs.indices.shape_ids)
+        overlap = set(train.indices.shape_ids) & set(_provenance(eval_pairs).shape_ids)
         if overlap:
             raise DataError(
                 f"training and held-out pairs share shapes: {sorted(overlap)}"
@@ -511,9 +591,10 @@ def sweep_alpha(
         except NumericalError:
             table.append(AlphaSweepEntry(alpha, np.nan, np.nan, 0))
             continue
-        d_pos, d_neg = pair_distances(eval_pairs, model.response)
-        combined = np.concatenate([d_pos, d_neg])
-        if np.ptp(combined) == 0.0:
+        # one pass over the held-out blocks per alpha keeps a single alpha's
+        # distances in memory
+        d_pos, d_neg = pair_distances(eval_pairs, model.response, eval_values)
+        if max(d_pos.max(), d_neg.max()) - min(d_pos.min(), d_neg.min()) == 0.0:
             raise NumericalError(
                 f"degenerate distance distribution at alpha={alpha}: all pair "
                 f"distances equal"

@@ -21,9 +21,9 @@ from specdesc.laplacian import assemble_fem, compute_spectrum
 from specdesc.learning import (
     CovarianceStats,
     ShapeSample,
-    build_pairs,
     estimate_covariances,
     pair_distances,
+    sample_pair_indices,
     solve_response,
     solve_tradeoff,
     tradeoff_matrix,
@@ -230,7 +230,8 @@ def test_criterion_06_isometry_invariance():
     gb = geometry_vectors(spec_b, basis)
     sample = ShapeSample("null", mesh, "blob", gvecs=ga,
                          symmetry=shape.symmetry())
-    pairs = build_pairs([sample], 0.04, 0.1, 40, 12, 5, positives_per_ref=6)
+    pairs = sample_pair_indices([sample], 0.04, 0.1, 40, 12, 5,
+                                positives_per_ref=6).gather([ga])
     stats = estimate_covariances(pairs, ridge=1e-4)
     model = solve_response(stats, 0.3, 5, basis)
     a = apply_response(ga, model.response).values

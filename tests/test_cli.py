@@ -445,6 +445,48 @@ def test_eval_rejects_short_descriptor(pipeline_copy, caplog):
                for r in caplog.records)
 
 
+def _drop_column(desc):
+    path = desc / "torus.hks.dsc"
+    field = load_descriptor_binary(path)
+    save_descriptor_binary(DescriptorField(field.values[:, :-1], field.family), path)
+    # the family's first file is another shape's, with the configured 3 columns
+    return path, "hks", r"2 columns, but \S+\.hks\.dsc has 3$"
+
+
+def _other_family(desc):
+    path = desc / "torus.wks.dsc"
+    shutil.copy(desc / "torus.hks.dsc", path)
+    return path, "wks", "holds 'hks' descriptors, not 'wks'"
+
+
+def _non_utf8_family(desc):
+    path = desc / "torus.hks.dsc"
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"hks", 8)] ^= 0x80  # 'h' becomes a lone UTF-8 lead byte
+    path.write_bytes(bytes(raw))
+    return path, "hks", "descriptor family name is not UTF-8"
+
+
+BAD_DESCRIPTOR_FILES = {
+    "dropped_column": _drop_column,
+    "other_family": _other_family,
+    "non_utf8_family": _non_utf8_family,
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DESCRIPTOR_FILES))
+def test_eval_rejects_bad_descriptor_file(pipeline_copy, caplog, case):
+    path, family, message = BAD_DESCRIPTOR_FILES[case](pipeline_copy / "desc")
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["eval", "--config", pipeline_copy / "config.cfg",
+                    "--descriptors", f"{family}={pipeline_copy / 'desc'}",
+                    "--out", pipeline_copy / "report"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors and errors[-1].startswith(f"{path}: ")
+    assert re.search(message, errors[-1])
+
+
 def test_eval_report_and_manifest(mini_pipeline):
     config = mini_pipeline / "config.cfg"
     out = mini_pipeline / "report"

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,14 +8,15 @@ from specdesc.descriptors import FrequencyBasis
 from specdesc.errors import DataError, NumericalError
 from specdesc.learning import (
     TAG_INVARIANCE,
+    TRIPLET_CHUNK,
     CovarianceStats,
     PairIndices,
     PairSet,
     ShapeSample,
-    build_pairs,
     estimate_covariances,
     pair_distances,
     sample_pair_indices,
+    shape_vectors,
     solve_response,
     solve_tradeoff,
     sweep_alpha,
@@ -78,7 +82,7 @@ def test_build_pairs_ring_exclusion(blob_shape):
     from specdesc.mesh import geodesic_distance_fields, intrinsic_diameter
 
     shapes = [ShapeSample("a", mesh, "blob", gvecs=gvecs)]
-    pairs = build_pairs(shapes, **sample_args()).indices
+    pairs = sample_pair_indices(shapes, **sample_args())
     diam = intrinsic_diameter(mesh, 25)
     for i in range(len(pairs)):
         d = geodesic_distance_fields(mesh, [pairs.anchor_vertex[i]])[0]
@@ -89,13 +93,13 @@ def test_build_pairs_ring_exclusion(blob_shape):
 
 def test_identity_symmetry_equals_no_symmetry(blob_shape):
     mesh, gvecs, _ = blob_shape
-    plain = build_pairs([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
-                        **sample_args()).indices
-    with_sym = build_pairs(
+    plain = sample_pair_indices([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
+                                **sample_args())
+    with_sym = sample_pair_indices(
         [ShapeSample("a", mesh, "blob", gvecs=gvecs,
                      symmetry=np.arange(mesh.n_vertices))],
         **sample_args(),
-    ).indices
+    )
     np.testing.assert_array_equal(plain.anchor_vertex, with_sym.anchor_vertex)
     np.testing.assert_array_equal(plain.pos_vertex, with_sym.pos_vertex)
     np.testing.assert_array_equal(plain.neg_vertex, with_sym.neg_vertex)
@@ -103,10 +107,10 @@ def test_identity_symmetry_equals_no_symmetry(blob_shape):
 
 def test_symmetric_ball_joins_positive_set(blob_shape):
     mesh, gvecs, sym = blob_shape
-    pairs = build_pairs(
+    pairs = sample_pair_indices(
         [ShapeSample("a", mesh, "blob", gvecs=gvecs, symmetry=sym)],
         **sample_args(refs_per_shape=12, negatives_per_ref=20, positives_per_ref=12),
-    ).indices
+    )
     from specdesc.mesh import geodesic_distance_fields, intrinsic_diameter
 
     diam = intrinsic_diameter(mesh, 25)
@@ -132,7 +136,7 @@ def test_invariance_pairs_are_exact_for_identity_correspondence(blob_shape):
         ShapeSample("copy", mesh, "blob", gvecs=gvecs, correspondence=corr,
                     corr_target="null"),
     ]
-    pairs = build_pairs(shapes, **sample_args())
+    pairs = sample_pair_indices(shapes, **sample_args()).gather(shape_vectors(shapes))
     inv = pairs.indices.tags == TAG_INVARIANCE
     assert inv.any()
     np.testing.assert_array_equal(pairs.anchors[inv], pairs.positives[inv])
@@ -141,12 +145,12 @@ def test_invariance_pairs_are_exact_for_identity_correspondence(blob_shape):
 def test_pairs_reproducible_and_seed_sensitive(blob_shape):
     mesh, gvecs, _ = blob_shape
     shapes = [ShapeSample("a", mesh, "blob", gvecs=gvecs)]
-    a = build_pairs(shapes, **sample_args())
-    b = build_pairs(shapes, **sample_args())
+    a = sample_pair_indices(shapes, **sample_args()).gather(shape_vectors(shapes))
+    b = sample_pair_indices(shapes, **sample_args()).gather(shape_vectors(shapes))
     np.testing.assert_array_equal(a.anchors, b.anchors)
     np.testing.assert_array_equal(a.indices.neg_vertex, b.indices.neg_vertex)
-    c = build_pairs(shapes, **sample_args(rng_seed=4))
-    assert not np.array_equal(a.indices.neg_vertex, c.indices.neg_vertex)
+    c = sample_pair_indices(shapes, **sample_args(rng_seed=4))
+    assert not np.array_equal(a.indices.neg_vertex, c.neg_vertex)
 
 
 def test_cross_class_negatives_tagged(blob_shape):
@@ -159,7 +163,7 @@ def test_cross_class_negatives_tagged(blob_shape):
                     gvecs=rng.standard_normal((other.n_vertices, 7)),
                     sample_refs=False),
     ]
-    pairs = build_pairs(shapes, **sample_args(cross_negatives_per_ref=6)).indices
+    pairs = sample_pair_indices(shapes, **sample_args(cross_negatives_per_ref=6))
     counts = pairs.tag_counts()
     assert counts["discriminativity"] == 5 * 6
     cross = pairs.tags == 2
@@ -169,22 +173,22 @@ def test_cross_class_negatives_tagged(blob_shape):
 def test_cross_negatives_need_second_class(blob_shape):
     mesh, gvecs, _ = blob_shape
     with pytest.raises(DataError, match="one class"):
-        build_pairs([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
-                    **sample_args(cross_negatives_per_ref=2))
+        sample_pair_indices([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
+                            **sample_args(cross_negatives_per_ref=2))
 
 
 def test_bad_radii(blob_shape):
     mesh, gvecs, _ = blob_shape
     with pytest.raises(DataError):
-        build_pairs([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
-                    **sample_args(r_frac=0.1, big_r_frac=0.05))
+        sample_pair_indices([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
+                            **sample_args(r_frac=0.1, big_r_frac=0.05))
 
 
 def test_no_negatives_when_big_ball_covers_shape(blob_shape):
     mesh, gvecs, _ = blob_shape
     with pytest.raises(DataError, match="negatives"):
-        build_pairs([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
-                    **sample_args(r_frac=0.5, big_r_frac=2.0))
+        sample_pair_indices([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
+                            **sample_args(r_frac=0.5, big_r_frac=2.0))
 
 
 def test_empty_ball_resamples_reference_with_warning(blob_shape):
@@ -200,12 +204,59 @@ def test_empty_ball_resamples_reference_with_warning(blob_shape):
     assert len(idx) == 6 * 4  # every reference still produced its triplets
 
 
+# SHA-256 of each index array of the sampling below, as the per-triplet append
+# loop produced them; the block-built sampler must reproduce them bit for bit
+GOLDEN_INDICES = {
+    "tags": "302f6cddd68c336900bec2b1265924459fa4a0d289ca8e4201ae1a78b3edf3ba",
+    "anchor_shape": "928b8556bbec94332c19916614378756aa57ede7c7697ddc50a0f315994ed98b",
+    "pos_shape": "01199c2e0af7735b87295cf0c728c31ba5ca197580ed03f2a5563990672267ea",
+    "neg_shape": "bec70a0d40a397129d721b9da217684375663684e3a3fdccbadc583dcb7b30d2",
+    "anchor_vertex": "3b0872a1b27918924fe37148d1a138aa897a2f5def916f87938a7720d3ca862b",
+    "pos_vertex": "225243d4e4dcc8b08b720fe3c1340a30ba8111bfddcc38f091d9ae9fa37c3807",
+    "neg_vertex": "139df79753eddeca906f7d37277feaeb5d3a5c0d1d14bded99c6dd71efda8a42",
+}
+
+
+def test_sampled_indices_match_golden_digests(blob_shape):
+    # symmetry, an identity correspondence (invariance positives cycled in
+    # with the ball positives) and cross-class negatives on a second class
+    from specdesc.mesh import CorrespondenceMap
+
+    mesh, _, sym = blob_shape
+    shapes = [
+        ShapeSample("a", mesh, "blob", symmetry=sym),
+        ShapeSample("copy", mesh, "blob",
+                    correspondence=CorrespondenceMap(target=np.arange(mesh.n_vertices)),
+                    corr_target="a"),
+        ShapeSample("b", icosphere(1), "ball", sample_refs=False),
+    ]
+    idx = sample_pair_indices(shapes, **sample_args(
+        refs_per_shape=4, negatives_per_ref=7, positives_per_ref=3,
+        cross_negatives_per_ref=5))
+    assert idx.tag_counts() == {"localization": 52, "invariance": 4,
+                                "discriminativity": 40}
+    assert idx.tags.dtype == np.uint8
+    digests = {}
+    for name in GOLDEN_INDICES:
+        arr = getattr(idx, name)
+        if name != "tags":
+            assert arr.dtype == np.int32
+        digests[name] = hashlib.sha256(arr.tobytes()).hexdigest()
+    assert digests == GOLDEN_INDICES
+
+
 def test_indices_without_gvecs(blob_shape):
     mesh, _, _ = blob_shape
     idx = sample_pair_indices([ShapeSample("a", mesh, "blob")], **sample_args())
     assert len(idx) == 5 * 8
-    with pytest.raises(DataError, match="geometry vectors"):
-        build_pairs([ShapeSample("a", mesh, "blob")], **sample_args())
+    with pytest.raises(DataError, match="geometry vectors required"):
+        shape_vectors([ShapeSample("a", mesh, "blob")])
+
+
+def test_geometry_vectors_need_one_row_per_vertex(blob_shape):
+    mesh, gvecs, _ = blob_shape
+    with pytest.raises(DataError, match="shape a: geometry vectors have wrong shape"):
+        shape_vectors([ShapeSample("a", mesh, "blob", gvecs=gvecs[:-1])])
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +317,98 @@ def test_non_finite_reported_with_provenance():
     pairs = make_pairset(g, bad, g)
     with pytest.raises(DataError, match="triplet 2"):
         estimate_covariances(pairs)
+
+
+def random_indices(n, shape_sizes, rng):
+    """`n` triplets over shapes with the given vertex counts."""
+    def draw():
+        shapes = rng.integers(len(shape_sizes), size=n).astype(np.int32)
+        vertices = (rng.random(n) * np.asarray(shape_sizes)[shapes]).astype(np.int32)
+        return shapes, vertices
+
+    (a_s, a_v), (p_s, p_v), (n_s, n_v) = draw(), draw(), draw()
+    return PairIndices(
+        tags=np.zeros(n, dtype=np.uint8),
+        shape_ids=[f"s{i}" for i in range(len(shape_sizes))],
+        anchor_shape=a_s, pos_shape=p_s, neg_shape=n_s,
+        anchor_vertex=a_v, pos_vertex=p_v, neg_vertex=n_v,
+    )
+
+
+@pytest.mark.parametrize("n", [TRIPLET_CHUNK - 5, TRIPLET_CHUNK, 2 * TRIPLET_CHUNK + 1])
+def test_streamed_moments_match_whole_array_moments(n):
+    rng = np.random.default_rng(20)
+    values = [rng.standard_normal((size, 6)) for size in (40, 55, 70)]
+    indices = random_indices(n, [40, 55, 70], rng)
+    streamed = estimate_covariances(indices, values, ridge=1e-3)
+    pairs = indices.gather(values)
+    wrapped = estimate_covariances(pairs, ridge=1e-3)
+    # the whole-array formulas the block sums replace
+    e_pos = pairs.anchors - pairs.positives
+    e_neg = pairs.anchors - pairs.negatives
+    stacked = np.vstack([pairs.anchors, pairs.positives, pairs.negatives])
+    cov_g = stacked.T @ stacked / (3 * n)
+    reference = {
+        "cov_pos": e_pos.T @ e_pos / n,
+        "cov_neg": e_neg.T @ e_neg / n,
+        "cov_g": cov_g + 1e-3 * np.trace(cov_g) / 6 * np.eye(6),
+    }
+    for name, expected in reference.items():
+        for stats in (streamed, wrapped):
+            got = getattr(stats, name)
+            assert np.array_equal(got, got.T)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert streamed.n_pairs == wrapped.n_pairs == n
+    assert streamed.n_vectors == 3 * n
+
+
+def test_non_finite_after_first_chunk_names_the_triplet():
+    # vertex k of the single shape is used once: as anchor k, positive k - n
+    # or negative k - 2n
+    n = 2 * TRIPLET_CHUNK + 1
+    rows = np.arange(n, dtype=np.int32)
+    zero = np.zeros(n, dtype=np.int32)
+    indices = PairIndices(
+        tags=np.zeros(n, dtype=np.uint8), shape_ids=["s0"],
+        anchor_shape=zero, pos_shape=zero, neg_shape=zero,
+        anchor_vertex=rows, pos_vertex=rows + n, neg_vertex=rows + 2 * n,
+    )
+    values = np.random.default_rng(21).standard_normal((3 * n, 3))
+    late = TRIPLET_CHUNK + 17
+    values[n + late, 1] = np.inf  # positive of a triplet in the second chunk
+    expected = f"non-finite positive vector in {indices.describe_triplet(late)}"
+    assert expected.startswith(f"non-finite positive vector in triplet {late} ")
+    with pytest.raises(DataError) as err:
+        estimate_covariances(indices, [values])
+    assert str(err.value) == expected
+    # a PairSet gathered from the same indices reports the same triplet
+    with pytest.raises(DataError) as err:
+        estimate_covariances(indices.gather([values]))
+    assert str(err.value) == expected
+    # every anchor is checked before any positive, as a whole-array scan does
+    values[2 * TRIPLET_CHUNK, 0] = np.nan  # anchor of the last triplet
+    with pytest.raises(DataError) as err:
+        estimate_covariances(indices, [values])
+    assert str(err.value) == (
+        f"non-finite anchor vector in {indices.describe_triplet(2 * TRIPLET_CHUNK)}"
+    )
+
+
+def test_streamed_moments_memory_stays_below_one_triplet_array():
+    rng = np.random.default_rng(22)
+    n, m = 200_000, 100
+    sizes = [1500, 2000, 2500]
+    values = [rng.standard_normal((size, m)) for size in sizes]
+    indices = random_indices(n, sizes, rng)
+    one_array = n * m * 8  # a single (N, m) float64 array: 160 MB
+    tracemalloc.start()
+    try:
+        stats = estimate_covariances(indices, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.n_pairs == n
+    assert peak < one_array / 4
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +578,22 @@ def test_sweep_single_alpha_returns_it():
     assert best == 0.3
     assert len(table) == 1
     assert table[0].achieved_n >= 1
+
+
+def test_sweep_on_indices_matches_gathered_pairs():
+    rng = np.random.default_rng(15)
+    values = [rng.standard_normal((size, 6)) for size in (60, 80)]
+    held = random_indices(TRIPLET_CHUNK + 300, [60, 80], rng)
+    stats = estimate_covariances(eval_pairset(rng, shape_id="train"), ridge=1e-8)
+    basis = FrequencyBasis(nu_max=1.0, m=6)
+    alphas = [0.0, 0.3, 0.6]  # alpha 0 has no negative direction: a NaN row
+    streamed = sweep_alpha(stats, alphas, 2, held, basis, work_point=0.1,
+                           eval_values=values)
+    gathered = sweep_alpha(stats, alphas, 2, held.gather(values), basis, work_point=0.1)
+    assert np.isnan(streamed[1][0].fn_at_fixed_fp)
+    np.testing.assert_array_equal(np.array(streamed[1], float),
+                                  np.array(gathered[1], float))
+    assert streamed[0] == gathered[0]
 
 
 def test_sweep_requires_disjoint_shapes():
