@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -57,6 +58,7 @@ from .learning import (
     AlphaSweepEntry,
     ShapeSample,
     estimate_covariances,
+    pair_distances,
     sample_pair_indices,
     shape_vectors,
     solve_response,
@@ -94,7 +96,7 @@ class Workspace:
         self.base = manifest_path.parent
         self.cache_dir = Path(cache_dir) if cache_dir else self.base / "spectra"
         self._meshes: dict[str, TriangleMesh] = {}
-        self._spectra: dict[tuple[str, int], Spectrum] = {}
+        self._spectra: dict[str, Spectrum] = {}  # shape id -> cache entry
         self._file_hashes: dict[str, str] = {}
         self._by_id = {e.shape_id: e for e in self.entries}
 
@@ -121,47 +123,65 @@ class Workspace:
         return self._file_hashes[entry.shape_id]
 
     def spectrum(self, entry: ManifestEntry, count: Optional[int] = None) -> Spectrum:
-        """The first `count` eigenpairs (at most one per vertex), cached by the
-        mesh file's digest: a cache hit parses no mesh."""
+        """The first `count` eigenpairs (at most one per vertex), served as a
+        prefix of the shape's cache entry; a miss, or an entry too short for
+        the request, solves `_solve_count(count)` pairs into the entry."""
         if count is None:
             count = self.cfg.get_int("spectral", "s")
-        memo = (entry.shape_id, count)
-        if memo in self._spectra:
-            return self._spectra[memo]
-        mass_mode = self.cfg.get("spectral", "mass_mode")
-        mesh_hash = self.file_hash(entry)
-        key = spectrum_cache_key(mesh_hash, count, mass_mode)
-        cache_path = self.cache_dir / f"{entry.shape_id}.{key}.spec"
-        spectrum = None
-        if cache_path.is_file():
-            try:
-                spectrum = load_spectrum(cache_path, mesh_hash)
+        cached = self._spectra.get(entry.shape_id)
+        if cached is None:
+            cached = self._load_entry(entry)
+            if cached is not None:
                 log.info("spectrum cache hit for %s (s=%d)", entry.shape_id, count)
-            except DataError as exc:
-                log.warning("spectrum cache unusable for %s (%s); recomputing",
-                            entry.shape_id, exc)
-        if spectrum is None:
-            mesh = self.mesh(entry)
-            op = assemble_fem(mesh, mass_mode=mass_mode)
-            spectrum = compute_spectrum(op, min(count, mesh.n_vertices))
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            save_spectrum(spectrum, mesh_hash, cache_path)
+        served = cached.prefix(count) if cached is not None else None
+        if served is None:
+            served = self._solve(entry, _solve_count(count)).prefix(count)
             log.info("computed spectrum for %s (s=%d)", entry.shape_id, count)
-        self._spectra[memo] = spectrum
-        return spectrum
+        return served
 
     def spectrum_reaching(self, entry: ManifestEntry, nu_target: float) -> Spectrum:
-        """Spectrum extended until it covers `nu_target` (basis cutoff)."""
-        count = self.cfg.get_int("spectral", "s")
-        while True:
-            spectrum = self.spectrum(entry, count)
-            if spectrum.eigenvalues[-1] * (1.0 + 1e-12) >= nu_target:
-                return spectrum
-            if count >= spectrum.n_vertices:
-                return spectrum  # geometry_vectors will raise with details
-            count = min(spectrum.n_vertices, int(count * 1.3) + 8)
-            log.info("extending spectrum of %s to s=%d to reach nu=%.4g",
-                     entry.shape_id, count, nu_target)
+        """The shape's cache entry once it covers `nu_target` (basis cutoff).
+        An entry that falls short is solved again once, its count aimed by
+        Weyl's law (eigenvalue count grows linearly with frequency)."""
+        self.spectrum(entry)
+        spectrum = self._spectra[entry.shape_id]
+        top = float(spectrum.eigenvalues[-1])
+        if top * (1.0 + 1e-12) >= nu_target or len(spectrum) >= spectrum.n_vertices:
+            return spectrum
+        aim = math.ceil(len(spectrum) * nu_target / top)
+        log.info("extending spectrum of %s from %d pairs to reach nu=%.4g",
+                 entry.shape_id, len(spectrum), nu_target)
+        return self._solve(entry, _solve_count(aim))  # geometry_vectors checks the reach
+
+    def _cache_path(self, entry: ManifestEntry) -> Path:
+        key = spectrum_cache_key(self.file_hash(entry), self.cfg.get("spectral", "mass_mode"))
+        return self.cache_dir / f"{entry.shape_id}.{key}.spec"
+
+    def _load_entry(self, entry: ManifestEntry) -> Optional[Spectrum]:
+        """The shape's cache file, memoized; None when it is missing or
+        unusable. A hit parses no mesh."""
+        cache_path = self._cache_path(entry)
+        if not cache_path.is_file():
+            return None
+        try:
+            spectrum = load_spectrum(cache_path, self.file_hash(entry))
+        except DataError as exc:
+            log.warning("spectrum cache unusable for %s (%s); recomputing",
+                        entry.shape_id, exc)
+            return None
+        self._spectra[entry.shape_id] = spectrum
+        return spectrum
+
+    def _solve(self, entry: ManifestEntry, count: int) -> Spectrum:
+        """Solve `count` pairs (at most one per vertex) and make them the
+        shape's cache entry, replacing its file."""
+        mesh = self.mesh(entry)
+        op = assemble_fem(mesh, mass_mode=self.cfg.get("spectral", "mass_mode"))
+        spectrum = compute_spectrum(op, min(count, mesh.n_vertices))
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        save_spectrum(spectrum, self.file_hash(entry), self._cache_path(entry))
+        self._spectra[entry.shape_id] = spectrum
+        return spectrum
 
     def geometry_vectors(self, entry: ManifestEntry, basis: FrequencyBasis) -> np.ndarray:
         return geometry_vectors(self.spectrum_reaching(entry, basis.nu_max), basis)
@@ -203,6 +223,13 @@ class Workspace:
             symmetry=self.symmetry(entry),
             sample_refs=sample_refs,
         )
+
+
+def _solve_count(count: int) -> int:
+    """Pairs a solve computes for a request of `count`: headroom so that the
+    learned basis cutoff, a high percentile of the training shapes' top
+    eigenvalue, is reached by the same solve."""
+    return int(count * 1.3) + 8
 
 
 def _training_basis(ws: Workspace) -> FrequencyBasis:
@@ -431,12 +458,6 @@ def _parse_family_dirs(specs) -> dict[str, Path]:
     return out
 
 
-def _pairset_distances(values_pairset):
-    d_pos = np.linalg.norm(values_pairset.anchors - values_pairset.positives, axis=1)
-    d_neg = np.linalg.norm(values_pairset.anchors - values_pairset.negatives, axis=1)
-    return d_pos, d_neg
-
-
 def cmd_eval(args, cfg: PipelineConfig) -> int:
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
     family_dirs = _parse_family_dirs(args.descriptors)
@@ -472,8 +493,7 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     roc_rows = []
     for family in families:
         per_shape = [fields[family][sid] for sid in indices.shape_ids]
-        values = indices.gather(per_shape)
-        d_pos, d_neg = _pairset_distances(values)
+        d_pos, d_neg = pair_distances(indices, None, per_shape)
         curve = roc(d_pos, d_neg)
         tp_at_fp = rate_at(curve, "FP", work_point)
         tn_at_fn = 1.0 - rate_at(curve, "FN", work_point)

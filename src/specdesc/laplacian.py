@@ -10,15 +10,19 @@ The generalized eigenproblem is solved with shift-invert Lanczos (ARPACK)
 using a deterministic start vector, with a dense fallback for small meshes
 or near-complete spectra. A truncation that would split a numerically
 degenerate eigenvalue cluster is widened by up to five extra pairs so that
-cluster sums of squared eigenfunctions stay well defined.
+cluster sums of squared eigenfunctions stay well defined; the same rule cuts
+a shorter spectrum out of a longer one (:meth:`Spectrum.prefix`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -144,6 +148,22 @@ class Spectrum:
         """Per-vertex squared eigenfunctions (V, s); sign-flip invariant."""
         return self.eigenfunctions**2
 
+    def prefix(self, count: int) -> Optional["Spectrum"]:
+        """The first `count` pairs (at most one per vertex), widened by the
+        cluster rule of :func:`compute_spectrum` so the cut equals that of a
+        direct solve; None when this spectrum is too short to apply the rule."""
+        if count < 1:
+            raise DataError(f"count={count} outside [1, {self.n_vertices}]")
+        count = min(count, self.n_vertices)
+        if len(self) < min(self.n_vertices, count + CLUSTER_MAX_EXTEND):
+            return None
+        cut = _cluster_cut(self.eigenvalues, count)
+        if cut == len(self):
+            return self
+        return Spectrum(eigenvalues=self.eigenvalues[:cut],
+                        eigenfunctions=self.eigenfunctions[:, :cut],
+                        mass_mode=self.mass_mode)
+
     def first_positive(self) -> float:
         """Smallest eigenvalue clearly above the numerical null space."""
         vals = self.eigenvalues
@@ -161,17 +181,19 @@ def _deterministic_start(n: int) -> np.ndarray:
 
 
 def _dense_pairs(op: FemOperator, k: int):
+    """The k smallest pairs from a dense solve that computes only those."""
     stiff = op.stiffness.toarray()
+    wanted = [0, k - 1]
     if op.mass_mode == "lumped":
         d = op.lumped_mass_diagonal()
         inv_sqrt = 1.0 / np.sqrt(d)
         sym = inv_sqrt[:, None] * stiff * inv_sqrt[None, :]
         sym = 0.5 * (sym + sym.T)
-        vals, vecs = eigh(sym)
+        vals, vecs = eigh(sym, subset_by_index=wanted)
         funcs = inv_sqrt[:, None] * vecs
     else:
-        vals, funcs = eigh(stiff, op.mass.toarray())
-    return vals[:k], funcs[:, :k]
+        vals, funcs = eigh(stiff, op.mass.toarray(), subset_by_index=wanted)
+    return vals, funcs
 
 
 def _arpack_pairs(op: FemOperator, k: int):
@@ -197,6 +219,22 @@ def _arpack_pairs(op: FemOperator, k: int):
     return vals[order], funcs[:, order]
 
 
+def _cluster_cut(vals: np.ndarray, count: int) -> int:
+    """Truncation length at or after `count` that splits no cluster of
+    numerically equal eigenvalues, widened by at most CLUSTER_MAX_EXTEND
+    pairs and never beyond len(vals)."""
+    cut = count
+    limit = min(count + CLUSTER_MAX_EXTEND, len(vals))
+    while cut < limit:
+        gap = vals[cut] - vals[cut - 1]
+        scale = max(abs(vals[cut]), abs(vals[cut - 1]), 1e-300)
+        if gap / scale < CLUSTER_REL_GAP:
+            cut += 1
+        else:
+            break
+    return cut
+
+
 def compute_spectrum(op: FemOperator, count: int) -> Spectrum:
     """Smallest `count` generalized eigenpairs of the stiffness/mass pencil.
 
@@ -212,15 +250,7 @@ def compute_spectrum(op: FemOperator, count: int) -> Spectrum:
     else:
         vals, funcs = _arpack_pairs(op, want)
 
-    cut = count
-    limit = min(count + CLUSTER_MAX_EXTEND, len(vals))
-    while cut < limit:
-        gap = vals[cut] - vals[cut - 1]
-        scale = max(abs(vals[cut]), abs(vals[cut - 1]), 1e-300)
-        if gap / scale < CLUSTER_REL_GAP:
-            cut += 1
-        else:
-            break
+    cut = _cluster_cut(vals, count)
     vals = np.asarray(vals[:cut], dtype=np.float64)
     funcs = np.ascontiguousarray(funcs[:, :cut], dtype=np.float64)
 
@@ -269,9 +299,18 @@ def save_spectrum(spectrum: Spectrum, mesh_hash: str, path) -> None:
     if len(digest) != 32:
         raise DataError("mesh_hash must be a sha256 hex digest")
     header = (*spectrum.eigenfunctions.shape, MASS_MODES.index(spectrum.mass_mode), digest)
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(_CACHE.pack(header, spectrum.eigenvalues, spectrum.eigenfunctions))
-    tmp.replace(path)
+    blob = _CACHE.pack(header, spectrum.eigenvalues, spectrum.eigenfunctions)
+    # a temp file of this writer's own, so concurrent writers of one entry
+    # never move each other's half-written bytes into place
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_spectrum(path, mesh_hash: str) -> Spectrum:
@@ -290,9 +329,10 @@ def load_spectrum(path, mesh_hash: str) -> Spectrum:
     )
 
 
-def spectrum_cache_key(mesh_bytes_hash: str, count: int, mass_mode: str) -> str:
-    """Stable cache key from mesh file content and spectral parameters."""
+def spectrum_cache_key(mesh_bytes_hash: str, mass_mode: str) -> str:
+    """Stable cache key from mesh file content and mass mode: one entry per
+    mesh, holding the longest spectrum solved so far."""
     h = hashlib.sha256()
     h.update(mesh_bytes_hash.encode())
-    h.update(f":{count}:{mass_mode}".encode())
+    h.update(f":{mass_mode}".encode())
     return h.hexdigest()[:16]

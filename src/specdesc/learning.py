@@ -534,19 +534,22 @@ class AlphaSweepEntry(NamedTuple):
 
 def pair_distances(
     pairs: Union[PairIndices, PairSet],
-    model: ResponseModel,
+    model: Optional[ResponseModel],
     per_shape_values: Optional[Sequence[np.ndarray]] = None,
 ):
-    """Descriptor distances of the positive and negative pairs, computed one
-    block of triplets at a time (see :func:`estimate_covariances` for
-    `pairs`)."""
-    coef = model.coefficients
+    """Distances of the positive and negative pairs, computed one block of
+    triplets at a time (see :func:`estimate_covariances` for `pairs`): between
+    the model's descriptors of the vectors, or between the vectors themselves
+    when `model` is None."""
     _, blocks = _triplet_blocks(pairs, per_shape_values)
     d_pos, d_neg = np.empty(len(pairs)), np.empty(len(pairs))
     for start, anchors, positives, negatives in blocks:
         rows = slice(start, start + len(anchors))
-        d_pos[rows] = np.linalg.norm((anchors - positives) @ coef.T, axis=1)
-        d_neg[rows] = np.linalg.norm((anchors - negatives) @ coef.T, axis=1)
+        e_pos, e_neg = anchors - positives, anchors - negatives
+        if model is not None:
+            e_pos, e_neg = e_pos @ model.coefficients.T, e_neg @ model.coefficients.T
+        d_pos[rows] = np.linalg.norm(e_pos, axis=1)
+        d_neg[rows] = np.linalg.norm(e_neg, axis=1)
     return d_pos, d_neg
 
 

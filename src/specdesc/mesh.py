@@ -352,14 +352,15 @@ def save_coff(mesh: TriangleMesh, colors: np.ndarray, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def geodesic_distance_fields(mesh: TriangleMesh, sources) -> np.ndarray:
-    """Dijkstra distances from several sources at once; rows follow `sources`."""
+def geodesic_distance_fields(mesh: TriangleMesh, sources, limit: float = np.inf) -> np.ndarray:
+    """Dijkstra distances from several sources at once; rows follow `sources`.
+    Distances beyond `limit` are not searched and read inf."""
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         return np.zeros((0, mesh.n_vertices))
     if sources.min() < 0 or sources.max() >= mesh.n_vertices:
         raise DataError("source vertex outside mesh")
-    dist = csgraph.dijkstra(mesh._edge_graph, directed=False, indices=sources)
+    dist = csgraph.dijkstra(mesh._edge_graph, directed=False, indices=sources, limit=limit)
     return np.atleast_2d(dist)
 
 

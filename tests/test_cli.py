@@ -15,6 +15,7 @@ from specdesc.descriptors import (
     save_descriptor_binary,
 )
 from specdesc.errors import DataError, ParseError
+from specdesc.laplacian import load_spectrum
 from specdesc.mesh import CorrespondenceMap, intrinsic_diameter, load_mesh
 from specdesc.synth import (
     SyntheticCorpusSpec,
@@ -272,6 +273,56 @@ def test_spectrum_cache_rejects_other_shapes_file(mini_corpus, tmp_path, caplog)
     assert torus_file.read_bytes()[17:49] == digest
 
 
+def counted_solves(monkeypatch):
+    """Patch the CLI's eigensolver to record the vertex count of each solve."""
+    import specdesc.cli
+
+    solves = []
+    real = specdesc.cli.compute_spectrum
+
+    def counted(op, count):
+        solves.append(op.n_vertices)
+        return real(op, count)
+
+    monkeypatch.setattr(specdesc.cli, "compute_spectrum", counted)
+    return solves
+
+
+def test_cold_run_solves_each_shape_once(mini_corpus, tmp_path, monkeypatch):
+    solves = counted_solves(monkeypatch)
+    cache = tmp_path / "cache"
+    common = ["--config", mini_corpus / "config.cfg", "--spectrum-cache", cache]
+    assert run(["spectrum", *common]) == 0
+    assert run(["train", *common, "--out", tmp_path / "train"]) == 0
+    assert run(["describe", *common, "--family", "learned",
+                "--model", tmp_path / "train" / "model.json", "--out", tmp_path / "desc"]) == 0
+    n_shapes = len(read_manifest(mini_corpus / "corpus" / "manifest.csv"))
+    assert len(solves) == n_shapes
+    assert len(list(cache.glob("*.spec"))) == n_shapes
+
+
+def test_short_cache_entry_grows_once(mini_corpus, tmp_path, monkeypatch):
+    cfg = parse_config(mini_corpus / "config.cfg")
+    torus = Workspace(cfg, cache_dir=tmp_path).entry("torus")
+    Workspace(cfg, cache_dir=tmp_path).spectrum(torus, 4)
+    [path] = tmp_path.glob("torus.*.spec")
+    mesh_hash = hashlib.sha256((mini_corpus / "corpus" / "torus.off").read_bytes()).hexdigest()
+    short = load_spectrum(path, mesh_hash)
+    nu = 2.0 * float(short.eigenvalues[-1])
+
+    solves = counted_solves(monkeypatch)
+    grown = Workspace(cfg, cache_dir=tmp_path).spectrum_reaching(torus, nu)
+    assert len(solves) == 1
+    assert len(grown) > len(short) and grown.eigenvalues[-1] >= nu
+    assert list(tmp_path.glob("torus.*.spec")) == [path]
+    replaced = load_spectrum(path, mesh_hash)
+    np.testing.assert_array_equal(replaced.eigenfunctions, grown.eigenfunctions)
+    # the configured count is now a prefix of the longer entry: no solve
+    served = Workspace(cfg, cache_dir=tmp_path).spectrum(torus)
+    assert len(solves) == 1
+    np.testing.assert_array_equal(served.eigenvalues, grown.eigenvalues[: len(served)])
+
+
 def test_spectrum_cache_dir_flag(mini_corpus, tmp_path):
     cache = tmp_path / "mycache"
     assert run(["spectrum", "--config", mini_corpus / "config.cfg",
@@ -286,6 +337,14 @@ def test_missing_config_is_data_error():
 def test_bad_override_is_usage_error(mini_corpus):
     config = mini_corpus / "config.cfg"
     assert run(["spectrum", "--config", config, "--bogus_key", "1"]) == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_nonpositive_pair_count_is_data_error(mini_corpus, tmp_path, caplog, count):
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        assert run(["spectrum", "--config", mini_corpus / "config.cfg",
+                    "--spectrum-cache", tmp_path, "--s", count]) == 3
+    assert any(f"count={count} outside" in r.getMessage() for r in caplog.records)
 
 
 def test_override_applies(mini_corpus, caplog):

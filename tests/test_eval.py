@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from specdesc.errors import DataError
 from specdesc.evaluation import (
+    GROUND_TRUTH_BLOCK,
     CmcCurve,
     MatchGroundTruth,
     cmc,
@@ -207,6 +208,39 @@ def test_match_ground_truth_includes_symmetric_ball():
     d_sym = geodesic_distance_fields(mesh, [int(antipode[3])])[0]
     expected = np.flatnonzero((d_own <= 0.3) | (d_sym <= 0.3))
     np.testing.assert_array_equal(np.sort(gt.sets[0]), expected)
+
+
+def test_match_ground_truth_limited_search_matches_full_fields():
+    mesh = icosphere(3)
+    antipode = np.array(
+        [int(np.argmin(np.linalg.norm(mesh.vertices + v, axis=1)))
+         for v in mesh.vertices]
+    )
+    antipode[::3] = -1  # vertices without a symmetric image
+    refs = np.random.default_rng(4).integers(mesh.n_vertices, size=2 * GROUND_TRUTH_BLOCK + 5)
+    # a radius that some vertex lies at exactly: the ball is closed
+    first = geodesic_distance_fields(mesh, [int(refs[0])])[0]
+    radius = float(np.sort(first)[30])
+    gt = match_ground_truth(mesh, refs, radius, symmetry=antipode)
+
+    # reference: unlimited Dijkstra fields of every center
+    own = geodesic_distance_fields(mesh, refs) <= radius
+    mirrors = antipode[refs]
+    assert (mirrors == -1).any() and (mirrors >= 0).any()
+    mirrored = np.zeros_like(own)
+    mirrored[mirrors >= 0] = geodesic_distance_fields(mesh, mirrors[mirrors >= 0]) <= radius
+    assert len(gt) == len(refs)
+    for i in range(len(refs)):
+        np.testing.assert_array_equal(gt.sets[i], np.flatnonzero(own[i] | mirrored[i]))
+    assert np.isin(np.flatnonzero(first == radius), gt.sets[0]).all()
+
+
+def test_match_ground_truth_unmapped_center_is_empty_ball():
+    mesh = icosphere(2)
+    refs = np.arange(GROUND_TRUTH_BLOCK + 3)
+    refs[GROUND_TRUTH_BLOCK + 1] = -1
+    with pytest.raises(DataError, match=f"reference {GROUND_TRUTH_BLOCK + 1}: empty"):
+        match_ground_truth(mesh, refs, 0.3)
 
 
 # ---------------------------------------------------------------------------

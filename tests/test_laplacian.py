@@ -1,4 +1,5 @@
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -7,7 +8,10 @@ from scipy.linalg import eigh
 
 from specdesc.errors import DataError
 from specdesc.laplacian import (
+    CLUSTER_REL_GAP,
+    MASS_MODES,
     Spectrum,
+    _dense_pairs,
     assemble_fem,
     compute_spectrum,
     load_spectrum,
@@ -190,6 +194,60 @@ def test_cluster_not_split_at_truncation(ico4_operator):
     assert gaps.max() < 1e-8
 
 
+def cluster_sums(vals, funcs):
+    """Per-vertex sum of squared eigenfunctions over each cluster of
+    numerically equal eigenvalues (the truncation rule's gap): independent of
+    the basis a solver picks inside a degenerate eigenspace."""
+    scale = np.maximum(np.maximum(np.abs(vals[1:]), np.abs(vals[:-1])), 1e-300)
+    edges = [0, *(np.flatnonzero(np.diff(vals) / scale >= CLUSTER_REL_GAP) + 1), len(vals)]
+    return np.stack([(funcs[:, a:b] ** 2).sum(axis=1) for a, b in zip(edges, edges[1:])])
+
+
+@pytest.mark.parametrize("count", [2, 6, 10, 14, 18, 27])  # each inside a cluster
+def test_prefix_of_longer_solve_matches_direct_solve(ico4_operator, ico4_spectrum, count):
+    direct = compute_spectrum(ico4_operator, count)
+    prefix = ico4_spectrum.prefix(count)
+    assert len(prefix) == len(direct) > count
+    vals = ico4_spectrum.eigenvalues
+    cut = len(prefix)
+    assert (vals[cut] - vals[cut - 1]) / vals[cut] >= CLUSTER_REL_GAP
+    np.testing.assert_allclose(prefix.eigenvalues, direct.eigenvalues, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(
+        cluster_sums(prefix.eigenvalues, prefix.eigenfunctions),
+        cluster_sums(direct.eigenvalues, direct.eigenfunctions), rtol=0, atol=1e-10,
+    )
+
+
+def test_prefix_needs_room_for_the_cluster_rule(ico4_spectrum):
+    n = len(ico4_spectrum)
+    assert ico4_spectrum.prefix(n - 5) is not None
+    assert ico4_spectrum.prefix(n - 4) is None
+    full = compute_spectrum(assemble_fem(right_triangle()), 3)
+    assert full.prefix(3) is full and full.prefix(10) is full  # the whole spectrum
+
+
+@pytest.mark.parametrize("mass_mode", MASS_MODES)
+def test_dense_subset_matches_full_eigh(mass_mode):
+    op = assemble_fem(icosphere(3), mass_mode=mass_mode)
+    stiff = op.stiffness.toarray()
+    # reference: every pair of the dense pencil, then truncated
+    if mass_mode == "lumped":
+        inv_sqrt = 1.0 / np.sqrt(op.lumped_mass_diagonal())
+        sym = inv_sqrt[:, None] * stiff * inv_sqrt[None, :]
+        full_vals, vecs = eigh(0.5 * (sym + sym.T))
+        full_funcs = inv_sqrt[:, None] * vecs
+    else:
+        full_vals, full_funcs = eigh(stiff, op.mass.toarray())
+    k = 25  # l = 0..4 on the sphere: a cut between clusters
+    assert (full_vals[k] - full_vals[k - 1]) / full_vals[k] >= CLUSTER_REL_GAP
+    vals, funcs = _dense_pairs(op, k)
+    assert funcs.shape == (op.n_vertices, k)
+    np.testing.assert_allclose(vals, full_vals[:k], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(cluster_sums(vals, funcs),
+                               cluster_sums(full_vals[:k], full_funcs[:, :k]),
+                               rtol=0, atol=1e-10)
+
+
 def test_count_out_of_range(ico4_operator):
     with pytest.raises(DataError):
         compute_spectrum(ico4_operator, 0)
@@ -303,3 +361,27 @@ def test_spectrum_cache_truncated(tmp_path, ico4_spectrum):
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataError, match="truncated"):
         load_spectrum(path, mesh_hash)
+
+
+def test_interleaved_cache_writers_leave_a_loadable_entry(tmp_path, ico4_spectrum,
+                                                         monkeypatch):
+    path = tmp_path / "sphere.spec"
+    mesh_hash = hashlib.sha256(b"sphere mesh file").hexdigest()
+    short = ico4_spectrum.prefix(20)
+    real_replace = os.replace
+    seen = []
+
+    def other_writer_first(src, dst):
+        # a second writer of the same entry runs between this writer's write
+        # and its rename
+        monkeypatch.setattr(os, "replace", real_replace)
+        save_spectrum(short, mesh_hash, path)
+        seen.append(load_spectrum(path, mesh_hash))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", other_writer_first)
+    save_spectrum(ico4_spectrum, mesh_hash, path)
+    np.testing.assert_array_equal(seen[0].eigenfunctions, short.eigenfunctions)
+    final = load_spectrum(path, mesh_hash)
+    np.testing.assert_array_equal(final.eigenfunctions, ico4_spectrum.eigenfunctions)
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind

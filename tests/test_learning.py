@@ -362,6 +362,19 @@ def test_streamed_moments_match_whole_array_moments(n):
     assert streamed.n_vectors == 3 * n
 
 
+@pytest.mark.parametrize("n", [TRIPLET_CHUNK - 1, TRIPLET_CHUNK, TRIPLET_CHUNK + 1])
+def test_streamed_descriptor_distances_match_gathered(n):
+    rng = np.random.default_rng(23)
+    values = [rng.standard_normal((size, 5)) for size in (40, 55, 70)]
+    indices = random_indices(n, [40, 55, 70], rng)
+    d_pos, d_neg = pair_distances(indices, None, values)
+    # the whole-array distances eval computed before it streamed; per-row
+    # norms do not depend on how many rows a block holds
+    pairs = indices.gather(values)
+    assert np.array_equal(d_pos, np.linalg.norm(pairs.anchors - pairs.positives, axis=1))
+    assert np.array_equal(d_neg, np.linalg.norm(pairs.anchors - pairs.negatives, axis=1))
+
+
 def test_non_finite_after_first_chunk_names_the_triplet():
     # vertex k of the single shape is used once: as anchor k, positive k - n
     # or negative k - 2n
