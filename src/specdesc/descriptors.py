@@ -18,7 +18,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .container import Container
 from .errors import DataError
@@ -75,12 +74,32 @@ class FrequencyBasis:
 
     def evaluate(self, frequencies) -> np.ndarray:
         """Design matrix of shape (len(frequencies), m); rows above nu_max
-        are identically zero, tiny negative inputs clip to zero."""
+        are identically zero, tiny negative inputs clip to zero.
+
+        Cox-de Boor recurrence (de Boor 1978) for the four splines that are
+        nonzero on each point's knot interval, in the operation order of
+        scipy's ``BSpline.design_matrix``, whose values it equals bit for bit.
+        """
         nu = np.atleast_1d(np.asarray(frequencies, dtype=np.float64))
-        inside = nu <= self.nu_max
-        clipped = np.clip(nu, 0.0, self.nu_max)
-        design = BSpline.design_matrix(clipped, self.knots, 3).toarray()
-        design[~inside] = 0.0
+        if not np.isfinite(nu).all():
+            raise DataError("basis frequencies must be finite")
+        x = np.clip(nu, 0.0, self.nu_max)
+        t = self.knots
+        # t[ell] <= x < t[ell + 1]; x = nu_max belongs to the last interval
+        ell = np.clip(np.searchsorted(t, x, "right") - 1, 3, len(t) - 5)
+        h = np.zeros((len(x), 4))
+        h[:, 0] = 1.0
+        for j in range(1, 4):
+            hh = h[:, :j].copy()
+            h[:, 0] = 0.0
+            for q in range(1, j + 1):
+                right, left = t[ell + q], t[ell + q - j]
+                w = hh[:, q - 1] / (right - left)
+                h[:, q - 1] += w * (right - x)
+                h[:, q] = w * (x - left)
+        design = np.zeros((len(x), self.m))
+        np.put_along_axis(design, (ell - 3)[:, None] + np.arange(4), h, axis=1)
+        design[nu > self.nu_max] = 0.0
         return design
 
 

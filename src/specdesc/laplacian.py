@@ -22,16 +22,16 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .container import Container
 from .errors import DataError, NumericalError
 from .mesh import TriangleMesh
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "FemOperator",
@@ -75,6 +75,7 @@ def assemble_fem(mesh: TriangleMesh, mass_mode: str = "lumped") -> FemOperator:
     """
     if mass_mode not in MASS_MODES:
         raise DataError(f"mass_mode must be one of {MASS_MODES}, got {mass_mode!r}")
+    from scipy import sparse
     tri = mesh.faces
     v1 = mesh.vertices[tri[:, 0]]
     v2 = mesh.vertices[tri[:, 1]]
@@ -182,6 +183,7 @@ def _deterministic_start(n: int) -> np.ndarray:
 
 def _dense_pairs(op: FemOperator, k: int):
     """The k smallest pairs from a dense solve that computes only those."""
+    from scipy.linalg import eigh
     stiff = op.stiffness.toarray()
     wanted = [0, k - 1]
     if op.mass_mode == "lumped":
@@ -197,6 +199,7 @@ def _dense_pairs(op: FemOperator, k: int):
 
 
 def _arpack_pairs(op: FemOperator, k: int):
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
     n = op.n_vertices
     sigma = -1e-8 * op.stiffness.diagonal().sum() / n
     try:
@@ -301,10 +304,14 @@ def save_spectrum(spectrum: Spectrum, mesh_hash: str, path) -> None:
     header = (*spectrum.eigenfunctions.shape, MASS_MODES.index(spectrum.mass_mode), digest)
     blob = _CACHE.pack(header, spectrum.eigenvalues, spectrum.eigenfunctions)
     # a temp file of this writer's own, so concurrent writers of one entry
-    # never move each other's half-written bytes into place
+    # never move each other's half-written bytes into place; mkstemp makes it
+    # 0600, so give it the mode a plain open() would, for shared cache dirs
     path = Path(path)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
         os.replace(tmp, path)
@@ -315,13 +322,18 @@ def save_spectrum(spectrum: Spectrum, mesh_hash: str, path) -> None:
 
 def load_spectrum(path, mesh_hash: str) -> Spectrum:
     """Load a cached spectrum of the mesh file whose SHA-256 is `mesh_hash`;
-    raises DataError on any mismatch or damage."""
+    raises DataError on any mismatch or damage, including non-finite values
+    and eigenvalues out of ascending order."""
     raw, (nv, s, mode_idx, digest) = _CACHE.read(path)
     if digest.hex() != mesh_hash:
         raise DataError(f"{path}: cached spectrum belongs to a different mesh")
     if mode_idx >= len(MASS_MODES):
         raise DataError(f"{path}: unknown mass mode tag {mode_idx}")
     flat = _CACHE.floats(raw, _CACHE.size, s + nv * s, path)
+    if not np.isfinite(flat).all():
+        raise DataError(f"{path}: cached spectrum holds non-finite values")
+    if (np.diff(flat[:s]) < 0).any():
+        raise DataError(f"{path}: cached eigenvalues are not in ascending order")
     return Spectrum(
         eigenvalues=flat[:s],
         eigenfunctions=flat[s:].reshape(nv, s),

@@ -24,7 +24,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 import warnings
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .descriptors import FrequencyBasis, ResponseModel
 from .errors import DataError, NumericalError
@@ -200,6 +199,7 @@ def _triplet_blocks(pairs: Union[PairSet, PairIndices], per_shape_values=None):
 def _ball_masks(sample: ShapeSample, ref: int, r: float, big_r: float):
     """Positive / negative vertex masks around `ref` (and its symmetric
     image), excluding the ring between the two radii from both."""
+    from scipy.sparse import csgraph
     graph = sample.mesh._edge_graph
     centers = [ref]
     if sample.symmetry is not None:

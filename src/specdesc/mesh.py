@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import DataError, MeshValidationError, ParseError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "TriangleMesh",
@@ -114,6 +115,7 @@ class TriangleMesh:
 
     @cached_property
     def _edge_graph(self) -> sparse.csr_matrix:
+        from scipy import sparse
         i, j = self.edges[:, 0], self.edges[:, 1]
         w = self.edge_lengths
         graph = sparse.coo_matrix(
@@ -160,6 +162,7 @@ class TriangleMesh:
         if (degree == 0).any():
             bad = int(np.flatnonzero(degree == 0)[0])
             raise MeshValidationError(f"vertex {bad} belongs to no face")
+        from scipy.sparse import csgraph
         ncomp, _ = csgraph.connected_components(self._edge_graph, directed=False)
         if ncomp != 1:
             raise MeshValidationError(
@@ -360,12 +363,14 @@ def geodesic_distance_fields(mesh: TriangleMesh, sources, limit: float = np.inf)
         return np.zeros((0, mesh.n_vertices))
     if sources.min() < 0 or sources.max() >= mesh.n_vertices:
         raise DataError("source vertex outside mesh")
+    from scipy.sparse import csgraph
     dist = csgraph.dijkstra(mesh._edge_graph, directed=False, indices=sources, limit=limit)
     return np.atleast_2d(dist)
 
 
 def _graph_distance(mesh: TriangleMesh):
     """Single-source edge-graph distance field, as a function of the source."""
+    from scipy.sparse import csgraph
     graph = mesh._edge_graph
     return lambda v: csgraph.dijkstra(graph, directed=False, indices=v)
 

@@ -143,7 +143,7 @@ def test_criterion_04_solver_optimality():
         for _ in range(total_samples // chunk):
             g = rng.standard_normal((chunk, m, n_eff))
             q, _ = np.linalg.qr(g)
-            vals = np.einsum("sik,ij,sjk->s", q, whitened, q)
+            vals = (q * (whitened @ q)).sum(axis=(1, 2))
             best = min(best, float(vals.min()))
         min_gap = min(min_gap, best - closed)  # oracle must never beat closed form
         worst_cert = max(worst_cert, cert)

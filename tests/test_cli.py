@@ -1,12 +1,19 @@
+import ast
 import filecmp
 import hashlib
 import logging
+import os
 import re
 import shutil
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specdesc
 from specdesc.cli import DESCRIBE_FAMILIES, Workspace, main
 from specdesc.config import DEFAULTS, parse_config, parse_config_text, read_manifest
 from specdesc.descriptors import (
@@ -399,6 +406,66 @@ def test_warm_describe_parses_no_mesh(mini_pipeline, tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.glob("*.dsc")) == [p.name for p in expected]
     for path in expected:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def scipy_modules_after(script: str) -> list[str]:
+    """The scipy modules loaded once `script` has run in a fresh interpreter
+    that imports this copy of specdesc."""
+    src = str(Path(specdesc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = script + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_modules_after("import sys, specdesc.cli") == []
+
+
+@pytest.mark.parametrize("family", ["hks", "learned"])
+def test_warm_describe_loads_no_scipy(mini_pipeline, tmp_path, family):
+    argv = ["describe", "--config", mini_pipeline / "config.cfg", "--family", family,
+            "--out", tmp_path]
+    if family == "learned":
+        argv += ["--model", mini_pipeline / "train" / "model.json"]
+    script = f"import sys, specdesc.cli\nassert specdesc.cli.main({[str(a) for a in argv]!r}) == 0"
+    assert scipy_modules_after(script) == []
+    assert len(list(tmp_path.glob(f"*.{family}.dsc"))) == len(
+        read_manifest(mini_pipeline / "corpus" / "manifest.csv"))
+
+
+def test_damaged_cache_values_are_recomputed(pipeline_copy, caplog):
+    """NaN in one eigenvalue, a flipped exponent bit in another: both entries
+    load as unusable, are solved again, and the new entries equal fresh solves."""
+    cache = pipeline_copy / "corpus" / "spectra"
+    first = 8 + struct.calcsize("<IIB32s")  # eigenvalues follow magic and header
+    damage = {"icosphere": 5, "torus": 10}  # shape -> damaged eigenvalue
+    for shape, k in damage.items():
+        [entry] = cache.glob(f"{shape}.*.spec")
+        raw = bytearray(entry.read_bytes())
+        at = first + 8 * k
+        if shape == "icosphere":
+            raw[at:at + 8] = struct.pack("<d", np.nan)
+        else:
+            raw[at + 7] ^= 0x40  # the top exponent bit of a little-endian double
+        entry.write_bytes(bytes(raw))
+    config = pipeline_copy / "config.cfg"
+    with caplog.at_level(logging.INFO, logger="specdesc"):
+        assert run(["describe", "--config", config, "--family", "hks",
+                    "--out", pipeline_copy / "out"]) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("spectrum cache unusable for icosphere" in m and "non-finite" in m
+               for m in messages)
+    assert any("spectrum cache unusable for torus" in m and "ascending" in m
+               for m in messages)
+    cfg = parse_config(config)
+    fresh = Workspace(cfg, cache_dir=pipeline_copy / "fresh")
+    for shape in damage:
+        fresh.spectrum(fresh.entry(shape))
+        [rewritten] = cache.glob(f"{shape}.*.spec")
+        assert rewritten.read_bytes() == (fresh.cache_dir / rewritten.name).read_bytes()
 
 
 def test_warm_describe_missing_mesh_is_data_error(pipeline_copy, caplog):

@@ -65,6 +65,28 @@ def test_basis_support_bound(sphere_basis):
     assert np.abs(sphere_basis.evaluate(probe)).max() == 0.0
 
 
+@pytest.mark.parametrize("nu_max, m", [(118.0, 30), (1.0, 4), (57.3, 12), (1000.0, 50), (3.7, 7)])
+def test_basis_equals_scipy_design_matrix(nu_max, m):
+    from scipy.interpolate import BSpline
+
+    basis = FrequencyBasis(nu_max=nu_max, m=m)
+    rng = np.random.default_rng(m)
+    nu = np.concatenate([
+        rng.uniform(-1e-9, 1.2 * nu_max, 5000),  # tiny negatives and points above nu_max
+        basis.knots,
+        [0.0, nu_max, np.nextafter(nu_max, 0.0), np.nextafter(nu_max, np.inf)],
+    ])
+    expected = BSpline.design_matrix(np.clip(nu, 0.0, nu_max), basis.knots, 3).toarray()
+    expected[nu > nu_max] = 0.0
+    assert np.array_equal(basis.evaluate(nu), expected)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_basis_rejects_non_finite_frequencies(sphere_basis, bad):
+    with pytest.raises(DataError, match="finite"):
+        sphere_basis.evaluate([0.5, bad])
+
+
 def test_basis_minimum_size():
     with pytest.raises(DataError):
         FrequencyBasis(nu_max=1.0, m=3)

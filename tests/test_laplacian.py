@@ -385,3 +385,26 @@ def test_interleaved_cache_writers_leave_a_loadable_entry(tmp_path, ico4_spectru
     final = load_spectrum(path, mesh_hash)
     np.testing.assert_array_equal(final.eigenfunctions, ico4_spectrum.eigenfunctions)
     assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+
+
+def test_cache_entry_mode_follows_umask(tmp_path, ico4_spectrum):
+    path = tmp_path / "sphere.spec"
+    old = os.umask(0o022)
+    try:
+        save_spectrum(ico4_spectrum, hashlib.sha256(b"sphere mesh file").hexdigest(), path)
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == 0o644
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_spectrum_cache_non_finite_eigenfunction(tmp_path, ico4_spectrum, value):
+    funcs = ico4_spectrum.eigenfunctions.copy()
+    funcs[7, 3] = value
+    spectrum = Spectrum(eigenvalues=ico4_spectrum.eigenvalues, eigenfunctions=funcs,
+                        mass_mode="lumped")
+    path = tmp_path / "sphere.spec"
+    mesh_hash = hashlib.sha256(b"sphere mesh file").hexdigest()
+    save_spectrum(spectrum, mesh_hash, path)
+    with pytest.raises(DataError, match="non-finite"):
+        load_spectrum(path, mesh_hash)
