@@ -237,6 +237,9 @@ def _training_basis(ws: Workspace) -> FrequencyBasis:
     the training shapes."""
     cfg = ws.cfg
     count = cfg.get_int("spectral", "s")
+    percentile = cfg.get_float("basis", "nu_max_percentile")
+    if not 0.0 <= percentile <= 100.0:
+        raise DataError(f"nu_max_percentile={percentile} outside [0, 100]")
     entries = ws.by_split("train", "train_neg")
     if not entries:
         raise DataError("manifest has no train shapes")
@@ -244,7 +247,7 @@ def _training_basis(ws: Workspace) -> FrequencyBasis:
     for entry in entries:
         spectrum = ws.spectrum(entry)
         tops.append(float(spectrum.eigenvalues[min(count, len(spectrum)) - 1]))
-    nu_max = float(np.percentile(tops, cfg.get_float("basis", "nu_max_percentile")))
+    nu_max = float(np.percentile(tops, percentile))
     return FrequencyBasis(nu_max=nu_max, m=cfg.get_int("basis", "m"))
 
 
@@ -370,10 +373,10 @@ def _train_model(ws: Workspace):
             cfg.get_floats("learning", "alpha_grid"),
             n,
             val_pairs,
+            val_gvecs,
             basis,
             mode=cfg.get("eval", "mode"),
             work_point=cfg.get_float("eval", "work_point"),
-            eval_values=val_gvecs,
         )
         log.info("alpha sweep selected %.4g (%s mode)", best_alpha, cfg.get("eval", "mode"))
     model = solve_response(stats, best_alpha, n, basis)
@@ -493,7 +496,7 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     roc_rows = []
     for family in families:
         per_shape = [fields[family][sid] for sid in indices.shape_ids]
-        d_pos, d_neg = pair_distances(indices, None, per_shape)
+        d_pos, d_neg = pair_distances(indices, per_shape)
         curve = roc(d_pos, d_neg)
         tp_at_fp = rate_at(curve, "FP", work_point)
         tn_at_fn = 1.0 - rate_at(curve, "FN", work_point)

@@ -68,10 +68,6 @@ class FrequencyBasis:
         interior = np.linspace(0.0, self.nu_max, self.m - 2)
         return np.concatenate([[0.0] * 3, interior, [self.nu_max] * 3])
 
-    @property
-    def knot_spacing(self) -> float:
-        return self.nu_max / (self.m - 3)
-
     def evaluate(self, frequencies) -> np.ndarray:
         """Design matrix of shape (len(frequencies), m); rows above nu_max
         are identically zero, tiny negative inputs clip to zero.
@@ -123,10 +119,6 @@ class ResponseModel:
     @property
     def n(self) -> int:
         return self.coefficients.shape[0]
-
-    def response(self, frequencies) -> np.ndarray:
-        """Evaluate the n responses at arbitrary frequencies: (n, len(nu))."""
-        return self.coefficients @ self.basis.evaluate(frequencies).T
 
 
 @dataclass

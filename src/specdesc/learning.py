@@ -20,7 +20,7 @@ block at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 import warnings
 
 import numpy as np
@@ -28,10 +28,9 @@ import numpy as np
 from .descriptors import FrequencyBasis, ResponseModel
 from .errors import DataError, NumericalError
 from .evaluation import rate_at, roc
-from .mesh import CorrespondenceMap, TriangleMesh, intrinsic_diameter
+from .mesh import CorrespondenceMap, TriangleMesh, geodesic_distance_fields, intrinsic_diameter
 
 __all__ = [
-    "PairSet",
     "PairIndices",
     "ShapeSample",
     "CovarianceStats",
@@ -103,37 +102,6 @@ class PairIndices:
             f"{self.shape_ids[self.neg_shape[i]]}:{self.neg_vertex[i]}"
         )
 
-    def _roles(self):
-        """(shape indices, vertex indices) of the anchors, positives and
-        negatives, in the order of ``ROLES``."""
-        return (
-            (self.anchor_shape, self.anchor_vertex),
-            (self.pos_shape, self.pos_vertex),
-            (self.neg_shape, self.neg_vertex),
-        )
-
-    def _vector_dim(self, per_shape_values: Sequence[np.ndarray]) -> int:
-        """Common column count of the per-vertex vectors (one array per
-        shape, aligned with shape_ids)."""
-        for sid, values in zip(self.shape_ids, per_shape_values):
-            if values is None:
-                raise DataError(f"shape {sid}: missing per-vertex vectors")
-        stacked_dims = {v.shape[1] for v in per_shape_values}
-        if len(stacked_dims) != 1:
-            raise DataError("per-shape vector dimensions differ")
-        return stacked_dims.pop()
-
-    def gather(self, per_shape_values: Sequence[np.ndarray]) -> "PairSet":
-        """Attach per-vertex vectors (one array per shape, aligned with
-        shape_ids) to the sampled indices."""
-        m = self._vector_dim(per_shape_values)
-        anchors, positives, negatives = (
-            _gather_rows(per_shape_values, shapes, vertices, np.empty((len(self), m)))
-            for shapes, vertices in self._roles()
-        )
-        return PairSet(anchors=anchors, positives=positives, negatives=negatives,
-                       indices=self)
-
 
 def _gather_rows(per_shape_values, shape_idx, vertex_idx, out) -> np.ndarray:
     """The rows the (shape, vertex) index pairs point to, written into the
@@ -145,49 +113,29 @@ def _gather_rows(per_shape_values, shape_idx, vertex_idx, out) -> np.ndarray:
     return out
 
 
-@dataclass
-class PairSet:
-    """Triplets of geometry vectors (anchor, positive, negative) with their
-    provenance: the sampled indices they were gathered from."""
-
-    anchors: np.ndarray  # (N, m)
-    positives: np.ndarray  # (N, m)
-    negatives: np.ndarray  # (N, m)
-    indices: PairIndices
-
-    def __len__(self) -> int:
-        return self.anchors.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.anchors.shape[1]
-
-
-def _provenance(pairs: Union[PairSet, PairIndices]) -> PairIndices:
-    return pairs.indices if isinstance(pairs, PairSet) else pairs
-
-
-def _triplet_blocks(pairs: Union[PairSet, PairIndices], per_shape_values=None):
+def _triplet_blocks(pairs: PairIndices, per_shape_values):
     """Vector dimension and an iterator of (start, anchors, positives,
-    negatives) over consecutive blocks of at most TRIPLET_CHUNK triplets. A
-    PairSet is sliced. Sampled PairIndices are gathered from
-    `per_shape_values` one block at a time into three reused buffers, so a
-    block is valid only until the next one is drawn and no triplet-sized
-    vector array is ever built."""
-    if isinstance(pairs, PairSet):
-        m = pairs.m
+    negatives) over consecutive blocks of at most TRIPLET_CHUNK triplets,
+    gathered from `per_shape_values` (one (V, m) array per shape, aligned with
+    shape_ids) one block at a time into three reused buffers: a block is valid
+    only until the next one is drawn, and no triplet-sized vector array is
+    ever built."""
+    for sid, values in zip(pairs.shape_ids, per_shape_values):
+        if values is None:
+            raise DataError(f"shape {sid}: missing per-vertex vectors")
+    dims = {v.shape[1] for v in per_shape_values}
+    if len(dims) != 1:
+        raise DataError("per-shape vector dimensions differ")
+    m = dims.pop()
+    buffers = np.empty((3, min(len(pairs), TRIPLET_CHUNK), m))
+    roles = ((pairs.anchor_shape, pairs.anchor_vertex), (pairs.pos_shape, pairs.pos_vertex),
+             (pairs.neg_shape, pairs.neg_vertex))  # in the order of ROLES
 
-        def take(rows):
-            return pairs.anchors[rows], pairs.positives[rows], pairs.negatives[rows]
-    else:
-        m = pairs._vector_dim(per_shape_values)
-        buffers = np.empty((3, min(len(pairs), TRIPLET_CHUNK), m))
-
-        def take(rows):
-            return tuple(
-                _gather_rows(per_shape_values, shapes[rows], vertices[rows], out)
-                for out, (shapes, vertices) in zip(buffers, pairs._roles())
-            )
+    def take(rows):
+        return tuple(
+            _gather_rows(per_shape_values, shapes[rows], vertices[rows], out)
+            for out, (shapes, vertices) in zip(buffers, roles)
+        )
 
     blocks = (
         (start, *take(slice(start, start + TRIPLET_CHUNK)))
@@ -199,15 +147,13 @@ def _triplet_blocks(pairs: Union[PairSet, PairIndices], per_shape_values=None):
 def _ball_masks(sample: ShapeSample, ref: int, r: float, big_r: float):
     """Positive / negative vertex masks around `ref` (and its symmetric
     image), excluding the ring between the two radii from both."""
-    from scipy.sparse import csgraph
-    graph = sample.mesh._edge_graph
     centers = [ref]
     if sample.symmetry is not None:
         mirrored = int(sample.symmetry[ref])
         if mirrored != ref and mirrored >= 0:
             centers.append(mirrored)
-    dist = csgraph.dijkstra(graph, directed=False, indices=centers)
-    dist = np.atleast_2d(dist)
+    # vertices beyond big_r read inf, which is all the negative mask needs
+    dist = geodesic_distance_fields(sample.mesh, centers, limit=big_r)
     pos = (dist <= r).any(axis=0)
     far = (dist > big_r).all(axis=0)
     pos[ref] = False  # the reference itself is not its own positive
@@ -240,7 +186,11 @@ def sample_pair_indices(
     if not 0.0 < r_frac < big_r_frac:
         raise DataError("need 0 < r_frac < R_frac")
     if positives_per_ref < 1:
-        raise DataError("need at least one positive per reference")
+        raise DataError(f"positives_per_ref={positives_per_ref} must be at least 1")
+    for name, count in (("refs_per_shape", refs_per_shape), ("negatives_per_ref", negatives_per_ref),
+                        ("cross_negatives_per_ref", cross_negatives_per_ref)):
+        if count < 0:
+            raise DataError(f"{name}={count} must be non-negative")
     shape_ids = [sh.shape_id for sh in shapes]
     if len(set(shape_ids)) != len(shape_ids):
         raise DataError("duplicate shape ids")
@@ -391,17 +341,16 @@ class CovarianceStats:
 
 
 def estimate_covariances(
-    pairs: Union[PairIndices, PairSet],
-    per_shape_values: Optional[Sequence[np.ndarray]] = None,
+    pairs: PairIndices,
+    per_shape_values: Sequence[np.ndarray],
     ridge: float = 1e-6,
 ) -> CovarianceStats:
     """Average outer products of difference vectors; the geometry-vector
     moment uses every sampled vector (anchors, positives and negatives) and
     gets `ridge * trace/m` added to its diagonal.
 
-    `pairs` is either sampled PairIndices together with the per-shape (V, m)
-    vectors they index, or a PairSet that carries its vectors. Both are
-    summed over blocks of TRIPLET_CHUNK triplets, so the memory used is
+    Takes sampled indices plus the per-shape (V, m) vectors they index, and
+    sums over blocks of TRIPLET_CHUNK triplets, so the memory used is
     O(m^2 + TRIPLET_CHUNK * m) beyond the index arrays.
     """
     m, blocks = _triplet_blocks(pairs, per_shape_values)
@@ -422,7 +371,7 @@ def estimate_covariances(
     # every anchor is checked before any positive, as a whole-array scan would
     for role in ROLES:
         if role in first_bad:
-            triplet = _provenance(pairs).describe_triplet(first_bad[role])
+            triplet = pairs.describe_triplet(first_bad[role])
             raise DataError(f"non-finite {role} vector in {triplet}")
     n = len(pairs)
     n_vectors = 3 * n
@@ -533,14 +482,14 @@ class AlphaSweepEntry(NamedTuple):
 
 
 def pair_distances(
-    pairs: Union[PairIndices, PairSet],
-    model: Optional[ResponseModel],
-    per_shape_values: Optional[Sequence[np.ndarray]] = None,
+    pairs: PairIndices,
+    per_shape_values: Sequence[np.ndarray],
+    model: Optional[ResponseModel] = None,
 ):
-    """Distances of the positive and negative pairs, computed one block of
-    triplets at a time (see :func:`estimate_covariances` for `pairs`): between
-    the model's descriptors of the vectors, or between the vectors themselves
-    when `model` is None."""
+    """Distances of the positive and negative pairs, from sampled indices
+    plus the per-shape vectors they index, computed one block of triplets at
+    a time: between the model's descriptors of the vectors, or between the
+    vectors themselves when `model` is None."""
     _, blocks = _triplet_blocks(pairs, per_shape_values)
     d_pos, d_neg = np.empty(len(pairs)), np.empty(len(pairs))
     for start, anchors, positives, negatives in blocks:
@@ -554,38 +503,27 @@ def pair_distances(
 
 
 def sweep_alpha(
-    train: Union[PairSet, CovarianceStats],
+    stats: CovarianceStats,
     alphas: Sequence[float],
     n: int,
-    eval_pairs: Union[PairIndices, PairSet],
+    eval_pairs: PairIndices,
+    eval_values: Sequence[np.ndarray],
     basis: FrequencyBasis,
     mode: str = "sensitivity",
     work_point: float = 0.01,
-    ridge: float = 1e-6,
-    eval_values: Optional[Sequence[np.ndarray]] = None,
 ) -> tuple[float, list[AlphaSweepEntry]]:
-    """Train once per alpha and score each model on held-out pairs.
+    """Train once per alpha and score each model on held-out pairs: sampled
+    indices plus the per-shape vectors they index, never gathered whole.
 
     Sensitivity mode minimizes the false negative rate at a fixed false
     positive work point; specificity mode minimizes the false positive rate
-    at a fixed false negative work point. When `train` is a PairSet its
-    shapes must be disjoint from the held-out shapes. Held-out PairIndices
-    take their vectors from `eval_values` and are never gathered whole.
+    at a fixed false negative work point.
     """
     if mode not in ("sensitivity", "specificity"):
         raise DataError(f"mode must be sensitivity or specificity, got {mode!r}")
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise DataError("alpha grid is empty")
-    if isinstance(train, PairSet):
-        overlap = set(train.indices.shape_ids) & set(_provenance(eval_pairs).shape_ids)
-        if overlap:
-            raise DataError(
-                f"training and held-out pairs share shapes: {sorted(overlap)}"
-            )
-        stats = estimate_covariances(train, ridge=ridge)
-    else:
-        stats = train
 
     table: list[AlphaSweepEntry] = []
     for alpha in alphas:
@@ -596,7 +534,7 @@ def sweep_alpha(
             continue
         # one pass over the held-out blocks per alpha keeps a single alpha's
         # distances in memory
-        d_pos, d_neg = pair_distances(eval_pairs, model.response, eval_values)
+        d_pos, d_neg = pair_distances(eval_pairs, eval_values, model.response)
         if max(d_pos.max(), d_neg.max()) - min(d_pos.min(), d_neg.min()) == 0.0:
             raise NumericalError(
                 f"degenerate distance distribution at alpha={alpha}: all pair "

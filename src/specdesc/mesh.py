@@ -102,18 +102,6 @@ class TriangleMesh:
         return 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
 
     @cached_property
-    def boundary_vertex(self) -> np.ndarray:
-        """Boolean flag per vertex: incident to an edge with a single face."""
-        edges, counts = self._edge_table
-        flag = np.zeros(self.n_vertices, dtype=bool)
-        flag[edges[counts == 1].ravel()] = True
-        return flag
-
-    @property
-    def euler_characteristic(self) -> int:
-        return self.n_vertices - len(self.edges) + self.n_faces
-
-    @cached_property
     def _edge_graph(self) -> sparse.csr_matrix:
         from scipy import sparse
         i, j = self.edges[:, 0], self.edges[:, 1]
@@ -294,7 +282,7 @@ def _read_obj(path: Path, text: str):
     return np.asarray(verts, dtype=np.float64), np.asarray(faces, dtype=np.int64)
 
 
-def load_mesh(path, format: Optional[str] = None) -> TriangleMesh:
+def load_mesh(path) -> TriangleMesh:
     """Load and validate a triangle mesh from an OFF or OBJ file.
 
     Vertex order is preserved exactly as in the file. Raises
@@ -304,7 +292,7 @@ def load_mesh(path, format: Optional[str] = None) -> TriangleMesh:
     p = Path(path)
     if not p.is_file():
         raise DataError(f"mesh file not found: {p}")
-    fmt = (format or p.suffix.lstrip(".")).lower()
+    fmt = p.suffix.lstrip(".").lower()
     readers = {"off": _read_off, "obj": _read_obj}
     if fmt not in readers:
         raise ParseError(f"{p}: unsupported mesh format {fmt!r}")
@@ -357,7 +345,8 @@ def save_coff(mesh: TriangleMesh, colors: np.ndarray, path) -> None:
 
 def geodesic_distance_fields(mesh: TriangleMesh, sources, limit: float = np.inf) -> np.ndarray:
     """Dijkstra distances from several sources at once; rows follow `sources`.
-    Distances beyond `limit` are not searched and read inf."""
+    Distances beyond `limit` are not searched and read inf. Every Dijkstra
+    search of the package goes through here."""
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         return np.zeros((0, mesh.n_vertices))
@@ -370,9 +359,7 @@ def geodesic_distance_fields(mesh: TriangleMesh, sources, limit: float = np.inf)
 
 def _graph_distance(mesh: TriangleMesh):
     """Single-source edge-graph distance field, as a function of the source."""
-    from scipy.sparse import csgraph
-    graph = mesh._edge_graph
-    return lambda v: csgraph.dijkstra(graph, directed=False, indices=v)
+    return lambda v: geodesic_distance_fields(mesh, [v])[0]
 
 
 def _fps(distance_from, k: int, record_pairs: bool = False):

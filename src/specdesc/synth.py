@@ -573,7 +573,6 @@ class _BaseShape:
     mesh: TriangleMesh
     symmetry: Optional[np.ndarray] = None
     joints: tuple[float, ...] = ()
-    revolution: Optional[RevolutionShape] = None
     decimate: Optional[Callable[[], tuple[TriangleMesh, np.ndarray]]] = None
 
 
@@ -636,7 +635,6 @@ def _revolution_base(name: str, shape: RevolutionShape) -> _BaseShape:
         mesh,
         symmetry=shape.symmetry(),
         joints=shape.joints,
-        revolution=shape,
         decimate=dec,
     )
 

@@ -142,8 +142,10 @@ def test_criterion_04_solver_optimality():
         chunk = 250_000
         for _ in range(total_samples // chunk):
             g = rng.standard_normal((chunk, m, n_eff))
-            q, _ = np.linalg.qr(g)
-            vals = (q * (whitened @ q)).sum(axis=(1, 2))
+            # trace(Q^T W Q) for the orthonormal basis Q of each draw's span:
+            # with G = QR it equals trace((G^T G)^-1 G^T W G)
+            gt = g.transpose(0, 2, 1)
+            vals = np.trace(np.linalg.solve(gt @ g, gt @ (whitened @ g)), axis1=1, axis2=2)
             best = min(best, float(vals.min()))
         min_gap = min(min_gap, best - closed)  # oracle must never beat closed form
         worst_cert = max(worst_cert, cert)
@@ -181,9 +183,9 @@ def test_criterion_05_whitening_equivariance():
         held = make_pairset(anchors[n_train:] @ mult.T,
                             positives[n_train:] @ mult.T,
                             negatives[n_train:] @ mult.T)
-        stats = estimate_covariances(train, ridge=0.0)
+        stats = estimate_covariances(*train, ridge=0.0)
         model = solve_response(stats, 0.2, 4, basis)
-        return pair_distances(held, model.response)
+        return pair_distances(*held, model.response)
 
     d0 = np.concatenate(held_distances(np.eye(m)))
     d1 = np.concatenate(held_distances(transform))
@@ -230,9 +232,8 @@ def test_criterion_06_isometry_invariance():
     gb = geometry_vectors(spec_b, basis)
     sample = ShapeSample("null", mesh, "blob", gvecs=ga,
                          symmetry=shape.symmetry())
-    pairs = sample_pair_indices([sample], 0.04, 0.1, 40, 12, 5,
-                                positives_per_ref=6).gather([ga])
-    stats = estimate_covariances(pairs, ridge=1e-4)
+    pairs = sample_pair_indices([sample], 0.04, 0.1, 40, 12, 5, positives_per_ref=6)
+    stats = estimate_covariances(pairs, [ga], ridge=1e-4)
     model = solve_response(stats, 0.3, 5, basis)
     a = apply_response(ga, model.response).values
     b = apply_response(gb, model.response).values

@@ -510,6 +510,22 @@ def test_train_deterministic_model_bytes(mini_pipeline):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("refs_per_shape", "-1"),
+    ("negatives_per_ref", "-5"),
+    ("cross_negatives_per_ref", "-2"),
+    ("positives_per_ref", "0"),
+    ("nu_max_percentile", "150"),
+    ("nu_max_percentile", "nan"),
+])
+def test_train_bad_sampling_setting_is_data_error(mini_pipeline, tmp_path, caplog, key, value):
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["train", "--config", mini_pipeline / "config.cfg", "--out", tmp_path,
+                    f"--{key}", value])
+    assert code == 3
+    assert any(f"{key}={value}" in r.getMessage() for r in caplog.records)
+
+
 def test_sweep_alpha_command(mini_pipeline):
     config = mini_pipeline / "config.cfg"
     out = mini_pipeline / "sweep"

@@ -11,7 +11,6 @@ from specdesc.learning import (
     TRIPLET_CHUNK,
     CovarianceStats,
     PairIndices,
-    PairSet,
     ShapeSample,
     estimate_covariances,
     pair_distances,
@@ -22,23 +21,36 @@ from specdesc.learning import (
     sweep_alpha,
     tradeoff_matrix,
 )
-from specdesc.synth import icosphere, multi_sphere
+from specdesc.learning import _ball_masks
+from specdesc.mesh import geodesic_distance_fields
+from specdesc.synth import grid_mesh, icosphere, multi_sphere
 
 
-def make_pairset(anchors, positives, negatives, shape_ids=("s0",)):
+def make_pairset(anchors, positives, negatives):
+    """Sampled indices plus per-shape vectors for the given triplet vectors:
+    triplet k is vertex rows k, n + k and 2n + k of a single pseudo-shape."""
     n = len(anchors)
-    z = np.zeros(n, dtype=np.int32)
-    return PairSet(
-        anchors=np.asarray(anchors, float),
-        positives=np.asarray(positives, float),
-        negatives=np.asarray(negatives, float),
-        indices=PairIndices(
-            tags=np.zeros(n, dtype=np.uint8),
-            shape_ids=list(shape_ids),
-            anchor_shape=z.copy(), pos_shape=z.copy(), neg_shape=z.copy(),
-            anchor_vertex=z.copy(), pos_vertex=z.copy(), neg_vertex=z.copy(),
-        ),
+    rows = np.arange(n, dtype=np.int32)
+    zero = np.zeros(n, dtype=np.int32)
+    indices = PairIndices(
+        tags=np.zeros(n, dtype=np.uint8), shape_ids=["s0"],
+        anchor_shape=zero, pos_shape=zero, neg_shape=zero,
+        anchor_vertex=rows, pos_vertex=rows + n, neg_vertex=rows + 2 * n,
     )
+    stacked = np.vstack([np.asarray(v, float) for v in (anchors, positives, negatives)])
+    return indices, [stacked]
+
+
+def triplet_vectors(indices, values):
+    """Anchor, positive and negative vectors of every triplet, read from the
+    per-shape arrays one index pair at a time."""
+    def rows(shapes, vertices):
+        picked = [values[s][v] for s, v in zip(shapes, vertices)]
+        return np.array(picked).reshape(-1, values[0].shape[1])
+
+    return (rows(indices.anchor_shape, indices.anchor_vertex),
+            rows(indices.pos_shape, indices.pos_vertex),
+            rows(indices.neg_shape, indices.neg_vertex))
 
 
 def diag_stats(cov_pos, cov_neg, cov_g=None, ridge=0.0):
@@ -136,21 +148,24 @@ def test_invariance_pairs_are_exact_for_identity_correspondence(blob_shape):
         ShapeSample("copy", mesh, "blob", gvecs=gvecs, correspondence=corr,
                     corr_target="null"),
     ]
-    pairs = sample_pair_indices(shapes, **sample_args()).gather(shape_vectors(shapes))
-    inv = pairs.indices.tags == TAG_INVARIANCE
+    pairs = sample_pair_indices(shapes, **sample_args())
+    values = shape_vectors(shapes)
+    inv = pairs.tags == TAG_INVARIANCE
     assert inv.any()
-    np.testing.assert_array_equal(pairs.anchors[inv], pairs.positives[inv])
+    anchors, positives, _ = triplet_vectors(pairs, values)
+    np.testing.assert_array_equal(anchors[inv], positives[inv])
 
 
 def test_pairs_reproducible_and_seed_sensitive(blob_shape):
     mesh, gvecs, _ = blob_shape
     shapes = [ShapeSample("a", mesh, "blob", gvecs=gvecs)]
-    a = sample_pair_indices(shapes, **sample_args()).gather(shape_vectors(shapes))
-    b = sample_pair_indices(shapes, **sample_args()).gather(shape_vectors(shapes))
-    np.testing.assert_array_equal(a.anchors, b.anchors)
-    np.testing.assert_array_equal(a.indices.neg_vertex, b.indices.neg_vertex)
+    values = shape_vectors(shapes)[0]
+    a = sample_pair_indices(shapes, **sample_args())
+    b = sample_pair_indices(shapes, **sample_args())
+    np.testing.assert_array_equal(values[a.anchor_vertex], values[b.anchor_vertex])
+    np.testing.assert_array_equal(a.neg_vertex, b.neg_vertex)
     c = sample_pair_indices(shapes, **sample_args(rng_seed=4))
-    assert not np.array_equal(a.indices.neg_vertex, c.neg_vertex)
+    assert not np.array_equal(a.neg_vertex, c.neg_vertex)
 
 
 def test_cross_class_negatives_tagged(blob_shape):
@@ -189,6 +204,27 @@ def test_no_negatives_when_big_ball_covers_shape(blob_shape):
     with pytest.raises(DataError, match="negatives"):
         sample_pair_indices([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
                             **sample_args(r_frac=0.5, big_r_frac=2.0))
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "symmetric"])
+def test_bounded_ball_search_gives_unbounded_masks(mirrored):
+    # unit cells: from a corner, the vertices one and two edges along an axis
+    # lie exactly at r and at big_r
+    mesh = grid_mesh(3, width=3.0, height=3.0)
+    r, big_r = 1.0, 2.0
+    assert geodesic_distance_fields(mesh, [0])[0][2] == big_r
+    assert np.isinf(geodesic_distance_fields(mesh, [0], limit=big_r)).any()
+    # the point reflection (i, j) -> (3 - i, 3 - j) maps vertex v to 15 - v
+    symmetry = mesh.n_vertices - 1 - np.arange(mesh.n_vertices) if mirrored else None
+    sample = ShapeSample("grid", mesh, "grid", symmetry=symmetry)
+    for ref in range(mesh.n_vertices):
+        centers = [ref, symmetry[ref]] if mirrored else [ref]
+        dist = geodesic_distance_fields(mesh, centers)
+        pos = (dist <= r).any(axis=0)
+        pos[ref] = False
+        got_pos, got_far = _ball_masks(sample, ref, r, big_r)
+        np.testing.assert_array_equal(got_pos, pos)
+        np.testing.assert_array_equal(got_far, (dist > big_r).all(axis=0))
 
 
 def test_empty_ball_resamples_reference_with_warning(blob_shape):
@@ -268,7 +304,7 @@ def test_zero_positive_differences_give_zero_moment():
     rng = np.random.default_rng(0)
     g = rng.standard_normal((30, 4))
     pairs = make_pairset(g, g.copy(), rng.standard_normal((30, 4)))
-    stats = estimate_covariances(pairs, ridge=0.0)
+    stats = estimate_covariances(*pairs, ridge=0.0)
     assert np.abs(stats.cov_pos).max() == 0.0
 
 
@@ -277,7 +313,7 @@ def test_rank_one_negative_moment():
     anchors = np.zeros((2, 3))
     negatives = np.array([v, -v])
     pairs = make_pairset(anchors, np.zeros((2, 3)), negatives)
-    stats = estimate_covariances(pairs, ridge=0.0)
+    stats = estimate_covariances(*pairs, ridge=0.0)
     np.testing.assert_allclose(stats.cov_neg, np.outer(v, v), atol=1e-15)
 
 
@@ -288,7 +324,7 @@ def test_moment_concentration_large_sample():
     true = half @ half.T
     e = rng.standard_normal((n, m)) @ half.T
     pairs = make_pairset(e, np.zeros((n, m)), np.zeros((n, m)))
-    stats = estimate_covariances(pairs, ridge=0.0)
+    stats = estimate_covariances(*pairs, ridge=0.0)
     err = np.linalg.norm(stats.cov_pos - true) / np.linalg.norm(true)
     assert err < 0.02
 
@@ -297,8 +333,8 @@ def test_ridge_added_to_geometry_moment():
     rng = np.random.default_rng(1)
     g = rng.standard_normal((40, 5))
     pairs = make_pairset(g, g, g)
-    raw = estimate_covariances(pairs, ridge=0.0).cov_g
-    ridged = estimate_covariances(pairs, ridge=0.1).cov_g
+    raw = estimate_covariances(*pairs, ridge=0.0).cov_g
+    ridged = estimate_covariances(*pairs, ridge=0.1).cov_g
     np.testing.assert_allclose(
         ridged, raw + 0.1 * np.trace(raw) / 5 * np.eye(5), atol=1e-12
     )
@@ -307,16 +343,16 @@ def test_ridge_added_to_geometry_moment():
 def test_insufficient_samples():
     pairs = make_pairset(np.ones((1, 9)), np.ones((1, 9)), np.ones((1, 9)))
     with pytest.raises(DataError, match="at least"):
-        estimate_covariances(pairs)
+        estimate_covariances(*pairs)
 
 
-def test_non_finite_reported_with_provenance():
+def test_non_finite_reported_with_triplet_index():
     g = np.ones((5, 3))
     bad = g.copy()
     bad[2, 1] = np.nan
     pairs = make_pairset(g, bad, g)
     with pytest.raises(DataError, match="triplet 2"):
-        estimate_covariances(pairs)
+        estimate_covariances(*pairs)
 
 
 def random_indices(n, shape_sizes, rng):
@@ -341,12 +377,11 @@ def test_streamed_moments_match_whole_array_moments(n):
     values = [rng.standard_normal((size, 6)) for size in (40, 55, 70)]
     indices = random_indices(n, [40, 55, 70], rng)
     streamed = estimate_covariances(indices, values, ridge=1e-3)
-    pairs = indices.gather(values)
-    wrapped = estimate_covariances(pairs, ridge=1e-3)
+    anchors, positives, negatives = triplet_vectors(indices, values)
     # the whole-array formulas the block sums replace
-    e_pos = pairs.anchors - pairs.positives
-    e_neg = pairs.anchors - pairs.negatives
-    stacked = np.vstack([pairs.anchors, pairs.positives, pairs.negatives])
+    e_pos = anchors - positives
+    e_neg = anchors - negatives
+    stacked = np.vstack([anchors, positives, negatives])
     cov_g = stacked.T @ stacked / (3 * n)
     reference = {
         "cov_pos": e_pos.T @ e_pos / n,
@@ -354,11 +389,10 @@ def test_streamed_moments_match_whole_array_moments(n):
         "cov_g": cov_g + 1e-3 * np.trace(cov_g) / 6 * np.eye(6),
     }
     for name, expected in reference.items():
-        for stats in (streamed, wrapped):
-            got = getattr(stats, name)
-            assert np.array_equal(got, got.T)
-            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-    assert streamed.n_pairs == wrapped.n_pairs == n
+        got = getattr(streamed, name)
+        assert np.array_equal(got, got.T)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert streamed.n_pairs == n
     assert streamed.n_vectors == 3 * n
 
 
@@ -367,12 +401,12 @@ def test_streamed_descriptor_distances_match_gathered(n):
     rng = np.random.default_rng(23)
     values = [rng.standard_normal((size, 5)) for size in (40, 55, 70)]
     indices = random_indices(n, [40, 55, 70], rng)
-    d_pos, d_neg = pair_distances(indices, None, values)
+    d_pos, d_neg = pair_distances(indices, values)
     # the whole-array distances eval computed before it streamed; per-row
     # norms do not depend on how many rows a block holds
-    pairs = indices.gather(values)
-    assert np.array_equal(d_pos, np.linalg.norm(pairs.anchors - pairs.positives, axis=1))
-    assert np.array_equal(d_neg, np.linalg.norm(pairs.anchors - pairs.negatives, axis=1))
+    anchors, positives, negatives = triplet_vectors(indices, values)
+    assert np.array_equal(d_pos, np.linalg.norm(anchors - positives, axis=1))
+    assert np.array_equal(d_neg, np.linalg.norm(anchors - negatives, axis=1))
 
 
 def test_non_finite_after_first_chunk_names_the_triplet():
@@ -393,10 +427,6 @@ def test_non_finite_after_first_chunk_names_the_triplet():
     assert expected.startswith(f"non-finite positive vector in triplet {late} ")
     with pytest.raises(DataError) as err:
         estimate_covariances(indices, [values])
-    assert str(err.value) == expected
-    # a PairSet gathered from the same indices reports the same triplet
-    with pytest.raises(DataError) as err:
-        estimate_covariances(indices.gather([values]))
     assert str(err.value) == expected
     # every anchor is checked before any positive, as a whole-array scan does
     values[2 * TRIPLET_CHUNK, 0] = np.nan  # anchor of the last triplet
@@ -513,8 +543,9 @@ def test_closed_form_never_exceeds_random_search():
     best = np.inf
     for _ in range(4):
         g = rng.standard_normal((samples // 4, m, n_eff))
-        q, _ = np.linalg.qr(g)
-        vals = (q * (whitened @ q)).sum(axis=(1, 2))
+        # trace(Q^T W Q) over the span of each draw, without orthonormalizing
+        gt = g.transpose(0, 2, 1)
+        vals = np.trace(np.linalg.solve(gt @ g, gt @ (whitened @ g)), axis1=1, axis2=2)
         best = min(best, float(vals.min()))
     closed = lam.sum()
     assert closed <= best + 1e-12
@@ -534,11 +565,11 @@ def test_whitening_equivariance_of_distances():
 
     def train_and_score(mult):
         pairs = make_pairset(anchors @ mult.T, positives @ mult.T, negatives @ mult.T)
-        stats = estimate_covariances(pairs, ridge=0.0)
+        stats = estimate_covariances(*pairs, ridge=0.0)
         coef, _ = solve_tradeoff(stats, 0.2, 4)
         basis = FrequencyBasis(nu_max=1.0, m=m)
         model = solve_response(stats, 0.2, 4, basis).response
-        return pair_distances(pairs, model)
+        return pair_distances(*pairs, model)
 
     d0_pos, d0_neg = train_and_score(np.eye(m))
     d1_pos, d1_neg = train_and_score(transform)
@@ -575,19 +606,20 @@ def test_alpha_and_n_validation():
 # ---------------------------------------------------------------------------
 
 
-def eval_pairset(rng, m=6, n=800, separation=1.0, shape_id="held"):
+def eval_pairset(rng, m=6, n=800, separation=1.0):
     anchors = rng.standard_normal((n, m))
     positives = anchors + 0.1 * rng.standard_normal((n, m))
     negatives = anchors + separation * rng.standard_normal((n, m))
-    return make_pairset(anchors, positives, negatives, shape_ids=(shape_id,))
+    return make_pairset(anchors, positives, negatives)
 
 
 def test_sweep_single_alpha_returns_it():
     rng = np.random.default_rng(10)
-    train = eval_pairset(rng, shape_id="train")
-    held = eval_pairset(rng, shape_id="held")
+    train = eval_pairset(rng)
+    held = eval_pairset(rng)
     basis = FrequencyBasis(nu_max=1.0, m=6)
-    best, table = sweep_alpha(train, [0.3], 2, held, basis, ridge=1e-8)
+    stats = estimate_covariances(*train, ridge=1e-8)
+    best, table = sweep_alpha(stats, [0.3], 2, *held, basis)
     assert best == 0.3
     assert len(table) == 1
     assert table[0].achieved_n >= 1
@@ -597,25 +629,17 @@ def test_sweep_on_indices_matches_gathered_pairs():
     rng = np.random.default_rng(15)
     values = [rng.standard_normal((size, 6)) for size in (60, 80)]
     held = random_indices(TRIPLET_CHUNK + 300, [60, 80], rng)
-    stats = estimate_covariances(eval_pairset(rng, shape_id="train"), ridge=1e-8)
+    stats = estimate_covariances(*eval_pairset(rng), ridge=1e-8)
     basis = FrequencyBasis(nu_max=1.0, m=6)
     alphas = [0.0, 0.3, 0.6]  # alpha 0 has no negative direction: a NaN row
-    streamed = sweep_alpha(stats, alphas, 2, held, basis, work_point=0.1,
-                           eval_values=values)
-    gathered = sweep_alpha(stats, alphas, 2, held.gather(values), basis, work_point=0.1)
+    streamed = sweep_alpha(stats, alphas, 2, held, values, basis, work_point=0.1)
+    # the same triplet vectors laid out as one pseudo-shape, one row each
+    stacked = make_pairset(*triplet_vectors(held, values))
+    whole = sweep_alpha(stats, alphas, 2, *stacked, basis, work_point=0.1)
     assert np.isnan(streamed[1][0].fn_at_fixed_fp)
     np.testing.assert_array_equal(np.array(streamed[1], float),
-                                  np.array(gathered[1], float))
-    assert streamed[0] == gathered[0]
-
-
-def test_sweep_requires_disjoint_shapes():
-    rng = np.random.default_rng(11)
-    train = eval_pairset(rng, shape_id="same")
-    held = eval_pairset(rng, shape_id="same")
-    basis = FrequencyBasis(nu_max=1.0, m=6)
-    with pytest.raises(DataError, match="share shapes"):
-        sweep_alpha(train, [0.3], 2, held, basis)
+                                  np.array(whole[1], float))
+    assert streamed[0] == whole[0]
 
 
 def test_sweep_indistinguishable_pairs_flat_but_no_crash():
@@ -625,15 +649,13 @@ def test_sweep_indistinguishable_pairs_flat_but_no_crash():
     m, n = 6, 3000
     anchors = rng.standard_normal((n, m))
     train = make_pairset(anchors, anchors + rng.standard_normal((n, m)),
-                         anchors + rng.standard_normal((n, m)),
-                         shape_ids=("train",))
+                         anchors + rng.standard_normal((n, m)))
     held_anchor = rng.standard_normal((n, m))
     held = make_pairset(held_anchor, held_anchor + rng.standard_normal((n, m)),
-                        held_anchor + rng.standard_normal((n, m)),
-                        shape_ids=("held",))
+                        held_anchor + rng.standard_normal((n, m)))
     basis = FrequencyBasis(nu_max=1.0, m=m)
-    best, table = sweep_alpha(train, [0.4, 0.6], 2, held, basis,
-                              work_point=0.1, ridge=1e-8)
+    best, table = sweep_alpha(estimate_covariances(*train, ridge=1e-8), [0.4, 0.6], 2,
+                              *held, basis, work_point=0.1)
     for row in table:
         if np.isfinite(row.fn_at_fixed_fp):
             assert row.fn_at_fixed_fp > 0.6  # chance level at FP=0.1
@@ -641,18 +663,18 @@ def test_sweep_indistinguishable_pairs_flat_but_no_crash():
 
 def test_sweep_degenerate_distances_error():
     rng = np.random.default_rng(13)
-    train = eval_pairset(rng, shape_id="train")
+    train = eval_pairset(rng)
     ones = np.ones((50, 6))
-    held = make_pairset(ones, ones, ones, shape_ids=("held",))
+    held = make_pairset(ones, ones, ones)
     basis = FrequencyBasis(nu_max=1.0, m=6)
     with pytest.raises(NumericalError, match="degenerate"):
-        sweep_alpha(train, [0.3], 2, held, basis)
+        sweep_alpha(estimate_covariances(*train), [0.3], 2, *held, basis)
 
 
 def test_sweep_mode_validation():
     rng = np.random.default_rng(14)
-    train = eval_pairset(rng, shape_id="train")
-    held = eval_pairset(rng, shape_id="held")
+    train = eval_pairset(rng)
+    held = eval_pairset(rng)
     basis = FrequencyBasis(nu_max=1.0, m=6)
     with pytest.raises(DataError):
-        sweep_alpha(train, [0.3], 2, held, basis, mode="balanced")
+        sweep_alpha(estimate_covariances(*train), [0.3], 2, *held, basis, mode="balanced")

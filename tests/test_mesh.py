@@ -47,7 +47,7 @@ def test_load_off_tetrahedron(tmp_path):
     mesh = load_mesh(path)
     assert mesh.n_vertices == 4
     assert mesh.n_faces == 4
-    assert mesh.euler_characteristic == 2
+    assert mesh.n_vertices - len(mesh.edges) + mesh.n_faces == 2
 
 
 def test_load_obj_one_based(tmp_path):
@@ -74,14 +74,14 @@ def test_load_obj_ignores_other_statements(tmp_path):
     assert load_mesh(path).n_faces == 4
 
 
-def test_load_icosphere_euler_characteristic(tmp_path):
+def test_load_icosphere_euler_formula(tmp_path):
     # 4-1 subdivision: 12 -> 42 -> 162 -> 642 -> 2562 vertices
     mesh = icosphere(4)
     path = tmp_path / "sphere.off"
     save_off(mesh, path)
     loaded = load_mesh(path)
     assert loaded.n_vertices == 2562
-    assert loaded.euler_characteristic == 2
+    assert loaded.n_vertices - len(loaded.edges) + loaded.n_faces == 2
     np.testing.assert_array_equal(loaded.vertices, mesh.vertices)
 
 
@@ -186,11 +186,17 @@ def test_validation_isolated_vertex():
         TriangleMesh(verts, [[0, 1, 2]])
 
 
+def boundary_vertices(mesh):
+    """Vertices incident to an edge with a single face, from the edge table."""
+    edges, counts = mesh._edge_table
+    return np.unique(edges[counts == 1])
+
+
 def test_boundary_flags():
     grid = grid_mesh(3)
     closed = icosphere(1)
-    assert grid.boundary_vertex.sum() == 12  # 4x4 grid: all but the 4 interior
-    assert not closed.boundary_vertex.any()
+    assert len(boundary_vertices(grid)) == 12  # 4x4 grid: all but the 4 interior
+    assert len(boundary_vertices(closed)) == 0
 
 
 @pytest.mark.parametrize("mesh", [grid_mesh(5), icosphere(2)], ids=["grid", "sphere"])
@@ -201,9 +207,8 @@ def test_edge_table_matches_rowwise_unique(mesh):
     half = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     edges, counts = np.unique(half, axis=0, return_counts=True)
     np.testing.assert_array_equal(shuffled.edges, edges)
-    boundary = np.zeros(mesh.n_vertices, dtype=bool)
-    boundary[edges[counts == 1].ravel()] = True
-    np.testing.assert_array_equal(shuffled.boundary_vertex, boundary)
+    np.testing.assert_array_equal(shuffled._edge_table[1], counts)
+    np.testing.assert_array_equal(boundary_vertices(shuffled), np.unique(edges[counts == 1]))
 
 
 # ---------------------------------------------------------------------------
