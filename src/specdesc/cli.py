@@ -20,7 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .config import ManifestEntry, PipelineConfig, parse_config, read_manifest
+from .container import write_table
 from .descriptors import (
+    DESCRIPTOR_FAMILIES,
     DescriptorField,
     FrequencyBasis,
     ResponseModel,
@@ -37,7 +39,7 @@ from .descriptors import (
     wks,
     wks_default_bands,
 )
-from .errors import DataError, MeshValidationError, NumericalError, ParseError, SpecdescError
+from .errors import DataError, NumericalError, ParseError, SpecdescError
 from .evaluation import (
     cmc,
     distance_maps,
@@ -60,24 +62,15 @@ from .learning import (
     estimate_covariances,
     pair_distances,
     sample_pair_indices,
-    shape_vectors,
     solve_response,
     sweep_alpha,
 )
-from .mesh import (
-    CorrespondenceMap,
-    TriangleMesh,
-    farthest_point_sample,
-    intrinsic_diameter,
-    load_mesh,
-)
+from .mesh import TriangleMesh, farthest_point_sample, intrinsic_diameter, load_mesh
 from .synth import SyntheticCorpusSpec, generate_corpus, load_index_map
 
 log = logging.getLogger("specdesc")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
-
-DESCRIBE_FAMILIES = ("hks", "wks", "shapedna", "learned")
 
 
 # ---------------------------------------------------------------------------
@@ -186,38 +179,25 @@ class Workspace:
     def geometry_vectors(self, entry: ManifestEntry, basis: FrequencyBasis) -> np.ndarray:
         return geometry_vectors(self.spectrum_reaching(entry, basis.nu_max), basis)
 
-    def _index_map(self, entry: ManifestEntry, rel_path: str, tag: str,
-                   target: ManifestEntry) -> CorrespondenceMap:
-        """Index map file of `entry` onto `target`: one entry per vertex of
-        `entry`, each -1 or a vertex of `target`."""
-        path = self.base / rel_path
-        index_map = CorrespondenceMap(load_index_map(path, tag))
-        n = self.mesh(entry).n_vertices
-        if len(index_map.target) != n:
-            raise DataError(f"{path}: {len(index_map.target)} entries for a shape "
-                            f"with {n} vertices")
-        try:
-            index_map.validate_against(self.mesh(target).n_vertices)
-        except MeshValidationError as exc:
-            raise DataError(f"{path}: {exc}") from exc
-        return index_map
-
-    def correspondence(self, entry: ManifestEntry) -> Optional[CorrespondenceMap]:
+    def correspondence(self, entry: ManifestEntry) -> Optional[np.ndarray]:
+        """Index map of `entry` onto its null shape, or None."""
         if not entry.corr_path:
             return None
-        return self._index_map(entry, entry.corr_path, "corr", self.entry(entry.null_id))
+        return load_index_map(self.base / entry.corr_path, "corr", self.mesh(entry).n_vertices,
+                              self.mesh(self.entry(entry.null_id)).n_vertices)
 
     def symmetry(self, entry: ManifestEntry) -> Optional[np.ndarray]:
+        """Index map of `entry` onto itself, or None."""
         if not entry.sym_path:
             return None
-        return self._index_map(entry, entry.sym_path, "sym", entry).target
+        n = self.mesh(entry).n_vertices
+        return load_index_map(self.base / entry.sym_path, "sym", n, n)
 
-    def shape_sample(self, entry: ManifestEntry, gvecs=None, sample_refs=True) -> ShapeSample:
+    def shape_sample(self, entry: ManifestEntry, sample_refs=True) -> ShapeSample:
         return ShapeSample(
             shape_id=entry.shape_id,
             mesh=self.mesh(entry),
             class_label=entry.class_label,
-            gvecs=gvecs,
             correspondence=self.correspondence(entry),
             corr_target=entry.null_id,
             symmetry=self.symmetry(entry),
@@ -251,34 +231,27 @@ def _training_basis(ws: Workspace) -> FrequencyBasis:
     return FrequencyBasis(nu_max=nu_max, m=cfg.get_int("basis", "m"))
 
 
-def _collect_samples(ws: Workspace, ref_splits, pool_splits, basis) -> list[ShapeSample]:
-    samples = []
-    for entry in ws.by_split(*ref_splits, *pool_splits):
-        gvecs = ws.geometry_vectors(entry, basis)
-        samples.append(
-            ws.shape_sample(entry, gvecs=gvecs, sample_refs=entry.split in ref_splits)
-        )
-    return samples
+_SAMPLING_KEYS = ("refs_per_shape", "positives_per_ref", "negatives_per_ref",
+                  "cross_negatives_per_ref", "rng_seed")
 
 
-def _build_split_pairs(ws: Workspace, ref_splits, pool_splits, basis, seed_key: str):
-    """Sampled triplet indices of a split and the per-shape geometry vectors
-    they index."""
+def _sample_split(ws: Workspace, entries, ref_split: str, prefix: str, values):
+    """Triplet indices sampled over `entries`, in that order, with references
+    on the `ref_split` shapes, and `values(entry)` for each entry: the
+    per-shape arrays the indices point into, aligned with shape_ids. The
+    counts and seed are the settings named `prefix` + _SAMPLING_KEYS: ""
+    for training, "eval_" for evaluation."""
     cfg = ws.cfg
-    samples = _collect_samples(ws, ref_splits, pool_splits, basis)
-    gvecs = shape_vectors(samples)
+    section = "eval" if prefix else "learning"
+    per_shape = [values(entry) for entry in entries]
     indices = sample_pair_indices(
-        samples,
+        [ws.shape_sample(entry, sample_refs=entry.split == ref_split) for entry in entries],
         r_frac=cfg.get_float("learning", "r_frac"),
         big_r_frac=cfg.get_float("learning", "big_r_frac"),
-        negatives_per_ref=cfg.get_int("learning", "negatives_per_ref"),
-        refs_per_shape=cfg.get_int("learning", "refs_per_shape"),
-        rng_seed=cfg.get_int("learning", seed_key),
-        positives_per_ref=cfg.get_int("learning", "positives_per_ref"),
-        cross_negatives_per_ref=cfg.get_int("learning", "cross_negatives_per_ref"),
         diameter_samples=cfg.get_int("learning", "diameter_samples"),
+        **{key: cfg.get_int(section, prefix + key) for key in _SAMPLING_KEYS},
     )
-    return indices, gvecs
+    return indices, per_shape
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +293,13 @@ def _describe_field(ws: Workspace, entry: ManifestEntry, family: str,
         return hks(spectrum, times if times else hks_default_times(spectrum, n))
     if family == "wks":
         energies = cfg.get_floats("descriptor", "wks_energies")
-        sigma_raw = cfg.get("descriptor", "wks_sigma").strip()
-        if energies and sigma_raw:
-            return wks(spectrum, energies, float(sigma_raw))
-        default_e, default_sigma = wks_default_bands(spectrum, n)
-        return wks(spectrum, energies or default_e,
-                   float(sigma_raw) if sigma_raw else default_sigma)
+        sigma = (cfg.get_float("descriptor", "wks_sigma")
+                 if cfg.get("descriptor", "wks_sigma").strip() else None)
+        if not energies or sigma is None:
+            default_e, default_sigma = wks_default_bands(spectrum, n)
+            energies = energies or default_e
+            sigma = default_sigma if sigma is None else sigma
+        return wks(spectrum, energies, sigma)
     if family == "shapedna":
         return shape_dna_field(spectrum, n)
     raise DataError(f"unknown descriptor family {family!r}")
@@ -354,20 +328,26 @@ def _train_model(ws: Workspace):
     basis). When the config pins alpha the sweep is skipped."""
     cfg = ws.cfg
     basis = _training_basis(ws)
-    train_pairs, train_gvecs = _build_split_pairs(ws, ("train",), ("train_neg",), basis,
-                                                  "rng_seed")
+
+    def vectors(entry: ManifestEntry) -> np.ndarray:
+        gvecs = ws.geometry_vectors(entry, basis)
+        if gvecs.shape[0] != ws.mesh(entry).n_vertices:
+            raise DataError(f"shape {entry.shape_id}: geometry vectors have wrong shape")
+        return gvecs
+
+    train_pairs, train_gvecs = _sample_split(ws, ws.by_split("train", "train_neg"), "train", "",
+                                             vectors)
     log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
     stats = estimate_covariances(train_pairs, train_gvecs,
                                  ridge=cfg.get_float("learning", "ridge"))
     del train_pairs, train_gvecs  # the sweep's held-out data takes their place
     n = cfg.get_int("descriptor", "n")
-    alpha_raw = cfg.get("learning", "alpha").strip()
     table: list[AlphaSweepEntry] = []
-    if alpha_raw:
-        best_alpha = float(alpha_raw)
+    if cfg.get("learning", "alpha").strip():
+        best_alpha = cfg.get_float("learning", "alpha")
     else:
-        val_pairs, val_gvecs = _build_split_pairs(ws, ("val",), ("val_neg",), basis,
-                                                  "rng_seed")
+        val_pairs, val_gvecs = _sample_split(ws, ws.by_split("val", "val_neg"), "val", "",
+                                             vectors)
         best_alpha, table = sweep_alpha(
             stats,
             cfg.get_floats("learning", "alpha_grid"),
@@ -393,13 +373,7 @@ _REPORT_NOTE = (
 
 
 def _write_sweep_csv(table, path: Path) -> None:
-    lines = [_REPORT_NOTE, "alpha,fn_at_fixed_fp,fp_at_fixed_fn,achieved_n"]
-    for row in table:
-        lines.append(
-            f"{row.alpha!r},{row.fn_at_fixed_fp!r},{row.fp_at_fixed_fn!r},"
-            f"{row.achieved_n}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    write_table(path, [_REPORT_NOTE, "alpha,fn_at_fixed_fp,fp_at_fixed_fn,achieved_n"], table)
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
@@ -416,7 +390,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 def cmd_sweep_alpha(args, cfg: PipelineConfig) -> int:
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
-    cfg.values["learning"]["alpha"] = ""  # force the sweep
+    cfg.override("alpha", "")  # force the sweep
     _, best_alpha, table, _ = _train_model(ws)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -476,27 +450,14 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     families = list(family_dirs)
 
     # --- ROC over sampled eval triplets ---------------------------------
-    samples = [
-        ws.shape_sample(e, sample_refs=(e.split == "eval")) for e in all_entries
-    ]
-    indices = sample_pair_indices(
-        samples,
-        r_frac=cfg.get_float("learning", "r_frac"),
-        big_r_frac=cfg.get_float("learning", "big_r_frac"),
-        negatives_per_ref=cfg.get_int("eval", "eval_negatives_per_ref"),
-        refs_per_shape=cfg.get_int("eval", "eval_refs_per_shape"),
-        rng_seed=cfg.get_int("eval", "eval_rng_seed"),
-        positives_per_ref=cfg.get_int("eval", "eval_positives_per_ref"),
-        cross_negatives_per_ref=cfg.get_int("eval", "eval_cross_negatives_per_ref"),
-        diameter_samples=cfg.get_int("learning", "diameter_samples"),
-    )
+    indices, per_shape = _sample_split(ws, all_entries, "eval", "eval_",
+                                       lambda e: [fields[f][e.shape_id] for f in families])
     log.info("eval triplets: %d", len(indices))
     work_point = cfg.get_float("eval", "work_point")
     roc_curves = []
     roc_rows = []
-    for family in families:
-        per_shape = [fields[family][sid] for sid in indices.shape_ids]
-        d_pos, d_neg = pair_distances(indices, per_shape)
+    for family, family_values in zip(families, zip(*per_shape)):
+        d_pos, d_neg = pair_distances(indices, family_values)
         curve = roc(d_pos, d_neg)
         tp_at_fp = rate_at(curve, "FP", work_point)
         tn_at_fn = 1.0 - rate_at(curve, "FN", work_point)
@@ -542,7 +503,11 @@ def _cmc_pair(ws: Workspace, eval_entries):
     source = nulls[0]
     target_id = ws.cfg.get("eval", "cmc_target").strip()
     if target_id:
-        return source, ws.entry(target_id)
+        target = ws.entry(target_id)
+        if target.null_id != source.shape_id:
+            raise DataError(f"cmc_target={target_id}: its null shape is "
+                            f"{target.null_id or 'unset'}, not the CMC source {source.shape_id}")
+        return source, target
     partners = [e for e in eval_entries if e.null_id == source.shape_id and e.corr_path]
     if not partners:
         raise DataError("no transformed eval shape with a correspondence map")
@@ -561,14 +526,15 @@ def _run_cmc(ws: Workspace, fields, families, source_entry, target_entry):
     # correspondence points from the deformed target into the null source;
     # invert it to follow references sampled on the source
     inverse = -np.ones(source_mesh.n_vertices, dtype=np.int64)
-    valid = corr.target >= 0
-    inverse[corr.target[valid]] = np.flatnonzero(valid)
+    valid = corr >= 0
+    inverse[corr[valid]] = np.flatnonzero(valid)
 
     fps_family = "learned" if "learned" in families else families[0]
-    n_refs = min(cfg.get_int("eval", "cmc_refs"), source_mesh.n_vertices)
-    refs = farthest_point_sample(
-        source_mesh, n_refs, field=fields[fps_family][source_entry.shape_id]
-    )
+    n_refs = cfg.get_int("eval", "cmc_refs")
+    if n_refs < 1:
+        raise DataError(f"cmc_refs={n_refs} must be at least 1")
+    refs = farthest_point_sample(fields[fps_family][source_entry.shape_id],
+                                 min(n_refs, source_mesh.n_vertices))
     refs = refs[inverse[refs] >= 0]
     if refs.size == 0:
         raise DataError("no CMC references carry over to the target shape")
@@ -601,21 +567,19 @@ def cmd_match(args, cfg: PipelineConfig) -> int:
     source = ws.entry(args.source)
     target = ws.entry(args.target)
     fields = _load_family_fields(ws, family, directory, [source, target])
-    refs = farthest_point_sample(
-        ws.mesh(source), min(args.refs, ws.mesh(source).n_vertices),
-        field=fields[source.shape_id],
-    )
+    source_values = fields[source.shape_id]
+    refs = farthest_point_sample(source_values, min(args.refs, len(source_values)))
     target_values = fields[target.shape_id]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["ref_vertex,rank,target_vertex,distance"]
-    for ref in refs:
-        dist = np.linalg.norm(target_values - fields[source.shape_id][ref], axis=1)
+    rows = []
+    for ref in refs.tolist():
+        dist = np.linalg.norm(target_values - source_values[ref], axis=1)
         order = np.argsort(dist, kind="stable")[: args.top]
-        for rank, tv in enumerate(order, start=1):
-            lines.append(f"{ref},{rank},{tv},{float(dist[tv])!r}")
-    (out / "matches.csv").write_text("\n".join(lines) + "\n")
-    maps = distance_maps([target_values], fields[source.shape_id][refs[0]])
+        rows += ([ref, rank, tv, d] for rank, (tv, d) in
+                 enumerate(zip(order.tolist(), dist[order].tolist()), start=1))
+    write_table(out / "matches.csv", ["ref_vertex,rank,target_vertex,distance"], rows)
+    maps = distance_maps([target_values], source_values[refs[0]])
     emit_report(out, maps=[(maps[0], ws.mesh(target))])
     print(f"match: {len(refs)} references ({family}) -> {out / 'matches.csv'}")
     return EXIT_OK
@@ -624,6 +588,17 @@ def cmd_match(args, cfg: PipelineConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
+
+
+def _at_least_one(text: str) -> int:
+    """The argparse type of `match --refs` and `--top`."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
+    return value
 
 
 class _SubParser(argparse.ArgumentParser):
@@ -660,7 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("describe", help="write descriptor fields per shape")
     common(p)
-    p.add_argument("--family", required=True, choices=DESCRIBE_FAMILIES)
+    p.add_argument("--family", required=True, choices=DESCRIPTOR_FAMILIES)
     p.add_argument("--model", default=None, help="model file for --family learned")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_describe, needs_config=True)
@@ -687,8 +662,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--descriptors", nargs="+", required=True, metavar="FAMILY=DIR")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--refs", type=int, default=25)
-    p.add_argument("--top", type=int, default=20)
+    p.add_argument("--refs", type=_at_least_one, default=25)
+    p.add_argument("--top", type=_at_least_one, default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_match, needs_config=True)
 
@@ -733,9 +708,6 @@ def main(argv=None) -> int:
                 log.error("unrecognized arguments: %s", " ".join(extra))
                 return EXIT_USAGE
         return args.func(args, cfg)
-    except (ParseError, MeshValidationError, DataError) as exc:
-        log.error("%s", exc)
-        return EXIT_DATA
     except NumericalError as exc:
         log.error("%s", exc)
         return EXIT_NUMERIC

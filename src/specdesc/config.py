@@ -96,14 +96,14 @@ class PipelineConfig:
         try:
             return int(raw)
         except ValueError as exc:
-            raise ParseError(f"config [{section}] {key}={raw!r}: expected integer") from exc
+            raise ParseError(f"config [{section}] {key}={raw}: expected integer") from exc
 
     def get_float(self, section: str, key: str) -> float:
         raw = self.get(section, key)
         try:
             return float(raw)
         except ValueError as exc:
-            raise ParseError(f"config [{section}] {key}={raw!r}: expected number") from exc
+            raise ParseError(f"config [{section}] {key}={raw}: expected number") from exc
 
     def get_floats(self, section: str, key: str) -> list[float]:
         raw = self.get(section, key).strip()
@@ -112,7 +112,7 @@ class PipelineConfig:
         try:
             return [float(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError as exc:
-            raise ParseError(f"config [{section}] {key}={raw!r}: expected numbers") from exc
+            raise ParseError(f"config [{section}] {key}={raw}: expected numbers") from exc
 
     def path(self, section: str, key: str) -> Path:
         return (self.base_dir / self.get(section, key)).resolve()

@@ -1,4 +1,5 @@
-"""Binary container shared by the spectrum cache and the descriptor files."""
+"""File formats shared across the package: the binary container of the
+spectrum cache and the descriptor files, and the writer of every text table."""
 
 import struct
 from pathlib import Path
@@ -35,3 +36,14 @@ class Container:
         if len(raw) != offset + 8 * count:
             raise DataError(f"{path}: truncated {self.what} file")
         return np.frombuffer(raw, "<f8", count, offset).copy()
+
+
+def write_table(path, head, rows=(), sep: str = ",") -> None:
+    """Write the `head` lines as given, then one line per row of `rows`, its
+    cells joined by `sep`. Cells are Python scalars (rows come from
+    ``.tolist()``) written with ``str``, which for a float is its shortest
+    round-trip ``repr``, so equal values always give equal bytes. Every line
+    ends in a newline."""
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in head)
+        fh.writelines(sep.join(map(str, row)) + "\n" for row in rows)

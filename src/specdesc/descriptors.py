@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import Container
+from .container import Container, write_table
 from .errors import DataError
 from .laplacian import Spectrum
 
@@ -302,10 +302,8 @@ def load_response_model(path) -> ResponseModel:
 
 
 def save_descriptor_csv(field: DescriptorField, path) -> None:
-    lines = ["vertex," + ",".join(f"d{j}" for j in range(field.dim))]
-    for i, row in enumerate(field.values):
-        lines.append(str(i) + "," + ",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = "vertex," + ",".join(f"d{j}" for j in range(field.dim))
+    write_table(path, [header], ([i, *row] for i, row in enumerate(field.values.tolist())))
 
 
 _DESC = Container(b"SDDESC01", "<IIB", "descriptor")

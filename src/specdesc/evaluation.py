@@ -11,13 +11,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .container import write_table
 from .errors import DataError
 from .mesh import TriangleMesh, geodesic_distance_fields, save_coff
 
 __all__ = [
     "RocCurve",
     "CmcCurve",
-    "MatchGroundTruth",
     "roc",
     "rate_at",
     "cmc",
@@ -99,18 +99,6 @@ class CmcCurve:
         return float(self.hit_rate[0])
 
 
-@dataclass
-class MatchGroundTruth:
-    """Acceptable target vertices per reference point: the geodesic ball
-    around the corresponding point plus, when a symmetry map exists, the ball
-    around its symmetric image."""
-
-    sets: list[np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
 # references whose ball searches run in one Dijkstra call; each call holds a
 # (2 * GROUND_TRUTH_BLOCK, V) float64 array (2.4 MB at V = 2,354)
 GROUND_TRUTH_BLOCK = 64
@@ -121,7 +109,10 @@ def match_ground_truth(
     corr_vertices,
     radius: float,
     symmetry: Optional[np.ndarray] = None,
-) -> MatchGroundTruth:
+) -> list[np.ndarray]:
+    """Acceptable target vertices per reference point: the geodesic ball
+    around the corresponding point plus, when a symmetry map exists, the ball
+    around its symmetric image."""
     corr_vertices = np.asarray(corr_vertices, dtype=np.int64)
     centers = [corr_vertices]
     if symmetry is not None:
@@ -143,13 +134,13 @@ def match_ground_truth(
             if members.size == 0:
                 raise DataError(f"reference {i}: empty ground-truth ball")
             sets.append(members)
-    return MatchGroundTruth(sets=sets)
+    return sets
 
 
 def cmc(
     ref_descriptors: np.ndarray,
     target_field: np.ndarray,
-    ground_truth: MatchGroundTruth,
+    ground_truth: Sequence[np.ndarray],
     max_rank: int,
 ) -> CmcCurve:
     """Rank target vertices by descriptor distance per reference (ties broken
@@ -169,7 +160,7 @@ def cmc(
         dist = np.linalg.norm(field - ref, axis=1)
         order = np.argsort(dist, kind="stable")
         rank_of[order] = np.arange(n_target)
-        first_hit[i] = rank_of[ground_truth.sets[i]].min()
+        first_hit[i] = rank_of[ground_truth[i]].min()
     ranks = np.arange(1, max_rank + 1)
     hit_rate = (first_hit[None, :] < ranks[:, None]).mean(axis=1)
     return CmcCurve(hit_rate=hit_rate, n_refs=refs.shape[0])
@@ -195,35 +186,6 @@ def distance_maps(fields: Sequence[np.ndarray], ref_descriptor) -> list[np.ndarr
 # ---------------------------------------------------------------------------
 # report emission
 # ---------------------------------------------------------------------------
-
-
-def _write_lines(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _roc_csv(curve: RocCurve, path: Path) -> None:
-    lines = ["threshold,fp_rate,tp_rate"]
-    for thr, fp, tp in zip(curve.thresholds, curve.fp_rate, curve.tp_rate):
-        lines.append(f"{_fmt(thr)},{_fmt(fp)},{_fmt(tp)}")
-    _write_lines(path, lines)
-
-
-def _cmc_csv(curve: CmcCurve, path: Path) -> None:
-    lines = ["rank,hit_rate"]
-    for k, rate in enumerate(curve.hit_rate, start=1):
-        lines.append(f"{k},{_fmt(rate)}")
-    _write_lines(path, lines)
-
-
-def _map_csv(values: np.ndarray, path: Path) -> None:
-    lines = ["vertex,value"]
-    for i, v in enumerate(values):
-        lines.append(f"{i},{_fmt(v)}")
-    _write_lines(path, lines)
 
 
 _COLOR_STOPS = np.array(
@@ -286,7 +248,7 @@ def _roc_svg(curve: RocCurve, path: Path) -> None:
     _svg_panel(parts, curve.fp_rate, curve.tp_rate, (0.0, 1.0), (0.9, 1.0),
                (340, 20, 270, 270), "low FN zoom (TP in [0.9, 1])")
     parts.append("</svg>")
-    _write_lines(path, parts)
+    write_table(path, parts)
 
 
 def _cmc_svg(curve: CmcCurve, path: Path) -> None:
@@ -298,7 +260,7 @@ def _cmc_svg(curve: CmcCurve, path: Path) -> None:
     _svg_panel(parts, ranks, curve.hit_rate, (1, max(int(ranks[-1]), 2)),
                (0.0, 1.0), (40, 20, 290, 270), "hit rate vs rank")
     parts.append("</svg>")
-    _write_lines(path, parts)
+    write_table(path, parts)
 
 
 def emit_report(
@@ -317,31 +279,28 @@ def emit_report(
         written: list[str] = []
         for i, curve in enumerate(roc_curves):
             name = f"roc_{i:03d}"
-            _roc_csv(curve, out / f"{name}.csv")
+            rows = zip(curve.thresholds.tolist(), curve.fp_rate.tolist(), curve.tp_rate.tolist())
+            write_table(out / f"{name}.csv", ["threshold,fp_rate,tp_rate"], rows)
             _roc_svg(curve, out / f"{name}.svg")
             written += [f"{name}.csv", f"{name}.svg"]
         for i, curve in enumerate(cmc_curves):
             name = f"cmc_{i:03d}"
-            _cmc_csv(curve, out / f"{name}.csv")
+            write_table(out / f"{name}.csv", ["rank,hit_rate"],
+                        enumerate(curve.hit_rate.tolist(), start=1))
             _cmc_svg(curve, out / f"{name}.svg")
             written += [f"{name}.csv", f"{name}.svg"]
         for i, (values, mesh) in enumerate(maps):
             name = f"map_{i:03d}"
             values = np.asarray(values, dtype=np.float64)
-            _map_csv(values, out / f"{name}.csv")
+            write_table(out / f"{name}.csv", ["vertex,value"], enumerate(values.tolist()))
             written.append(f"{name}.csv")
             if mesh is not None:
                 save_coff(mesh, _colormap(values), out / f"{name}.off")
                 written.append(f"{name}.off")
         for name, header, rows in tables:
-            lines = [",".join(header)]
-            for row in rows:
-                lines.append(",".join(
-                    _fmt(v) if isinstance(v, float) else str(v) for v in row
-                ))
-            _write_lines(out / f"{name}.csv", lines)
+            write_table(out / f"{name}.csv", [",".join(header)], rows)
             written.append(f"{name}.csv")
-        _write_lines(out / "manifest.txt", written if written else [""])
+        write_table(out / "manifest.txt", written or [""])
         return written
     except OSError as exc:
         raise DataError(f"cannot write report to {out}: {exc}") from exc

@@ -28,7 +28,7 @@ import numpy as np
 from .descriptors import FrequencyBasis, ResponseModel
 from .errors import DataError, NumericalError
 from .evaluation import rate_at, roc
-from .mesh import CorrespondenceMap, TriangleMesh, geodesic_distance_fields, intrinsic_diameter
+from .mesh import TriangleMesh, geodesic_distance_fields, intrinsic_diameter
 
 __all__ = [
     "PairIndices",
@@ -37,7 +37,6 @@ __all__ = [
     "LearnedModel",
     "AlphaSweepEntry",
     "sample_pair_indices",
-    "shape_vectors",
     "estimate_covariances",
     "solve_tradeoff",
     "solve_response",
@@ -59,14 +58,13 @@ ROLES = ("anchor", "positive", "negative")
 
 @dataclass
 class ShapeSample:
-    """One shape as seen by the pair builder. ``gvecs`` may stay None when
-    only triplet indices are needed (descriptor-file evaluation)."""
+    """One shape as seen by the pair builder. ``correspondence`` and
+    ``symmetry`` are int64 vertex index maps, -1 where a vertex has no image."""
 
     shape_id: str
     mesh: TriangleMesh
     class_label: str
-    gvecs: Optional[np.ndarray] = None  # (V, m)
-    correspondence: Optional[CorrespondenceMap] = None
+    correspondence: Optional[np.ndarray] = None
     corr_target: str = ""  # shape_id the correspondence points into
     symmetry: Optional[np.ndarray] = None
     sample_refs: bool = True
@@ -187,6 +185,8 @@ def sample_pair_indices(
         raise DataError("need 0 < r_frac < R_frac")
     if positives_per_ref < 1:
         raise DataError(f"positives_per_ref={positives_per_ref} must be at least 1")
+    if diameter_samples < 2:
+        raise DataError(f"diameter_samples={diameter_samples} must be at least 2")
     for name, count in (("refs_per_shape", refs_per_shape), ("negatives_per_ref", negatives_per_ref),
                         ("cross_negatives_per_ref", cross_negatives_per_ref)):
         if count < 0:
@@ -259,7 +259,7 @@ def sample_pair_indices(
             pos_shape = np.full(positives_per_ref, si)
             pos_tag = np.full(positives_per_ref, TAG_LOCALIZATION)
             if corr is not None and corr_shape >= 0:
-                mapped = int(corr.target[ref])
+                mapped = int(corr[ref])
                 if mapped >= 0:
                     pos_vertex = np.append(pos_vertex, mapped)
                     pos_shape = np.append(pos_shape, corr_shape)
@@ -304,17 +304,6 @@ def sample_pair_indices(
     )
 
 
-def shape_vectors(shapes: Sequence[ShapeSample]) -> list[np.ndarray]:
-    """The geometry vectors of each shape, indexed like the shape_ids of a
-    sampling over `shapes`; each shape must carry one row per vertex."""
-    for sh in shapes:
-        if sh.gvecs is None:
-            raise DataError(f"shape {sh.shape_id}: geometry vectors required")
-        if sh.gvecs.shape[0] != sh.mesh.n_vertices:
-            raise DataError(f"shape {sh.shape_id}: geometry vectors have wrong shape")
-    return [sh.gvecs for sh in shapes]
-
-
 # ---------------------------------------------------------------------------
 # covariance estimation and the closed-form solve
 # ---------------------------------------------------------------------------
@@ -332,8 +321,6 @@ class CovarianceStats:
     cov_neg: np.ndarray
     cov_g: np.ndarray
     ridge: float
-    n_pairs: int
-    n_vectors: int
 
     @property
     def m(self) -> int:
@@ -374,23 +361,21 @@ def estimate_covariances(
             triplet = pairs.describe_triplet(first_bad[role])
             raise DataError(f"non-finite {role} vector in {triplet}")
     n = len(pairs)
-    n_vectors = 3 * n
-    if n_vectors < m + 1:
+    n_sampled = 3 * n
+    if n_sampled < m + 1:
         raise DataError(
             f"need at least {m + 1} sampled vectors to estimate an {m}x{m} "
-            f"moment, got {n_vectors}; add data or raise the ridge"
+            f"moment, got {n_sampled}; add data or raise the ridge"
         )
     cov_pos /= n
     cov_neg /= n
-    cov_g /= n_vectors
+    cov_g /= n_sampled
     cov_g = cov_g + (ridge * np.trace(cov_g) / m) * np.eye(m)
     return CovarianceStats(
         cov_pos=0.5 * (cov_pos + cov_pos.T),
         cov_neg=0.5 * (cov_neg + cov_neg.T),
         cov_g=0.5 * (cov_g + cov_g.T),
         ridge=ridge,
-        n_pairs=n,
-        n_vectors=n_vectors,
     )
 
 

@@ -9,13 +9,14 @@ runs always produce the same sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .container import write_table
 from .errors import DataError, MeshValidationError, ParseError
 
 if TYPE_CHECKING:
@@ -23,7 +24,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TriangleMesh",
-    "CorrespondenceMap",
     "load_mesh",
     "save_off",
     "save_coff",
@@ -158,30 +158,6 @@ class TriangleMesh:
             )
 
 
-@dataclass
-class CorrespondenceMap:
-    """Per-vertex index map from one shape onto another.
-
-    ``target[i]`` is the matching vertex index on the other shape; ``-1``
-    marks vertices with no image (e.g. removed by decimation).
-    """
-
-    target: np.ndarray
-
-    def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=np.int64)
-
-    def validate_against(self, target_vertex_count: int) -> None:
-        """Raise unless every entry is -1 or a vertex index of the target."""
-        bad = (self.target < -1) | (self.target >= target_vertex_count)
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            raise MeshValidationError(
-                f"entry {i} references vertex {int(self.target[i])} outside "
-                f"[-1, {target_vertex_count})"
-            )
-
-
 # ---------------------------------------------------------------------------
 # file I/O
 # ---------------------------------------------------------------------------
@@ -307,19 +283,10 @@ def load_mesh(path) -> TriangleMesh:
         raise MeshValidationError(f"{p}: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def save_off(mesh: TriangleMesh, path) -> None:
     """Write an ASCII OFF file; float formatting is shortest round-trip, so
     identical meshes produce byte-identical files."""
-    out = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
-    for v in mesh.vertices:
-        out.append(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    for f in mesh.faces:
-        out.append(f"3 {f[0]} {f[1]} {f[2]}")
-    Path(path).write_text("\n".join(out) + "\n")
+    _write_off(mesh, "OFF", mesh.vertices.tolist(), path)
 
 
 def save_coff(mesh: TriangleMesh, colors: np.ndarray, path) -> None:
@@ -328,14 +295,14 @@ def save_coff(mesh: TriangleMesh, colors: np.ndarray, path) -> None:
     if colors.shape != (mesh.n_vertices, 3):
         raise DataError("colors must be (V, 3)")
     rgb = np.clip(np.rint(colors * 255.0), 0, 255).astype(np.int64)
-    out = ["COFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
-    for v, c in zip(mesh.vertices, rgb):
-        out.append(
-            f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])} {c[0]} {c[1]} {c[2]} 255"
-        )
-    for f in mesh.faces:
-        out.append(f"3 {f[0]} {f[1]} {f[2]}")
-    Path(path).write_text("\n".join(out) + "\n")
+    rows = ([*v, *c, 255] for v, c in zip(mesh.vertices.tolist(), rgb.tolist()))
+    _write_off(mesh, "COFF", rows, path)
+
+
+def _write_off(mesh: TriangleMesh, magic: str, vertex_rows, path) -> None:
+    faces = ([3, *f] for f in mesh.faces.tolist())
+    write_table(path, [magic, f"{mesh.n_vertices} {mesh.n_faces} 0"],
+                itertools.chain(vertex_rows, faces), sep=" ")
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +322,6 @@ def geodesic_distance_fields(mesh: TriangleMesh, sources, limit: float = np.inf)
     from scipy.sparse import csgraph
     dist = csgraph.dijkstra(mesh._edge_graph, directed=False, indices=sources, limit=limit)
     return np.atleast_2d(dist)
-
-
-def _graph_distance(mesh: TriangleMesh):
-    """Single-source edge-graph distance field, as a function of the source."""
-    return lambda v: geodesic_distance_fields(mesh, [v])[0]
 
 
 def _fps(distance_from, k: int, record_pairs: bool = False):
@@ -383,42 +345,27 @@ def _fps(distance_from, k: int, record_pairs: bool = False):
     return selected, max_pair
 
 
-def farthest_point_sample(
-    mesh: TriangleMesh,
-    k: int,
-    field: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Greedy farthest point sampling of `k` vertices, seeded at vertex 0.
-
-    With ``field=None`` the metric is the edge-graph geodesic distance;
-    otherwise `field` is a per-vertex descriptor array of shape (V, d) and
-    sampling is farthest-point in that descriptor space (Euclidean).
-    """
-    nv = mesh.n_vertices
+def farthest_point_sample(field: np.ndarray, k: int) -> np.ndarray:
+    """Greedy farthest point sampling of `k` vertices, seeded at vertex 0, in
+    descriptor space: `field` holds one descriptor row per vertex, (V, d) or
+    (V,), and the metric is Euclidean."""
+    values = np.asarray(field, dtype=np.float64)
+    if values.ndim == 1:
+        values = values[:, None]
+    nv = values.shape[0]
     if not 1 <= k <= nv:
         raise DataError(f"k={k} outside [1, {nv}]")
-    if field is None:
-        dist_from = _graph_distance(mesh)
-    else:
-        values = np.asarray(field, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.shape[0] != nv:
-            raise DataError("descriptor field must have one row per vertex")
-
-        def dist_from(v):
-            return np.linalg.norm(values - values[v], axis=1)
-
-    selected, _ = _fps(dist_from, k)
+    selected, _ = _fps(lambda v: np.linalg.norm(values - values[v], axis=1), k)
     return selected
 
 
 def intrinsic_diameter(mesh: TriangleMesh, samples: int) -> float:
     """Approximate intrinsic diameter: max pairwise geodesic distance over a
-    farthest-point-sampled subset of `samples` vertices (FPS seeded at
-    vertex 0, hence deterministic and non-decreasing in `samples`)."""
+    farthest-point-sampled subset of `samples` vertices (geodesic FPS seeded
+    at vertex 0, hence deterministic and non-decreasing in `samples`)."""
     if samples < 2:
         raise DataError("samples must be at least 2")
     samples = min(samples, mesh.n_vertices)
-    _, diameter = _fps(_graph_distance(mesh), samples, record_pairs=True)
+    _, diameter = _fps(lambda v: geodesic_distance_fields(mesh, [v])[0], samples,
+                       record_pairs=True)
     return diameter

@@ -25,14 +25,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import ManifestEntry, write_manifest
+from .container import write_table
 from .errors import DataError, MeshValidationError
-from .mesh import (
-    CorrespondenceMap,
-    TriangleMesh,
-    geodesic_distance_fields,
-    intrinsic_diameter,
-    save_off,
-)
+from .mesh import TriangleMesh, geodesic_distance_fields, intrinsic_diameter, save_off
 
 __all__ = [
     "SyntheticCorpusSpec",
@@ -475,7 +470,7 @@ def punch_holes(mesh: TriangleMesh, n_holes: int, radius: float,
             holed = TriangleMesh(mesh.vertices[keep], remap[kept_faces])
         except MeshValidationError:
             continue
-        return holed, CorrespondenceMap(target=keep.copy())
+        return holed, keep
     raise DataError("hole punching kept breaking the mesh; radius too large")
 
 
@@ -546,11 +541,14 @@ def save_index_map(values, path, tag: str) -> None:
     """Text index map: a ``<tag> N`` header line, then N vertex indices one
     per line, -1 for no image. ``corr`` maps a deformed shape onto its null
     shape, ``sym`` maps a shape onto its intrinsically symmetric self."""
-    lines = [f"{tag} {len(values)}", *(str(int(v)) for v in values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = np.asarray(values, dtype=np.int64)
+    write_table(path, [f"{tag} {len(values)}"], ([v] for v in values.tolist()))
 
 
-def load_index_map(path, tag: str) -> np.ndarray:
+def load_index_map(path, tag: str, n_source: int, n_target: int) -> np.ndarray:
+    """The index map file of a shape with `n_source` vertices onto one with
+    `n_target` vertices, as an int64 array: one entry per source vertex,
+    each -1 or a target vertex."""
     name = _INDEX_MAP_NAMES[tag]
     try:
         tokens = Path(path).read_text(encoding="utf-8").split()
@@ -564,6 +562,13 @@ def load_index_map(path, tag: str) -> np.ndarray:
         raise DataError(f"{path}: {name} file holds a non-integer token") from exc
     if len(values) != count:
         raise DataError(f"{path}: truncated {name} file")
+    if len(values) != n_source:
+        raise DataError(f"{path}: {len(values)} entries for a shape with {n_source} vertices")
+    bad = (values < -1) | (values >= n_target)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise DataError(f"{path}: entry {i} references vertex {int(values[i])} outside "
+                        f"[-1, {n_target})")
     return values
 
 
@@ -644,32 +649,28 @@ def _deform(base: _BaseShape, kind: str, strength: int, seed_seq: np.random.Seed
     """Returns (mesh, correspondence to null, symmetry or None)."""
     identity = np.arange(base.mesh.n_vertices, dtype=np.int64)
     if kind == "rigid":
-        return rigid_motion(base.mesh, strength), CorrespondenceMap(identity), base.symmetry
+        return rigid_motion(base.mesh, strength), identity, base.symmetry
     if kind == "bend":
         if not base.joints:
             raise DataError(f"shape {base.name} has no joints to bend")
-        return (
-            bend(base.mesh, base.joints, strength),
-            CorrespondenceMap(identity),
-            base.symmetry,
-        )
+        return bend(base.mesh, base.joints, strength), identity, base.symmetry
     if kind == "jitter":
         rng = np.random.default_rng(seed_seq)
         sigma = strength * JITTER_DIAMETER_FRACTION * diameter
-        return jitter(base.mesh, sigma, rng), CorrespondenceMap(identity), base.symmetry
+        return jitter(base.mesh, sigma, rng), identity, base.symmetry
     if kind == "holes":
         rng = np.random.default_rng(seed_seq)
         radius = (HOLE_RADIUS_BASE_FRACTION + HOLE_RADIUS_STEP_FRACTION * strength) * diameter
         holed, corr = punch_holes(base.mesh, n_holes=strength, radius=radius, rng=rng)
         sym = None
         if base.symmetry is not None:
-            sym = remap_symmetry(base.symmetry, corr.target, base.mesh.n_vertices)
+            sym = remap_symmetry(base.symmetry, corr, base.mesh.n_vertices)
         return holed, corr, sym
     if kind == "decimate":
         if base.decimate is None:
             raise DataError(f"shape {base.name} does not support decimation")
         coarse, corr = base.decimate()
-        return coarse, CorrespondenceMap(corr), None
+        return coarse, corr, None
     raise DataError(f"unknown deformation {kind!r}")
 
 
@@ -718,7 +719,7 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
                 dmesh, corr, sym = _deform(base, kind, strength, seed_seq, diameter)
                 shape_id = f"{base_name}_{kind}_{strength}"
                 save_off(dmesh, out / f"{shape_id}.off")
-                save_index_map(corr.target, out / f"{shape_id}.corr", "corr")
+                save_index_map(corr, out / f"{shape_id}.corr", "corr")
                 dsym_path = ""
                 if sym is not None:
                     dsym_path = f"{shape_id}.sym"

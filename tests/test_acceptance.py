@@ -116,7 +116,7 @@ def _random_stats(rng, m=8):
 
     return CovarianceStats(
         cov_pos=psd(), cov_neg=psd(), cov_g=psd() + 0.5 * np.eye(m),
-        ridge=0.0, n_pairs=100, n_vectors=300,
+        ridge=0.0,
     )
 
 
@@ -142,10 +142,14 @@ def test_criterion_04_solver_optimality():
         chunk = 250_000
         for _ in range(total_samples // chunk):
             g = rng.standard_normal((chunk, m, n_eff))
-            # trace(Q^T W Q) for the orthonormal basis Q of each draw's span:
-            # with G = QR it equals trace((G^T G)^-1 G^T W G)
-            gt = g.transpose(0, 2, 1)
-            vals = np.trace(np.linalg.solve(gt @ g, gt @ (whitened @ g)), axis1=1, axis2=2)
+            # trace(Q^T W Q) for the orthonormal basis Q of each draw's span,
+            # by modified Gram-Schmidt over the columns of all draws at once
+            q = np.ascontiguousarray(g.transpose(2, 0, 1))  # (n_eff, chunk, m)
+            for j in range(n_eff):
+                for i in range(j):
+                    q[j] -= (q[i] * q[j]).sum(axis=1, keepdims=True) * q[i]
+                q[j] /= np.sqrt((q[j] * q[j]).sum(axis=1, keepdims=True))
+            vals = (q * (q @ whitened)).sum(axis=(0, 2))
             best = min(best, float(vals.min()))
         min_gap = min(min_gap, best - closed)  # oracle must never beat closed form
         worst_cert = max(worst_cert, cert)
@@ -230,8 +234,7 @@ def test_criterion_06_isometry_invariance():
     basis = FrequencyBasis(nu_max=cut, m=24)
     ga = geometry_vectors(spec_a, basis)
     gb = geometry_vectors(spec_b, basis)
-    sample = ShapeSample("null", mesh, "blob", gvecs=ga,
-                         symmetry=shape.symmetry())
+    sample = ShapeSample("null", mesh, "blob", symmetry=shape.symmetry())
     pairs = sample_pair_indices([sample], 0.04, 0.1, 40, 12, 5, positives_per_ref=6)
     stats = estimate_covariances(pairs, [ga], ridge=1e-4)
     model = solve_response(stats, 0.3, 5, basis)
@@ -408,7 +411,7 @@ def test_distance_map_minimum_localization(corpus_run):
         corpus_run["desc_sens"] / "multisphere.learned.dsc").values
     ft = load_descriptor_binary(
         corpus_run["desc_sens"] / "multisphere_bend_3.learned.dsc").values
-    refs = farthest_point_sample(ws.mesh(src), 100, field=fs)
+    refs = farthest_point_sample(fs, 100)
     radius = 0.02 * intrinsic_diameter(ws.mesh(tgt), 32)
     sym = ws.symmetry(tgt)
     dist = geodesic_distance_fields(

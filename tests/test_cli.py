@@ -14,16 +14,17 @@ import numpy as np
 import pytest
 
 import specdesc
-from specdesc.cli import DESCRIBE_FAMILIES, Workspace, main
+from specdesc.cli import Workspace, main
 from specdesc.config import DEFAULTS, parse_config, parse_config_text, read_manifest
 from specdesc.descriptors import (
+    DESCRIPTOR_FAMILIES,
     DescriptorField,
     load_descriptor_binary,
     save_descriptor_binary,
 )
 from specdesc.errors import DataError, ParseError
-from specdesc.laplacian import load_spectrum
-from specdesc.mesh import CorrespondenceMap, intrinsic_diameter, load_mesh
+from specdesc.laplacian import Spectrum, load_spectrum, save_spectrum
+from specdesc.mesh import intrinsic_diameter, load_mesh
 from specdesc.synth import (
     SyntheticCorpusSpec,
     bend,
@@ -177,8 +178,9 @@ def test_jitter_strength_scales_displacement(mini_corpus):
 
 
 def test_correspondence_files_valid(mini_corpus):
-    corr = load_index_map(mini_corpus / "corpus" / "multisphere_jitter_1.corr", "corr")
     null = load_mesh(mini_corpus / "corpus" / "multisphere.off")
+    corr = load_index_map(mini_corpus / "corpus" / "multisphere_jitter_1.corr", "corr",
+                          null.n_vertices, null.n_vertices)
     np.testing.assert_array_equal(corr, np.arange(null.n_vertices))
 
 
@@ -186,19 +188,19 @@ def test_correspondence_files_valid(mini_corpus):
 def test_index_map_truncated(tmp_path, tag):
     path = tmp_path / f"shape.{tag}"
     save_index_map(np.array([2, -1, 0, 1]), path, tag)
-    np.testing.assert_array_equal(load_index_map(path, tag), [2, -1, 0, 1])
+    np.testing.assert_array_equal(load_index_map(path, tag, 4, 4), [2, -1, 0, 1])
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
     with pytest.raises(DataError, match="truncated"):
-        load_index_map(path, tag)
+        load_index_map(path, tag, 4, 4)
     with pytest.raises(DataError, match="not a"):
-        load_index_map(path, "sym" if tag == "corr" else "corr")
+        load_index_map(path, "sym" if tag == "corr" else "corr", 4, 4)
     for text in (f"{tag} x\n0\n", f"{tag} 2\n0\nfoo\n"):
         path.write_text(text)
         with pytest.raises(DataError, match=f"{path.name}: .* non-integer"):
-            load_index_map(path, tag)
+            load_index_map(path, tag, 2, 2)
     path.write_bytes(f"{tag} 1\n\xe9\n".encode("latin-1"))
     with pytest.raises(DataError, match=f"{path.name}: cannot read"):
-        load_index_map(path, tag)
+        load_index_map(path, tag, 1, 1)
 
 
 def test_full_deformation_taxonomy(tmp_path):
@@ -220,13 +222,12 @@ def test_full_deformation_taxonomy(tmp_path):
         if not e.corr_path:
             continue
         mesh = load_mesh(tmp_path / "all" / e.path)
-        corr = CorrespondenceMap(load_index_map(tmp_path / "all" / e.corr_path, "corr"))
-        assert len(corr.target) == mesh.n_vertices
-        corr.validate_against(null.n_vertices)
+        corr = load_index_map(tmp_path / "all" / e.corr_path, "corr",
+                              mesh.n_vertices, null.n_vertices)
+        assert len(corr) == mesh.n_vertices
         if "decimate" in e.shape_id:
             # decimated vertices coincide bitwise with their fine partners
-            np.testing.assert_array_equal(mesh.vertices,
-                                          null.vertices[corr.target])
+            np.testing.assert_array_equal(mesh.vertices, null.vertices[corr])
 
 
 def test_synth_cli_strength_default_is_five(tmp_path):
@@ -397,7 +398,7 @@ def test_warm_describe_parses_no_mesh(mini_pipeline, tmp_path, monkeypatch):
     monkeypatch.setattr("specdesc.cli.load_mesh", refuse)
     monkeypatch.setattr("specdesc.cli.assemble_fem", refuse)
     config = mini_pipeline / "config.cfg"
-    for family in DESCRIBE_FAMILIES:
+    for family in DESCRIPTOR_FAMILIES:
         model = ["--model", mini_pipeline / "train" / "model.json"] if family == "learned" else []
         assert run(["describe", "--config", config, "--family", family, *model,
                     "--out", tmp_path]) == 0
@@ -517,6 +518,8 @@ def test_train_deterministic_model_bytes(mini_pipeline):
     ("positives_per_ref", "0"),
     ("nu_max_percentile", "150"),
     ("nu_max_percentile", "nan"),
+    ("alpha", "abc"),
+    ("diameter_samples", "1"),
 ])
 def test_train_bad_sampling_setting_is_data_error(mini_pipeline, tmp_path, caplog, key, value):
     with caplog.at_level(logging.ERROR, logger="specdesc"):
@@ -524,6 +527,34 @@ def test_train_bad_sampling_setting_is_data_error(mini_pipeline, tmp_path, caplo
                     f"--{key}", value])
     assert code == 3
     assert any(f"{key}={value}" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(["describe", "--family", "wks"], "wks_sigma", "abc", id="describe-wks_sigma"),
+    pytest.param(["eval", "--descriptors", "hks={desc}"], "cmc_refs", "0", id="eval-cmc_refs"),
+])
+def test_bad_setting_is_data_error(mini_pipeline, tmp_path, caplog, command, key, value):
+    command = [arg.format(desc=mini_pipeline / "desc") for arg in command]
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run([*command, "--config", mini_pipeline / "config.cfg", "--out", tmp_path,
+                    f"--{key}", value])
+    assert code == 3
+    assert any(f"{key}={value}" in r.getMessage() for r in caplog.records)
+
+
+def test_geometry_vectors_need_one_row_per_vertex(pipeline_copy, caplog):
+    # a cache entry of the right mesh file whose eigenfunctions lack a row
+    mesh_hash = hashlib.sha256((pipeline_copy / "corpus" / "dumbbell.off").read_bytes()).hexdigest()
+    [path] = (pipeline_copy / "corpus" / "spectra").glob("dumbbell.*.spec")
+    full = load_spectrum(path, mesh_hash)
+    save_spectrum(Spectrum(full.eigenvalues, full.eigenfunctions[:-1], full.mass_mode),
+                  mesh_hash, path)
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["train", "--config", pipeline_copy / "config.cfg",
+                    "--out", pipeline_copy / "train"])
+    assert code == 3
+    assert any("shape dumbbell: geometry vectors have wrong shape" in r.getMessage()
+               for r in caplog.records)
 
 
 def test_sweep_alpha_command(mini_pipeline):
@@ -545,7 +576,7 @@ def test_eval_missing_descriptor_file(mini_pipeline, caplog):
 
 
 def _rewrite_index_map(path, tag, edit):
-    save_index_map(edit(load_index_map(path, tag)), path, tag)
+    save_index_map(edit(np.array(path.read_text().split()[2:], dtype=np.int64)), path, tag)
 
 
 BAD_INDEX_MAPS = {
@@ -644,6 +675,30 @@ def test_eval_report_and_manifest(mini_pipeline):
     workpoints = (out / "roc_workpoints.csv").read_text().splitlines()
     assert workpoints[0] == "family,auc,tp_at_fp,tn_at_fn"
     assert len(workpoints) == 3
+
+
+def test_eval_cmc_target_must_map_into_source(mini_pipeline, tmp_path, caplog):
+    common = ["eval", "--config", mini_pipeline / "config.cfg",
+              "--descriptors", f"hks={mini_pipeline / 'desc'}"]
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run([*common, "--out", tmp_path / "torus", "--cmc_target", "torus_jitter_2"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors and errors[-1].startswith("cmc_target=torus_jitter_2: ")
+    assert "null shape is torus" in errors[-1] and "multisphere" in errors[-1]
+    assert run([*common, "--out", tmp_path / "ok", "--cmc_target", "multisphere_jitter_2"]) == 0
+
+
+@pytest.mark.parametrize("option, value", [("--top", "0"), ("--top", "-5"), ("--refs", "0"),
+                                           ("--refs", "abc")])
+def test_match_count_below_one_is_usage_error(mini_pipeline, tmp_path, capsys, option, value):
+    argv = ["match", "--config", mini_pipeline / "config.cfg",
+            "--descriptors", f"hks={mini_pipeline / 'desc'}",
+            "--source", "multisphere", "--target", "multisphere_jitter_1",
+            "--out", tmp_path, option, value]
+    assert run(argv) == 2
+    assert f"argument {option}: '{value}' is not an integer of at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "matches.csv").exists()
 
 
 def test_match_command(mini_pipeline):

@@ -7,7 +7,6 @@ from specdesc.errors import DataError
 from specdesc.evaluation import (
     GROUND_TRUTH_BLOCK,
     CmcCurve,
-    MatchGroundTruth,
     cmc,
     distance_maps,
     emit_report,
@@ -125,7 +124,7 @@ def test_rate_at_validation():
 def test_cmc_self_match_injective():
     rng = np.random.default_rng(2)
     field = rng.standard_normal((50, 4))
-    gt = MatchGroundTruth(sets=[np.array([i]) for i in range(10)])
+    gt = [np.array([i]) for i in range(10)]
     curve = cmc(field[:10], field, gt, max_rank=5)
     assert curve.rank1() == 1.0
     assert (curve.hit_rate == 1.0).all()
@@ -135,9 +134,7 @@ def test_cmc_nondecreasing_and_complete():
     rng = np.random.default_rng(3)
     field = rng.standard_normal((60, 3))
     refs = rng.standard_normal((8, 3))
-    gt = MatchGroundTruth(
-        sets=[rng.choice(60, size=4, replace=False) for _ in range(8)]
-    )
+    gt = [rng.choice(60, size=4, replace=False) for _ in range(8)]
     curve = cmc(refs, field, gt, max_rank=60)
     assert (np.diff(curve.hit_rate) >= 0).all()
     assert curve.hit_rate[-1] == 1.0  # ground truth is nonempty
@@ -152,9 +149,7 @@ def test_cmc_constant_field_matches_hypergeometric_chance():
     rng = np.random.default_rng(4)
     field = np.ones((v, 2))
     refs = np.ones((n_refs, 2))
-    gt = MatchGroundTruth(
-        sets=[rng.choice(v, size=b, replace=False) for _ in range(n_refs)]
-    )
+    gt = [rng.choice(v, size=b, replace=False) for _ in range(n_refs)]
     curve = cmc(refs, field, gt, max_rank=k)
     expected = 1.0 - comb(v - k, b) / comb(v, b)
     spread = 3.0 * np.sqrt(expected * (1 - expected) / n_refs)
@@ -164,7 +159,7 @@ def test_cmc_constant_field_matches_hypergeometric_chance():
 def test_cmc_tie_break_by_vertex_index():
     field = np.zeros((6, 1))
     refs = np.zeros((1, 1))
-    gt = MatchGroundTruth(sets=[np.array([2])])
+    gt = [np.array([2])]
     curve = cmc(refs, field, gt, max_rank=6)
     # all distances tie, ranking is 0,1,2,...: the hit lands at rank 3
     np.testing.assert_array_equal(curve.hit_rate, [0, 0, 1, 1, 1, 1])
@@ -173,7 +168,7 @@ def test_cmc_tie_break_by_vertex_index():
 def test_cmc_validation():
     field = np.zeros((6, 2))
     refs = np.zeros((2, 3))
-    gt = MatchGroundTruth(sets=[np.array([0]), np.array([1])])
+    gt = [np.array([0]), np.array([1])]
     with pytest.raises(DataError):
         cmc(refs, field, gt, 3)  # dimension mismatch
     with pytest.raises(DataError):
@@ -193,8 +188,8 @@ def test_match_ground_truth_balls():
     gt = match_ground_truth(mesh, refs, radius=0.4)
     for i, ref in enumerate(refs):
         d = geodesic_distance_fields(mesh, [int(ref)])[0]
-        np.testing.assert_array_equal(np.flatnonzero(d <= 0.4), np.sort(gt.sets[i]))
-        assert ref in gt.sets[i]
+        np.testing.assert_array_equal(np.flatnonzero(d <= 0.4), np.sort(gt[i]))
+        assert ref in gt[i]
 
 
 def test_match_ground_truth_includes_symmetric_ball():
@@ -207,7 +202,7 @@ def test_match_ground_truth_includes_symmetric_ball():
     d_own = geodesic_distance_fields(mesh, [3])[0]
     d_sym = geodesic_distance_fields(mesh, [int(antipode[3])])[0]
     expected = np.flatnonzero((d_own <= 0.3) | (d_sym <= 0.3))
-    np.testing.assert_array_equal(np.sort(gt.sets[0]), expected)
+    np.testing.assert_array_equal(np.sort(gt[0]), expected)
 
 
 def test_match_ground_truth_limited_search_matches_full_fields():
@@ -231,8 +226,8 @@ def test_match_ground_truth_limited_search_matches_full_fields():
     mirrored[mirrors >= 0] = geodesic_distance_fields(mesh, mirrors[mirrors >= 0]) <= radius
     assert len(gt) == len(refs)
     for i in range(len(refs)):
-        np.testing.assert_array_equal(gt.sets[i], np.flatnonzero(own[i] | mirrored[i]))
-    assert np.isin(np.flatnonzero(first == radius), gt.sets[0]).all()
+        np.testing.assert_array_equal(gt[i], np.flatnonzero(own[i] | mirrored[i]))
+    assert np.isin(np.flatnonzero(first == radius), gt[0]).all()
 
 
 def test_match_ground_truth_unmapped_center_is_empty_ball():

@@ -15,7 +15,6 @@ from specdesc.learning import (
     estimate_covariances,
     pair_distances,
     sample_pair_indices,
-    shape_vectors,
     solve_response,
     solve_tradeoff,
     sweep_alpha,
@@ -59,7 +58,7 @@ def diag_stats(cov_pos, cov_neg, cov_g=None, ridge=0.0):
         cov_pos=np.diag(np.asarray(cov_pos, float)),
         cov_neg=np.diag(np.asarray(cov_neg, float)),
         cov_g=np.eye(m) if cov_g is None else np.asarray(cov_g, float),
-        ridge=ridge, n_pairs=100, n_vectors=300,
+        ridge=ridge,
     )
 
 
@@ -90,10 +89,10 @@ def sample_args(**overrides):
 
 
 def test_build_pairs_ring_exclusion(blob_shape):
-    mesh, gvecs, _ = blob_shape
+    mesh, _, _ = blob_shape
     from specdesc.mesh import geodesic_distance_fields, intrinsic_diameter
 
-    shapes = [ShapeSample("a", mesh, "blob", gvecs=gvecs)]
+    shapes = [ShapeSample("a", mesh, "blob")]
     pairs = sample_pair_indices(shapes, **sample_args())
     diam = intrinsic_diameter(mesh, 25)
     for i in range(len(pairs)):
@@ -104,11 +103,11 @@ def test_build_pairs_ring_exclusion(blob_shape):
 
 
 def test_identity_symmetry_equals_no_symmetry(blob_shape):
-    mesh, gvecs, _ = blob_shape
-    plain = sample_pair_indices([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
+    mesh, _, _ = blob_shape
+    plain = sample_pair_indices([ShapeSample("a", mesh, "blob")],
                                 **sample_args())
     with_sym = sample_pair_indices(
-        [ShapeSample("a", mesh, "blob", gvecs=gvecs,
+        [ShapeSample("a", mesh, "blob",
                      symmetry=np.arange(mesh.n_vertices))],
         **sample_args(),
     )
@@ -118,9 +117,9 @@ def test_identity_symmetry_equals_no_symmetry(blob_shape):
 
 
 def test_symmetric_ball_joins_positive_set(blob_shape):
-    mesh, gvecs, sym = blob_shape
+    mesh, _, sym = blob_shape
     pairs = sample_pair_indices(
-        [ShapeSample("a", mesh, "blob", gvecs=gvecs, symmetry=sym)],
+        [ShapeSample("a", mesh, "blob", symmetry=sym)],
         **sample_args(refs_per_shape=12, negatives_per_ref=20, positives_per_ref=12),
     )
     from specdesc.mesh import geodesic_distance_fields, intrinsic_diameter
@@ -140,16 +139,14 @@ def test_symmetric_ball_joins_positive_set(blob_shape):
 
 def test_invariance_pairs_are_exact_for_identity_correspondence(blob_shape):
     mesh, gvecs, _ = blob_shape
-    from specdesc.mesh import CorrespondenceMap
-
-    corr = CorrespondenceMap(target=np.arange(mesh.n_vertices))
+    corr = np.arange(mesh.n_vertices)
     shapes = [
-        ShapeSample("null", mesh, "blob", gvecs=gvecs),
-        ShapeSample("copy", mesh, "blob", gvecs=gvecs, correspondence=corr,
+        ShapeSample("null", mesh, "blob"),
+        ShapeSample("copy", mesh, "blob", correspondence=corr,
                     corr_target="null"),
     ]
     pairs = sample_pair_indices(shapes, **sample_args())
-    values = shape_vectors(shapes)
+    values = [gvecs, gvecs]
     inv = pairs.tags == TAG_INVARIANCE
     assert inv.any()
     anchors, positives, _ = triplet_vectors(pairs, values)
@@ -158,8 +155,8 @@ def test_invariance_pairs_are_exact_for_identity_correspondence(blob_shape):
 
 def test_pairs_reproducible_and_seed_sensitive(blob_shape):
     mesh, gvecs, _ = blob_shape
-    shapes = [ShapeSample("a", mesh, "blob", gvecs=gvecs)]
-    values = shape_vectors(shapes)[0]
+    shapes = [ShapeSample("a", mesh, "blob")]
+    values = gvecs
     a = sample_pair_indices(shapes, **sample_args())
     b = sample_pair_indices(shapes, **sample_args())
     np.testing.assert_array_equal(values[a.anchor_vertex], values[b.anchor_vertex])
@@ -169,14 +166,11 @@ def test_pairs_reproducible_and_seed_sensitive(blob_shape):
 
 
 def test_cross_class_negatives_tagged(blob_shape):
-    mesh, gvecs, _ = blob_shape
+    mesh, _, _ = blob_shape
     other = icosphere(1)
-    rng = np.random.default_rng(1)
     shapes = [
-        ShapeSample("a", mesh, "blob", gvecs=gvecs),
-        ShapeSample("b", other, "ball",
-                    gvecs=rng.standard_normal((other.n_vertices, 7)),
-                    sample_refs=False),
+        ShapeSample("a", mesh, "blob"),
+        ShapeSample("b", other, "ball", sample_refs=False),
     ]
     pairs = sample_pair_indices(shapes, **sample_args(cross_negatives_per_ref=6))
     counts = pairs.tag_counts()
@@ -186,23 +180,23 @@ def test_cross_class_negatives_tagged(blob_shape):
 
 
 def test_cross_negatives_need_second_class(blob_shape):
-    mesh, gvecs, _ = blob_shape
+    mesh, _, _ = blob_shape
     with pytest.raises(DataError, match="one class"):
-        sample_pair_indices([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
+        sample_pair_indices([ShapeSample("a", mesh, "blob")],
                             **sample_args(cross_negatives_per_ref=2))
 
 
 def test_bad_radii(blob_shape):
-    mesh, gvecs, _ = blob_shape
+    mesh, _, _ = blob_shape
     with pytest.raises(DataError):
-        sample_pair_indices([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
+        sample_pair_indices([ShapeSample("a", mesh, "blob")],
                             **sample_args(r_frac=0.1, big_r_frac=0.05))
 
 
 def test_no_negatives_when_big_ball_covers_shape(blob_shape):
-    mesh, gvecs, _ = blob_shape
+    mesh, _, _ = blob_shape
     with pytest.raises(DataError, match="negatives"):
-        sample_pair_indices([ShapeSample("a", mesh, "blob", gvecs=gvecs)],
+        sample_pair_indices([ShapeSample("a", mesh, "blob")],
                             **sample_args(r_frac=0.5, big_r_frac=2.0))
 
 
@@ -256,13 +250,11 @@ GOLDEN_INDICES = {
 def test_sampled_indices_match_golden_digests(blob_shape):
     # symmetry, an identity correspondence (invariance positives cycled in
     # with the ball positives) and cross-class negatives on a second class
-    from specdesc.mesh import CorrespondenceMap
-
     mesh, _, sym = blob_shape
     shapes = [
         ShapeSample("a", mesh, "blob", symmetry=sym),
         ShapeSample("copy", mesh, "blob",
-                    correspondence=CorrespondenceMap(target=np.arange(mesh.n_vertices)),
+                    correspondence=np.arange(mesh.n_vertices),
                     corr_target="a"),
         ShapeSample("b", icosphere(1), "ball", sample_refs=False),
     ]
@@ -281,18 +273,10 @@ def test_sampled_indices_match_golden_digests(blob_shape):
     assert digests == GOLDEN_INDICES
 
 
-def test_indices_without_gvecs(blob_shape):
+def test_indices_need_only_meshes(blob_shape):
     mesh, _, _ = blob_shape
     idx = sample_pair_indices([ShapeSample("a", mesh, "blob")], **sample_args())
     assert len(idx) == 5 * 8
-    with pytest.raises(DataError, match="geometry vectors required"):
-        shape_vectors([ShapeSample("a", mesh, "blob")])
-
-
-def test_geometry_vectors_need_one_row_per_vertex(blob_shape):
-    mesh, gvecs, _ = blob_shape
-    with pytest.raises(DataError, match="shape a: geometry vectors have wrong shape"):
-        shape_vectors([ShapeSample("a", mesh, "blob", gvecs=gvecs[:-1])])
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +376,6 @@ def test_streamed_moments_match_whole_array_moments(n):
         got = getattr(streamed, name)
         assert np.array_equal(got, got.T)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-    assert streamed.n_pairs == n
-    assert streamed.n_vectors == 3 * n
 
 
 @pytest.mark.parametrize("n", [TRIPLET_CHUNK - 1, TRIPLET_CHUNK, TRIPLET_CHUNK + 1])
@@ -450,7 +432,6 @@ def test_streamed_moments_memory_stays_below_one_triplet_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert stats.n_pairs == n
     assert peak < one_array / 4
 
 
@@ -502,7 +483,7 @@ def test_constraint_and_objective_certificate():
         stats = CovarianceStats(
             cov_pos=random_psd(m, rng), cov_neg=random_psd(m, rng, 2.0),
             cov_g=random_psd(m, rng) + 0.5 * np.eye(m),
-            ridge=0.0, n_pairs=50, n_vectors=150,
+            ridge=0.0,
         )
         coef, lam = solve_tradeoff(stats, 0.5, n)
         gram = coef @ stats.cov_g @ coef.T
@@ -517,7 +498,7 @@ def test_objective_nonincreasing_in_dimension():
     stats = CovarianceStats(
         cov_pos=random_psd(m, rng, 0.2), cov_neg=random_psd(m, rng, 3.0),
         cov_g=random_psd(m, rng) + 0.5 * np.eye(m),
-        ridge=0.0, n_pairs=50, n_vectors=150,
+        ridge=0.0,
     )
     values = []
     for n in range(1, 6):
@@ -532,7 +513,7 @@ def test_closed_form_never_exceeds_random_search():
     stats = CovarianceStats(
         cov_pos=random_psd(m, rng), cov_neg=random_psd(m, rng),
         cov_g=random_psd(m, rng) + 0.5 * np.eye(m),
-        ridge=0.0, n_pairs=50, n_vectors=150,
+        ridge=0.0,
     )
     coef, lam = solve_tradeoff(stats, 0.5, n)
     n_eff = coef.shape[0]

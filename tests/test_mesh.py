@@ -5,8 +5,8 @@ import pytest
 
 from specdesc.errors import DataError, MeshValidationError, ParseError
 from specdesc.mesh import (
-    CorrespondenceMap,
     TriangleMesh,
+    _fps,
     farthest_point_sample,
     geodesic_distance_fields,
     intrinsic_diameter,
@@ -14,7 +14,7 @@ from specdesc.mesh import (
     save_coff,
     save_off,
 )
-from specdesc.synth import grid_mesh, icosphere
+from specdesc.synth import grid_mesh, icosphere, load_index_map, save_index_map
 
 TETRA_OFF = """OFF
 4 4 0
@@ -299,23 +299,29 @@ def test_intrinsic_diameter_needs_two_samples():
 # ---------------------------------------------------------------------------
 
 
+def geodesic_fps(mesh, k):
+    """The edge-graph farthest point sampling of `intrinsic_diameter`."""
+    return _fps(lambda v: geodesic_distance_fields(mesh, [v])[0], k)[0]
+
+
 def test_fps_seed_rule():
-    assert farthest_point_sample(tetrahedron(), 1).tolist() == [0]
+    assert farthest_point_sample(tetrahedron().vertices, 1).tolist() == [0]
+    assert geodesic_fps(tetrahedron(), 1).tolist() == [0]
 
 
 def test_fps_full_permutation():
-    sel = farthest_point_sample(grid_mesh(3), 16)
+    sel = geodesic_fps(grid_mesh(3), 16)
     assert sorted(sel.tolist()) == list(range(16))
 
 
 def test_fps_deterministic(ico4):
-    a = farthest_point_sample(ico4, 9)
-    b = farthest_point_sample(ico4, 9)
+    a = geodesic_fps(ico4, 9)
+    b = geodesic_fps(ico4, 9)
     np.testing.assert_array_equal(a, b)
 
 
 def test_fps_icosphere_spread(ico4):
-    sel = farthest_point_sample(ico4, 4)
+    sel = geodesic_fps(ico4, 4)
     fields = geodesic_distance_fields(ico4, sel)
     pair = fields[:, sel]
     np.fill_diagonal(pair, np.inf)
@@ -326,7 +332,7 @@ def test_fps_within_factor_two_of_optimal_exhaustive():
     # 42-vertex icosphere: the optimal 4-subset dispersion is enumerable
     mesh = icosphere(1)
     fields = geodesic_distance_fields(mesh, np.arange(mesh.n_vertices))
-    sel = farthest_point_sample(mesh, 4)
+    sel = geodesic_fps(mesh, 4)
     pair = fields[np.ix_(sel, sel)]
     np.fill_diagonal(pair, np.inf)
     achieved = pair.min()
@@ -341,16 +347,16 @@ def test_fps_within_factor_two_of_optimal_exhaustive():
 def test_fps_descriptor_space():
     mesh = grid_mesh(3)
     field = mesh.vertices[:, :1]  # 1-d descriptor = x coordinate
-    sel = farthest_point_sample(mesh, 2, field=field)
+    sel = farthest_point_sample(field, 2)
     assert sel[0] == 0
     assert field[sel[1], 0] == field[:, 0].max()
 
 
 def test_fps_k_out_of_range():
     with pytest.raises(DataError):
-        farthest_point_sample(tetrahedron(), 0)
+        farthest_point_sample(tetrahedron().vertices, 0)
     with pytest.raises(DataError):
-        farthest_point_sample(tetrahedron(), 5)
+        farthest_point_sample(tetrahedron().vertices, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +364,15 @@ def test_fps_k_out_of_range():
 # ---------------------------------------------------------------------------
 
 
-def test_correspondence_validation():
-    corr = CorrespondenceMap(target=np.array([0, 1, 5]))
-    corr.validate_against(6)
-    with pytest.raises(MeshValidationError):
-        corr.validate_against(5)
+def test_correspondence_validation(tmp_path):
+    path = tmp_path / "shape.corr"
+    save_index_map(np.array([0, 1, 5]), path, "corr")
+    load_index_map(path, "corr", 3, 6)
+    with pytest.raises(DataError, match="entry 2 references vertex 5 outside \\[-1, 5\\)"):
+        load_index_map(path, "corr", 3, 5)
 
 
-def test_correspondence_allows_unmapped():
-    corr = CorrespondenceMap(target=np.array([2, -1, 0]))
-    corr.validate_against(3)
+def test_correspondence_allows_unmapped(tmp_path):
+    path = tmp_path / "shape.corr"
+    save_index_map(np.array([2, -1, 0]), path, "corr")
+    load_index_map(path, "corr", 3, 3)
