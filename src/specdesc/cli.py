@@ -218,8 +218,6 @@ def _training_basis(ws: Workspace) -> FrequencyBasis:
     cfg = ws.cfg
     count = cfg.get_int("spectral", "s")
     percentile = cfg.get_float("basis", "nu_max_percentile")
-    if not 0.0 <= percentile <= 100.0:
-        raise DataError(f"nu_max_percentile={percentile} outside [0, 100]")
     entries = ws.by_split("train", "train_neg")
     if not entries:
         raise DataError("manifest has no train shapes")
@@ -531,8 +529,6 @@ def _run_cmc(ws: Workspace, fields, families, source_entry, target_entry):
 
     fps_family = "learned" if "learned" in families else families[0]
     n_refs = cfg.get_int("eval", "cmc_refs")
-    if n_refs < 1:
-        raise DataError(f"cmc_refs={n_refs} must be at least 1")
     refs = farthest_point_sample(fields[fps_family][source_entry.shape_id],
                                  min(n_refs, source_mesh.n_vertices))
     refs = refs[inverse[refs] >= 0]
@@ -701,6 +697,7 @@ def main(argv=None) -> int:
                 parser.print_usage(sys.stderr)
                 log.error("bad override: %s", exc)
                 return EXIT_USAGE
+            cfg.check()
         else:
             cfg = None
             if extra:

@@ -74,6 +74,21 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
 }
 
+# Valid values of numeric settings as (test, rule); `PipelineConfig.check`
+# applies the test to every number a non-empty setting holds.
+_RANGES = {
+    "nu_max_percentile": (lambda v: 0 <= v <= 100, "outside [0, 100]"),
+    "n": (lambda v: v >= 1, "must be at least 1"),
+    "hks_times": (lambda v: v > 0, "must be positive"),
+    "wks_sigma": (lambda v: v > 0, "must be positive"),
+    "work_point": (lambda v: 0 < v < 1, "outside (0, 1)"),
+    "ball_radius_frac": (lambda v: v >= 0, "must be non-negative"),
+    "cmc_rank_frac": (lambda v: 0 <= v <= 1, "outside [0, 1]"),
+    "cmc_refs": (lambda v: v >= 1, "must be at least 1"),
+    "rng_seed": (lambda v: v >= 0, "must be non-negative"),
+    "eval_rng_seed": (lambda v: v >= 0, "must be non-negative"),
+}
+
 
 @dataclass
 class PipelineConfig:
@@ -116,6 +131,16 @@ class PipelineConfig:
 
     def path(self, section: str, key: str) -> Path:
         return (self.base_dir / self.get(section, key)).resolve()
+
+    def check(self) -> None:
+        """Raise DataError naming the first setting outside its _RANGES rule
+        (NaN is outside every rule)."""
+        for section, entries in self.values.items():
+            for key in entries:
+                if key in _RANGES:
+                    test, rule = _RANGES[key]
+                    if not all(test(v) for v in self.get_floats(section, key)):
+                        raise DataError(f"{key}={entries[key]} {rule}")
 
     # -- mutation / serialization -------------------------------------------
 

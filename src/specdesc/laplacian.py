@@ -8,7 +8,10 @@ present, get natural (Neumann) conditions by construction.
 
 The generalized eigenproblem is solved with shift-invert Lanczos (ARPACK)
 using a deterministic start vector, with a dense fallback for small meshes
-or near-complete spectra. A truncation that would split a numerically
+or near-complete spectra. With lumped mass D both solvers work on the
+standard symmetric problem D^-1/2·K·D^-1/2 and scale its eigenvectors by
+D^-1/2, so Lanczos needs no mass product per step; consistent mass keeps
+the generalized form. A truncation that would split a numerically
 degenerate eigenvalue cluster is widened by up to five extra pairs so that
 cluster sums of squared eigenfunctions stay well defined; the same rule cuts
 a shorter spectrum out of a longer one (:meth:`Spectrum.prefix`).
@@ -181,32 +184,46 @@ def _deterministic_start(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
+def _lumped_standard_form(op: FemOperator):
+    """D^-1/2 and the symmetrized sparse D^-1/2·K·D^-1/2 of a lumped-mass
+    operator: its eigenvectors ψ give the pencil's φ = D^-1/2·ψ with the same
+    eigenvalues (Vallet & Lévy 2008, *Manifold Harmonics*)."""
+    from scipy import sparse
+    inv_sqrt = 1.0 / np.sqrt(op.lumped_mass_diagonal())
+    stiff = op.stiffness.tocoo()
+    scaled = inv_sqrt[stiff.row] * stiff.data * inv_sqrt[stiff.col]
+    sym = sparse.csr_matrix((scaled, (stiff.row, stiff.col)), shape=stiff.shape)
+    return inv_sqrt, 0.5 * (sym + sym.T)
+
+
 def _dense_pairs(op: FemOperator, k: int):
     """The k smallest pairs from a dense solve that computes only those."""
     from scipy.linalg import eigh
-    stiff = op.stiffness.toarray()
     wanted = [0, k - 1]
     if op.mass_mode == "lumped":
-        d = op.lumped_mass_diagonal()
-        inv_sqrt = 1.0 / np.sqrt(d)
-        sym = inv_sqrt[:, None] * stiff * inv_sqrt[None, :]
-        sym = 0.5 * (sym + sym.T)
-        vals, vecs = eigh(sym, subset_by_index=wanted)
-        funcs = inv_sqrt[:, None] * vecs
-    else:
-        vals, funcs = eigh(stiff, op.mass.toarray(), subset_by_index=wanted)
-    return vals, funcs
+        inv_sqrt, sym = _lumped_standard_form(op)
+        vals, vecs = eigh(sym.toarray(), subset_by_index=wanted)
+        return vals, inv_sqrt[:, None] * vecs
+    return eigh(op.stiffness.toarray(), op.mass.toarray(), subset_by_index=wanted)
 
 
 def _arpack_pairs(op: FemOperator, k: int):
+    """The k smallest pairs by shift-invert Lanczos just below zero; lumped
+    mass runs as a standard symmetric problem, which needs no mass product
+    per iteration."""
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
     n = op.n_vertices
     sigma = -1e-8 * op.stiffness.diagonal().sum() / n
+    if op.mass_mode == "lumped":
+        inv_sqrt, matrix = _lumped_standard_form(op)
+        mass = None
+    else:
+        inv_sqrt, matrix, mass = None, op.stiffness, op.mass.tocsc()
     try:
         vals, funcs = eigsh(
-            op.stiffness.tocsc(),
+            matrix.tocsc(),
             k=k,
-            M=op.mass.tocsc(),
+            M=mass,
             sigma=sigma,
             which="LM",
             v0=_deterministic_start(n),
@@ -218,6 +235,8 @@ def _arpack_pairs(op: FemOperator, k: int):
         ) from exc
     except ArpackError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
+    if inv_sqrt is not None:
+        funcs = inv_sqrt[:, None] * funcs
     order = np.argsort(vals, kind="stable")
     return vals[order], funcs[:, order]
 

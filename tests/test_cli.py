@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import specdesc
-from specdesc.cli import Workspace, main
+from specdesc.cli import Workspace, _solve_count, main
 from specdesc.config import DEFAULTS, parse_config, parse_config_text, read_manifest
 from specdesc.descriptors import (
     DESCRIPTOR_FAMILIES,
@@ -23,7 +23,13 @@ from specdesc.descriptors import (
     save_descriptor_binary,
 )
 from specdesc.errors import DataError, ParseError
-from specdesc.laplacian import Spectrum, load_spectrum, save_spectrum
+from specdesc.laplacian import (
+    Spectrum,
+    assemble_fem,
+    compute_spectrum,
+    load_spectrum,
+    save_spectrum,
+)
 from specdesc.mesh import intrinsic_diameter, load_mesh
 from specdesc.synth import (
     SyntheticCorpusSpec,
@@ -409,16 +415,72 @@ def test_warm_describe_parses_no_mesh(mini_pipeline, tmp_path, monkeypatch):
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-def scipy_modules_after(script: str) -> list[str]:
-    """The scipy modules loaded once `script` has run in a fresh interpreter
-    that imports this copy of specdesc."""
+def fresh_interpreter(script: str, blas_threads=None) -> str:
+    """The last line `script` prints in a fresh interpreter that imports this
+    copy of specdesc, with OPENBLAS_NUM_THREADS unset or set to `blas_threads`."""
     src = str(Path(specdesc.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = script + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
     assert done.returncode == 0, done.stderr
-    return ast.literal_eval(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()[-1]
+
+
+def scipy_modules_after(script: str) -> list[str]:
+    """The scipy modules loaded once `script` has run in a fresh interpreter."""
+    probe = script + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return ast.literal_eval(fresh_interpreter(probe))
+
+
+BLAS_PROBE = """
+import ctypes
+threads = {}
+for path in sorted({l.split()[-1] for l in open("/proc/self/maps") if "openblas" in l}):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            threads[path.rsplit("/", 1)[-1]] = getattr(lib, name)()
+print(threads)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_blas_threads_default_to_one(preset):
+    """Every loaded OpenBLAS, numpy's and the one scipy loads for its solvers,
+    runs one thread unless OPENBLAS_NUM_THREADS was set; a set value is kept."""
+    with_specdesc = ast.literal_eval(fresh_interpreter(
+        "import specdesc.cli, scipy.linalg" + BLAS_PROBE, preset))
+    assert len(with_specdesc) >= 2  # numpy's and scipy's copies
+    if preset is None:
+        assert set(with_specdesc.values()) == {1}
+    else:  # what OpenBLAS itself makes of the preset on this host
+        assert with_specdesc == ast.literal_eval(fresh_interpreter(
+            "import numpy, scipy.linalg" + BLAS_PROBE, preset))
+
+
+def test_cli_spectrum_bytes_equal_in_process_solve(mini_corpus, tmp_path):
+    cache = tmp_path / "cli"
+    config = mini_corpus / "config.cfg"
+    fresh_interpreter("import sys\nfrom specdesc.cli import main\n"
+                      f"assert main(['spectrum', '--config', {str(config)!r}, "
+                      f"'--spectrum-cache', {str(cache)!r}]) == 0\nprint('ok')")
+    entries = read_manifest(mini_corpus / "corpus" / "manifest.csv")
+    written = {path.name.split(".")[0]: path for path in cache.glob("*.spec")}
+    assert sorted(written) == sorted(e.shape_id for e in entries)
+    count = parse_config(config).get_int("spectral", "s")
+    for entry in entries:
+        mesh_path = mini_corpus / "corpus" / entry.path
+        mesh = load_mesh(mesh_path)
+        spectrum = compute_spectrum(assemble_fem(mesh), min(_solve_count(count), mesh.n_vertices))
+        ours = tmp_path / f"{entry.shape_id}.spec"
+        save_spectrum(spectrum, hashlib.sha256(mesh_path.read_bytes()).hexdigest(), ours)
+        assert ours.read_bytes() == written[entry.shape_id].read_bytes(), entry.shape_id
 
 
 def test_cli_import_loads_no_scipy():
@@ -520,6 +582,7 @@ def test_train_deterministic_model_bytes(mini_pipeline):
     ("nu_max_percentile", "nan"),
     ("alpha", "abc"),
     ("diameter_samples", "1"),
+    ("rng_seed", "-1"),
 ])
 def test_train_bad_sampling_setting_is_data_error(mini_pipeline, tmp_path, caplog, key, value):
     with caplog.at_level(logging.ERROR, logger="specdesc"):
@@ -532,6 +595,18 @@ def test_train_bad_sampling_setting_is_data_error(mini_pipeline, tmp_path, caplo
 @pytest.mark.parametrize("command, key, value", [
     pytest.param(["describe", "--family", "wks"], "wks_sigma", "abc", id="describe-wks_sigma"),
     pytest.param(["eval", "--descriptors", "hks={desc}"], "cmc_refs", "0", id="eval-cmc_refs"),
+    pytest.param(["eval", "--descriptors", "hks={desc}"], "ball_radius_frac", "-1",
+                 id="eval-ball_radius_frac-negative"),
+    pytest.param(["eval", "--descriptors", "hks={desc}"], "ball_radius_frac", "nan",
+                 id="eval-ball_radius_frac-nan"),
+    pytest.param(["eval", "--descriptors", "hks={desc}"], "work_point", "0", id="eval-work_point"),
+    pytest.param(["eval", "--descriptors", "hks={desc}"], "cmc_rank_frac", "2",
+                 id="eval-cmc_rank_frac"),
+    pytest.param(["eval", "--descriptors", "hks={desc}"], "eval_rng_seed", "-1",
+                 id="eval-eval_rng_seed"),
+    pytest.param(["describe", "--family", "wks"], "wks_sigma", "-1", id="describe-wks_sigma-negative"),
+    pytest.param(["describe", "--family", "hks"], "hks_times", "-1", id="describe-hks_times"),
+    pytest.param(["describe", "--family", "hks"], "n", "0", id="describe-n"),
 ])
 def test_bad_setting_is_data_error(mini_pipeline, tmp_path, caplog, command, key, value):
     command = [arg.format(desc=mini_pipeline / "desc") for arg in command]

@@ -9,8 +9,10 @@ from scipy.linalg import eigh
 from specdesc.errors import DataError
 from specdesc.laplacian import (
     CLUSTER_REL_GAP,
+    DENSE_SOLVER_MAX_VERTICES,
     MASS_MODES,
     Spectrum,
+    _arpack_pairs,
     _dense_pairs,
     assemble_fem,
     compute_spectrum,
@@ -246,6 +248,24 @@ def test_dense_subset_matches_full_eigh(mass_mode):
     np.testing.assert_allclose(cluster_sums(vals, funcs),
                                cluster_sums(full_vals[:k], full_funcs[:, :k]),
                                rtol=0, atol=1e-10)
+
+
+def test_lumped_lanczos_matches_full_dense_solve():
+    # lumped mass runs Lanczos on the standard form D^-1/2 K D^-1/2; the
+    # oracle is every pair of the dense generalized pencil (K, D)
+    op = assemble_fem(icosphere(3))
+    assert op.n_vertices > DENSE_SOLVER_MAX_VERTICES  # the ARPACK path
+    full_vals, full_funcs = eigh(op.stiffness.toarray(), op.mass.toarray())
+    k = 25  # l = 0..4 on the sphere: a cut between clusters
+    assert (full_vals[k] - full_vals[k - 1]) / full_vals[k] >= CLUSTER_REL_GAP
+    vals, funcs = _arpack_pairs(op, k)
+    np.testing.assert_allclose(vals, full_vals[:k], rtol=1e-10, atol=1e-10 * full_vals[k - 1])
+    np.testing.assert_allclose(cluster_sums(vals, funcs),
+                               cluster_sums(full_vals[:k], full_funcs[:, :k]),
+                               rtol=0, atol=1e-10)
+    # raw solver output, before compute_spectrum's polish
+    gram = funcs.T @ (op.mass @ funcs)
+    assert np.abs(gram - np.eye(k)).max() <= 1e-10
 
 
 def test_count_out_of_range(ico4_operator):
