@@ -62,7 +62,7 @@ from .learning import (
     estimate_covariances,
     pair_distances,
     sample_pair_indices,
-    solve_response,
+    solve_tradeoff,
     sweep_alpha,
 )
 from .mesh import TriangleMesh, farthest_point_sample, intrinsic_diameter, load_mesh
@@ -322,8 +322,8 @@ def cmd_describe(args, cfg: PipelineConfig) -> int:
 
 
 def _train_model(ws: Workspace):
-    """Shared by train and sweep-alpha: returns (model, best_alpha, table,
-    basis). When the config pins alpha the sweep is skipped."""
+    """Shared by train and sweep-alpha: returns (model, objective,
+    best_alpha, table). When the config pins alpha the sweep is skipped."""
     cfg = ws.cfg
     basis = _training_basis(ws)
 
@@ -352,16 +352,15 @@ def _train_model(ws: Workspace):
             n,
             val_pairs,
             val_gvecs,
-            basis,
             mode=cfg.get("eval", "mode"),
             work_point=cfg.get_float("eval", "work_point"),
         )
         log.info("alpha sweep selected %.4g (%s mode)", best_alpha, cfg.get("eval", "mode"))
-    model = solve_response(stats, best_alpha, n, basis)
-    if model.achieved_n < model.requested_n:
-        log.warning("only %d of %d descriptor dimensions are feasible",
-                    model.achieved_n, model.requested_n)
-    return model, best_alpha, table, basis
+    coef, lam = solve_tradeoff(stats, best_alpha, n)
+    model = ResponseModel(basis=basis, coefficients=coef)
+    if model.n < n:
+        log.warning("only %d of %d descriptor dimensions are feasible", model.n, n)
+    return model, float(lam.sum()), best_alpha, table
 
 
 _REPORT_NOTE = (
@@ -376,20 +375,20 @@ def _write_sweep_csv(table, path: Path) -> None:
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
-    model, best_alpha, table, _ = _train_model(ws)
+    model, objective, best_alpha, table = _train_model(ws)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_response_model(model.response, out / "model.json")
+    save_response_model(model, out / "model.json")
     _write_sweep_csv(table, out / "training_report.csv")
-    print(f"train: alpha={best_alpha:.4g} achieved_n={model.achieved_n} "
-          f"objective={model.objective:.6g} -> {out / 'model.json'}")
+    print(f"train: alpha={best_alpha:.4g} achieved_n={model.n} "
+          f"objective={objective:.6g} -> {out / 'model.json'}")
     return EXIT_OK
 
 
 def cmd_sweep_alpha(args, cfg: PipelineConfig) -> int:
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
     cfg.override("alpha", "")  # force the sweep
-    _, best_alpha, table, _ = _train_model(ws)
+    _, _, best_alpha, table = _train_model(ws)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_sweep_csv(table, out / "alpha_sweep.csv")
@@ -427,6 +426,8 @@ def _parse_family_dirs(specs) -> dict[str, Path]:
         if "=" not in item:
             raise DataError(f"--descriptors expects family=dir, got {item!r}")
         family, _, directory = item.partition("=")
+        if family in out:
+            raise DataError(f"--descriptors names family {family!r} more than once")
         out[family] = Path(directory)
     if not out:
         raise DataError("no descriptor families given")
@@ -558,8 +559,7 @@ def _run_cmc(ws: Workspace, fields, families, source_entry, target_entry):
 
 def cmd_match(args, cfg: PipelineConfig) -> int:
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
-    family_dirs = _parse_family_dirs(args.descriptors)
-    family, directory = next(iter(family_dirs.items()))
+    [(family, directory)] = _parse_family_dirs([args.descriptors]).items()
     source = ws.entry(args.source)
     target = ws.entry(args.target)
     fields = _load_family_fields(ws, family, directory, [source, target])
@@ -655,7 +655,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("match", help="rank best matches for sampled references")
     common(p)
-    p.add_argument("--descriptors", nargs="+", required=True, metavar="FAMILY=DIR")
+    p.add_argument("--descriptors", required=True, metavar="FAMILY=DIR")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--refs", type=_at_least_one, default=25)

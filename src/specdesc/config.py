@@ -77,6 +77,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
 # Valid values of numeric settings as (test, rule); `PipelineConfig.check`
 # applies the test to every number a non-empty setting holds.
 _RANGES = {
+    "s": (lambda v: v >= 1, "must be at least 1"),
+    "m": (lambda v: v >= 4, "must be at least 4"),
     "nu_max_percentile": (lambda v: 0 <= v <= 100, "outside [0, 100]"),
     "n": (lambda v: v >= 1, "must be at least 1"),
     "hks_times": (lambda v: v > 0, "must be positive"),
@@ -85,6 +87,9 @@ _RANGES = {
     "ball_radius_frac": (lambda v: v >= 0, "must be non-negative"),
     "cmc_rank_frac": (lambda v: 0 <= v <= 1, "outside [0, 1]"),
     "cmc_refs": (lambda v: v >= 1, "must be at least 1"),
+    "alpha": (lambda v: 0 <= v <= 1, "outside [0, 1]"),
+    "alpha_grid": (lambda v: 0 <= v <= 1, "outside [0, 1]"),
+    "ridge": (lambda v: v >= 0, "must be non-negative"),
     "rng_seed": (lambda v: v >= 0, "must be non-negative"),
     "eval_rng_seed": (lambda v: v >= 0, "must be non-negative"),
 }

@@ -206,59 +206,28 @@ def _colormap(values: np.ndarray) -> np.ndarray:
     return np.column_stack([np.interp(t, stops, channels[:, c]) for c in range(3)])
 
 
-def _polyline(xs, ys, x_range, y_range, box) -> str:
-    x0, y0, w, h = box
-    (xa, xb), (ya, yb) = x_range, y_range
-    px = x0 + (np.asarray(xs) - xa) / (xb - xa) * w
-    py = y0 + h - (np.asarray(ys) - ya) / (yb - ya) * h
-    return " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
-
-
-def _svg_panel(parts, xs, ys, x_range, y_range, box, title) -> None:
-    x0, y0, w, h = box
-    parts.append(
-        f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" fill="white" '
-        f'stroke="black"/>'
-    )
-    clip = f"clip{x0}x{y0}"
-    parts.append(
-        f'<clipPath id="{clip}"><rect x="{x0}" y="{y0}" width="{w}" '
-        f'height="{h}"/></clipPath>'
-    )
-    pts = _polyline(xs, ys, x_range, y_range, box)
-    parts.append(
-        f'<polyline clip-path="url(#{clip})" points="{pts}" fill="none" '
-        f'stroke="#1f4e9c" stroke-width="1.2"/>'
-    )
-    parts.append(
-        f'<text x="{x0 + 4}" y="{y0 + 14}" font-size="11" '
-        f'font-family="sans-serif">{title}</text>'
-    )
-
-
-def _roc_svg(curve: RocCurve, path: Path) -> None:
-    """Two work-point zooms: the low false positive region and the low false
-    negative (high true positive) region."""
+def _svg_plot(path: Path, width: int, panels) -> None:
+    """A `width` x 320 SVG with one framed line plot per (xs, ys, x_range,
+    y_range, box, title) panel, its line clipped to the box."""
     parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="320" '
-        'viewBox="0 0 640 320">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="320" '
+        f'viewBox="0 0 {width} 320">'
     ]
-    _svg_panel(parts, curve.fp_rate, curve.tp_rate, (0.0, 0.1), (0.0, 1.0),
-               (30, 20, 270, 270), "low FP zoom (FP in [0, 0.1])")
-    _svg_panel(parts, curve.fp_rate, curve.tp_rate, (0.0, 1.0), (0.9, 1.0),
-               (340, 20, 270, 270), "low FN zoom (TP in [0.9, 1])")
-    parts.append("</svg>")
-    write_table(path, parts)
-
-
-def _cmc_svg(curve: CmcCurve, path: Path) -> None:
-    parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="360" height="320" '
-        'viewBox="0 0 360 320">'
-    ]
-    ranks = np.arange(1, len(curve.hit_rate) + 1)
-    _svg_panel(parts, ranks, curve.hit_rate, (1, max(int(ranks[-1]), 2)),
-               (0.0, 1.0), (40, 20, 290, 270), "hit rate vs rank")
+    for xs, ys, (xa, xb), (ya, yb), (x0, y0, w, h), title in panels:
+        clip = f"clip{x0}x{y0}"
+        # the pixel coordinate arrays die with the join, before the line is built
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(
+            x0 + (np.asarray(xs) - xa) / (xb - xa) * w,
+            y0 + h - (np.asarray(ys) - ya) / (yb - ya) * h))
+        parts += [
+            f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" fill="white" stroke="black"/>',
+            f'<clipPath id="{clip}"><rect x="{x0}" y="{y0}" width="{w}" '
+            f'height="{h}"/></clipPath>',
+            f'<polyline clip-path="url(#{clip})" points="{pts}" fill="none" '
+            f'stroke="#1f4e9c" stroke-width="1.2"/>',
+            f'<text x="{x0 + 4}" y="{y0 + 14}" font-size="11" '
+            f'font-family="sans-serif">{title}</text>',
+        ]
     parts.append("</svg>")
     write_table(path, parts)
 
@@ -281,13 +250,24 @@ def emit_report(
             name = f"roc_{i:03d}"
             rows = zip(curve.thresholds.tolist(), curve.fp_rate.tolist(), curve.tp_rate.tolist())
             write_table(out / f"{name}.csv", ["threshold,fp_rate,tp_rate"], rows)
-            _roc_svg(curve, out / f"{name}.svg")
+            # two work-point zooms: the low false positive region and the
+            # low false negative (high true positive) region
+            _svg_plot(out / f"{name}.svg", 640, [
+                (curve.fp_rate, curve.tp_rate, (0.0, 0.1), (0.0, 1.0), (30, 20, 270, 270),
+                 "low FP zoom (FP in [0, 0.1])"),
+                (curve.fp_rate, curve.tp_rate, (0.0, 1.0), (0.9, 1.0), (340, 20, 270, 270),
+                 "low FN zoom (TP in [0.9, 1])"),
+            ])
             written += [f"{name}.csv", f"{name}.svg"]
         for i, curve in enumerate(cmc_curves):
             name = f"cmc_{i:03d}"
             write_table(out / f"{name}.csv", ["rank,hit_rate"],
                         enumerate(curve.hit_rate.tolist(), start=1))
-            _cmc_svg(curve, out / f"{name}.svg")
+            ranks = np.arange(1, len(curve.hit_rate) + 1)
+            _svg_plot(out / f"{name}.svg", 360, [
+                (ranks, curve.hit_rate, (1, max(int(ranks[-1]), 2)), (0.0, 1.0),
+                 (40, 20, 290, 270), "hit rate vs rank"),
+            ])
             written += [f"{name}.csv", f"{name}.svg"]
         for i, (values, mesh) in enumerate(maps):
             name = f"map_{i:03d}"

@@ -64,9 +64,6 @@ class FemOperator:
     def n_vertices(self) -> int:
         return self.stiffness.shape[0]
 
-    def lumped_mass_diagonal(self) -> np.ndarray:
-        return np.asarray(self.mass.diagonal())
-
 
 def assemble_fem(mesh: TriangleMesh, mass_mode: str = "lumped") -> FemOperator:
     """Assemble cotangent stiffness and (lumped or consistent) mass matrices.
@@ -189,7 +186,7 @@ def _lumped_standard_form(op: FemOperator):
     operator: its eigenvectors ψ give the pencil's φ = D^-1/2·ψ with the same
     eigenvalues (Vallet & Lévy 2008, *Manifold Harmonics*)."""
     from scipy import sparse
-    inv_sqrt = 1.0 / np.sqrt(op.lumped_mass_diagonal())
+    inv_sqrt = 1.0 / np.sqrt(op.mass.diagonal())
     stiff = op.stiffness.tocoo()
     scaled = inv_sqrt[stiff.row] * stiff.data * inv_sqrt[stiff.col]
     sym = sparse.csr_matrix((scaled, (stiff.row, stiff.col)), shape=stiff.shape)

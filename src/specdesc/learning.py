@@ -25,7 +25,6 @@ import warnings
 
 import numpy as np
 
-from .descriptors import FrequencyBasis, ResponseModel
 from .errors import DataError, NumericalError
 from .evaluation import rate_at, roc
 from .mesh import TriangleMesh, geodesic_distance_fields, intrinsic_diameter
@@ -34,12 +33,10 @@ __all__ = [
     "PairIndices",
     "ShapeSample",
     "CovarianceStats",
-    "LearnedModel",
     "AlphaSweepEntry",
     "sample_pair_indices",
     "estimate_covariances",
     "solve_tradeoff",
-    "solve_response",
     "sweep_alpha",
     "pair_distances",
 ]
@@ -379,21 +376,6 @@ def estimate_covariances(
     )
 
 
-@dataclass
-class LearnedModel:
-    """Solved response model plus solve diagnostics."""
-
-    response: ResponseModel
-    alpha: float
-    eigenvalues: np.ndarray  # retained (negative) eigenvalues, ascending
-    requested_n: int
-    achieved_n: int
-
-    @property
-    def objective(self) -> float:
-        return float(self.eigenvalues.sum())
-
-
 def tradeoff_matrix(stats: CovarianceStats, alpha: float) -> np.ndarray:
     """Weighted covariance difference steering the sensitivity/specificity
     tradeoff: (1-alpha) * positive moment - alpha * negative moment."""
@@ -434,26 +416,6 @@ def solve_tradeoff(stats: CovarianceStats, alpha: float, n: int):
     return coef, lam[:achieved].copy()
 
 
-def solve_response(
-    stats: CovarianceStats,
-    alpha: float,
-    n: int,
-    basis: FrequencyBasis,
-) -> LearnedModel:
-    """Solve the trace minimization and wrap the result as a response model
-    over the given frequency basis."""
-    if basis.m != stats.m:
-        raise DataError(f"basis size {basis.m} != covariance dimension {stats.m}")
-    coef, lam = solve_tradeoff(stats, alpha, n)
-    return LearnedModel(
-        response=ResponseModel(basis=basis, coefficients=coef),
-        alpha=alpha,
-        eigenvalues=lam,
-        requested_n=n,
-        achieved_n=coef.shape[0],
-    )
-
-
 # ---------------------------------------------------------------------------
 # alpha sweep
 # ---------------------------------------------------------------------------
@@ -469,19 +431,19 @@ class AlphaSweepEntry(NamedTuple):
 def pair_distances(
     pairs: PairIndices,
     per_shape_values: Sequence[np.ndarray],
-    model: Optional[ResponseModel] = None,
+    coefficients: Optional[np.ndarray] = None,
 ):
     """Distances of the positive and negative pairs, from sampled indices
     plus the per-shape vectors they index, computed one block of triplets at
-    a time: between the model's descriptors of the vectors, or between the
-    vectors themselves when `model` is None."""
+    a time: between the vectors mapped through `coefficients` (n x m), or
+    between the vectors themselves when it is None."""
     _, blocks = _triplet_blocks(pairs, per_shape_values)
     d_pos, d_neg = np.empty(len(pairs)), np.empty(len(pairs))
     for start, anchors, positives, negatives in blocks:
         rows = slice(start, start + len(anchors))
         e_pos, e_neg = anchors - positives, anchors - negatives
-        if model is not None:
-            e_pos, e_neg = e_pos @ model.coefficients.T, e_neg @ model.coefficients.T
+        if coefficients is not None:
+            e_pos, e_neg = e_pos @ coefficients.T, e_neg @ coefficients.T
         d_pos[rows] = np.linalg.norm(e_pos, axis=1)
         d_neg[rows] = np.linalg.norm(e_neg, axis=1)
     return d_pos, d_neg
@@ -493,7 +455,6 @@ def sweep_alpha(
     n: int,
     eval_pairs: PairIndices,
     eval_values: Sequence[np.ndarray],
-    basis: FrequencyBasis,
     mode: str = "sensitivity",
     work_point: float = 0.01,
 ) -> tuple[float, list[AlphaSweepEntry]]:
@@ -513,13 +474,13 @@ def sweep_alpha(
     table: list[AlphaSweepEntry] = []
     for alpha in alphas:
         try:
-            model = solve_response(stats, alpha, n, basis)
+            coef, _ = solve_tradeoff(stats, alpha, n)
         except NumericalError:
             table.append(AlphaSweepEntry(alpha, np.nan, np.nan, 0))
             continue
         # one pass over the held-out blocks per alpha keeps a single alpha's
         # distances in memory
-        d_pos, d_neg = pair_distances(eval_pairs, eval_values, model.response)
+        d_pos, d_neg = pair_distances(eval_pairs, eval_values, coef)
         if max(d_pos.max(), d_neg.max()) - min(d_pos.min(), d_neg.min()) == 0.0:
             raise NumericalError(
                 f"degenerate distance distribution at alpha={alpha}: all pair "
@@ -528,7 +489,7 @@ def sweep_alpha(
         curve = roc(d_pos, d_neg)
         fn_at_fp = 1.0 - rate_at(curve, "FP", work_point)
         fp_at_fn = rate_at(curve, "FN", work_point)
-        table.append(AlphaSweepEntry(alpha, fn_at_fp, fp_at_fn, model.achieved_n))
+        table.append(AlphaSweepEntry(alpha, fn_at_fp, fp_at_fn, len(coef)))
 
     scores = [
         entry.fn_at_fixed_fp if mode == "sensitivity" else entry.fp_at_fixed_fn

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -102,6 +102,13 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0) -> TriangleMesh:
     return TriangleMesh(vertices, np.asarray(faces, dtype=np.int64))
 
 
+def _quad_faces(a, b, c, d) -> np.ndarray:
+    """Triangles (a, b, c) and (a, c, d) of every quad, quad after quad in
+    row-major order of the equally shaped corner-id arrays."""
+    a, b, c, d = (np.ravel(corner) for corner in (a, b, c, d))
+    return np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+
+
 def grid_mesh(nx: int, ny: Optional[int] = None, width: float = 1.0,
               height: Optional[float] = None) -> TriangleMesh:
     """Planar rectangle split into `nx` x `ny` cells, two triangles each.
@@ -115,45 +122,9 @@ def grid_mesh(nx: int, ny: Optional[int] = None, width: float = 1.0,
     ys = np.linspace(0.0, height, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    faces = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    return TriangleMesh(vertices, np.asarray(faces, dtype=np.int64))
-
-
-@dataclass
-class _GridShape:
-    """Wrapped grid over (rows x cols) used for tori and annuli."""
-
-    vertices: np.ndarray
-    rows: int
-    cols: int
-    wrap_rows: bool
-    wrap_cols: bool
-
-    def mesh(self) -> TriangleMesh:
-        faces = []
-        nrow = self.rows if self.wrap_rows else self.rows - 1
-        ncol = self.cols if self.wrap_cols else self.cols - 1
-
-        def vid(i, j):
-            return (i % self.rows) * self.cols + (j % self.cols)
-
-        for i in range(nrow):
-            for j in range(ncol):
-                a, b = vid(i, j), vid(i + 1, j)
-                c, d = vid(i + 1, j + 1), vid(i, j + 1)
-                faces.append((a, b, c))
-                faces.append((a, c, d))
-        return TriangleMesh(self.vertices, np.asarray(faces, dtype=np.int64))
+    ids = np.arange(gx.size).reshape(ny + 1, nx + 1)
+    return TriangleMesh(vertices, _quad_faces(ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:],
+                                              ids[1:, :-1]))
 
 
 def torus(n_u: int = 40, n_v: int = 24, major: float = 1.0, minor: float = 0.3,
@@ -168,7 +139,8 @@ def torus(n_u: int = 40, n_v: int = 24, major: float = 1.0, minor: float = 0.3,
     y = (major + r * np.cos(vv)) * np.sin(uu)
     z = r * np.sin(vv)
     vertices = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
-    return _GridShape(vertices, n_u, n_v, True, True).mesh()
+    g = np.pad(np.arange(n_u * n_v).reshape(n_u, n_v), ((0, 1), (0, 1)), mode="wrap")
+    return TriangleMesh(vertices, _quad_faces(g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]))
 
 
 def torus_symmetry(n_u: int = 40, n_v: int = 24) -> np.ndarray:
@@ -186,7 +158,8 @@ def flat_annulus(n_r: int = 12, n_theta: int = 48, r_inner: float = 0.5,
     vertices = np.column_stack(
         [(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel(), np.zeros(rr.size)]
     )
-    return _GridShape(vertices, n_r, n_theta, False, True).mesh()
+    g = np.pad(np.arange(n_r * n_theta).reshape(n_r, n_theta), ((0, 0), (0, 1)), mode="wrap")
+    return TriangleMesh(vertices, _quad_faces(g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]))
 
 
 # -- surfaces of revolution --------------------------------------------------
@@ -196,17 +169,17 @@ def flat_annulus(n_r: int = 12, n_theta: int = 48, r_inner: float = 0.5,
 class RevolutionShape:
     """A closed surface of revolution with optional angular modulation.
 
-    ``levels`` are the interior row parameters in (0, 1); the axial position
-    and base radius per row come from ``z_of`` and ``r_of``. The angular
-    modulation multiplies the radius by ``1 + sum(amp * cos(k * theta) * win)``;
-    cosine-only terms preserve the reflection theta -> -theta (y -> -y), and
-    mixing even and odd harmonics avoids any residual rotational symmetry
-    that would make distinct points isometrically indistinguishable.
+    Row ``i`` of vertices lies at height ``zs[i]`` around the axis with base
+    radius ``radii[i]``, strictly between the poles at ``z_bottom`` and
+    ``z_top``. The angular modulation multiplies the radius by
+    ``1 + sum(amp * cos(k * theta) * win)``; cosine-only terms preserve the
+    reflection theta -> -theta (y -> -y), and mixing even and odd harmonics
+    avoids any residual rotational symmetry that would make distinct points
+    isometrically indistinguishable.
     """
 
-    z_of: Callable[[np.ndarray], np.ndarray]
-    r_of: Callable[[np.ndarray], np.ndarray]
-    levels: np.ndarray
+    zs: np.ndarray
+    radii: np.ndarray
     n_seg: int
     z_bottom: float
     z_top: float
@@ -214,81 +187,58 @@ class RevolutionShape:
     joints: tuple[float, ...] = ()
     window_skew: float = 0.0
 
+    def _row_ids(self) -> np.ndarray:
+        """(rows, n_seg) ids of the row vertices; the poles are the first
+        and the last vertex."""
+        return 1 + np.arange(len(self.zs) * self.n_seg).reshape(-1, self.n_seg)
+
     def mesh(self) -> TriangleMesh:
-        zs = self.z_of(self.levels)
-        radii = self.r_of(self.levels)
         theta = np.arange(self.n_seg) * (2.0 * np.pi / self.n_seg)
-        t = (zs - self.z_bottom) / (self.z_top - self.z_bottom)
+        t = (self.zs - self.z_bottom) / (self.z_top - self.z_bottom)
         # a nonzero skew removes any end-to-end flip isometry, so no two
         # distinct surface points are exactly interchangeable
         window = np.sin(np.pi * t) * (1.0 + self.window_skew * (t - 0.5))
-        mod = np.ones((len(zs), self.n_seg))
+        mod = np.ones((len(self.zs), self.n_seg))
         for k, amp in self.harmonics:
             mod += amp * window[:, None] * np.cos(k * theta)[None, :]
-        r = radii[:, None] * mod
+        r = self.radii[:, None] * mod
         x = r * np.cos(theta)[None, :]
         y = r * np.sin(theta)[None, :]
-        z = np.broadcast_to(zs[:, None], r.shape)
-        verts = [np.array([0.0, 0.0, self.z_bottom])]
-        verts.append(np.column_stack([x.ravel(), y.ravel(), z.ravel()]))
-        verts.append(np.array([0.0, 0.0, self.z_top]))
-        vertices = np.vstack([verts[0][None, :], verts[1], verts[2][None, :]])
-
-        n_rows = len(zs)
-        n_seg = self.n_seg
-        top = 1 + n_rows * n_seg
-
-        def vid(i, j):
-            return 1 + i * n_seg + (j % n_seg)
-
-        faces = []
-        for j in range(n_seg):
-            faces.append((0, vid(0, j + 1), vid(0, j)))
-        for i in range(n_rows - 1):
-            for j in range(n_seg):
-                a, b = vid(i, j), vid(i, j + 1)
-                c, d = vid(i + 1, j + 1), vid(i + 1, j)
-                faces.append((a, b, c))
-                faces.append((a, c, d))
-        for j in range(n_seg):
-            faces.append((top, vid(n_rows - 1, j), vid(n_rows - 1, j + 1)))
-        return TriangleMesh(vertices, np.asarray(faces, dtype=np.int64))
+        z = np.broadcast_to(self.zs[:, None], r.shape)
+        vertices = np.vstack([[0.0, 0.0, self.z_bottom],
+                              np.column_stack([x.ravel(), y.ravel(), z.ravel()]),
+                              [0.0, 0.0, self.z_top]])
+        ids = self._row_ids()
+        ring = np.hstack([ids, ids[:, :1]])  # the seam closes each row
+        pole = np.zeros(self.n_seg, dtype=np.int64)
+        faces = np.vstack([
+            np.column_stack([pole, ring[0, 1:], ring[0, :-1]]),
+            _quad_faces(ring[:-1, :-1], ring[:-1, 1:], ring[1:, 1:], ring[1:, :-1]),
+            np.column_stack([pole + ids.size + 1, ring[-1, :-1], ring[-1, 1:]]),
+        ])
+        return TriangleMesh(vertices, faces)
 
     def symmetry(self) -> np.ndarray:
         """Reflection y -> -y: (row, j) -> (row, -j mod n_seg)."""
-        n_rows = len(self.levels)
-        out = np.empty(2 + n_rows * self.n_seg, dtype=np.int64)
-        out[0] = 0
-        out[-1] = 1 + n_rows * self.n_seg
-        j = np.arange(self.n_seg)
-        jr = (-j) % self.n_seg
-        for i in range(n_rows):
-            out[1 + i * self.n_seg + j] = 1 + i * self.n_seg + jr
-        return out
+        ids = self._row_ids()
+        mirrored = ids[:, (-np.arange(self.n_seg)) % self.n_seg]
+        return np.concatenate([[0], mirrored.ravel(), [ids.size + 1]])
 
     def decimated(self) -> tuple["RevolutionShape", np.ndarray]:
         """Halve rows and segments; returns the coarse shape and the map
         from each coarse vertex to its bitwise-identical fine vertex."""
-        n_rows = len(self.levels)
-        if (n_rows + 1) % 2 or self.n_seg % 2:
+        if (len(self.zs) + 1) % 2 or self.n_seg % 2:
             raise DataError("decimation needs (rows+1) and n_seg even")
-        coarse = replace(self, levels=self.levels[1::2], n_seg=self.n_seg // 2)
-        rows_c = len(coarse.levels)
-        corr = np.empty(2 + rows_c * coarse.n_seg, dtype=np.int64)
-        corr[0] = 0
-        corr[-1] = 1 + n_rows * self.n_seg
-        for i in range(rows_c):
-            for j in range(coarse.n_seg):
-                corr[1 + i * coarse.n_seg + j] = 1 + (2 * i + 1) * self.n_seg + 2 * j
-        return coarse, corr
+        coarse = replace(self, zs=self.zs[1::2], radii=self.radii[1::2], n_seg=self.n_seg // 2)
+        ids = self._row_ids()
+        return coarse, np.concatenate([[0], ids[1::2, ::2].ravel(), [ids.size + 1]])
 
 
-def _uniform_arclength_levels(r_of, z0, z1, n_rows):
-    """Row parameters spaced uniformly along profile arc length."""
+def _uniform_arclength_levels(r_of, n_rows):
+    """Profile parameters t in (0, 1) of `n_rows` rows spaced uniformly along
+    the arc length of the curve (t, r_of(t))."""
     t = np.linspace(0.0, 1.0, 4096)
-    z = z0 + (z1 - z0) * t
-    r = r_of(t)
-    ds = np.hypot(np.diff(z), np.diff(r))
+    ds = np.hypot(np.diff(t), np.diff(r_of(t)))
     s = np.concatenate([[0.0], np.cumsum(ds)])
     s /= s[-1]
     targets = np.arange(1, n_rows + 1) / (n_rows + 1)
@@ -312,12 +262,11 @@ def capsule(n_seg: int = 36, n_rows: int = 39, length: float = 2.1,
         r[above] = np.sqrt(np.maximum(radius**2 - (z[above] - hi) ** 2, 0.0))
         return r
 
-    levels = _uniform_arclength_levels(r_of_level, 0.0, 1.0, n_rows)
+    levels = _uniform_arclength_levels(r_of_level, n_rows)
     harmonics = ((3, 0.09), (4, 0.055)) if bumps else ()
     return RevolutionShape(
-        z_of=lambda t: z0 + (z1 - z0) * np.asarray(t),
-        r_of=r_of_level,
-        levels=levels,
+        zs=z0 + (z1 - z0) * levels,
+        radii=r_of_level(levels),
         n_seg=n_seg,
         z_bottom=z0,
         z_top=z1,
@@ -351,7 +300,7 @@ def multi_sphere(n_seg: int = 36, n_rows: int = 43,
         best[inside] = np.maximum(best[inside], neck**2)
         return np.sqrt(np.maximum(best, 0.0))
 
-    levels = _uniform_arclength_levels(r_of_level, 0.0, 1.0, n_rows)
+    levels = _uniform_arclength_levels(r_of_level, n_rows)
     # joints at the neck waists between consecutive lobes
     joints = []
     for i in range(len(lobe_radii) - 1):
@@ -360,9 +309,8 @@ def multi_sphere(n_seg: int = 36, n_rows: int = 43,
         joints.append(0.5 * (za + zb) + (ra**2 - rb**2) / (2.0 * (zb - za)))
     harmonics = ((3, 0.08), (4, 0.05)) if bumps else ()
     return RevolutionShape(
-        z_of=lambda t: z0 + (z1 - z0) * np.asarray(t),
-        r_of=r_of_level,
-        levels=levels,
+        zs=z0 + (z1 - z0) * levels,
+        radii=r_of_level(levels),
         n_seg=n_seg,
         z_bottom=z0,
         z_top=z1,
@@ -474,14 +422,6 @@ def punch_holes(mesh: TriangleMesh, n_holes: int, radius: float,
     raise DataError("hole punching kept breaking the mesh; radius too large")
 
 
-def remap_symmetry(sym: np.ndarray, kept: np.ndarray, total: int) -> np.ndarray:
-    """Restrict a symmetry index map to the kept vertex subset (-1 if the
-    mirror vertex was removed)."""
-    remap = -np.ones(total, dtype=np.int64)
-    remap[kept] = np.arange(len(kept))
-    return remap[sym[kept]]
-
-
 # ---------------------------------------------------------------------------
 # corpus generation
 # ---------------------------------------------------------------------------
@@ -506,31 +446,36 @@ class SyntheticCorpusSpec:
     rng_seed: int = 0
 
 
-_CLASS_SPLITS = {
-    "triblob": "train",
-    "capsule": "train_neg",
-    "icosphere": "train_neg",
-    "ellipsoid": "train_neg",
-    "sphere_small": "train_neg",
-    "disk": "train_neg",
-    "flat_annulus": "val_neg",
-    "annulus_wide": "val_neg",
-    "multisphere": "eval",
-    "torus": "eval_neg",
-}
+def _ellipsoid() -> TriangleMesh:
+    sphere = icosphere(3)
+    return TriangleMesh(sphere.vertices * np.array([1.3, 0.8, 1.05]), sphere.faces)
 
-# base shape -> (deformations applied, strengths used); None = spec defaults
-_DEFORM_PLAN = {
-    "triblob": (None, None),
-    "capsule": ((), ()),
-    "multisphere": (None, None),
-    "torus": (("jitter",), (2, 4)),
-    "icosphere": (("jitter",), (3,)),
-    "ellipsoid": ((), ()),
-    "sphere_small": ((), ()),
-    "disk": ((), ()),
-    "flat_annulus": (("jitter",), (3,)),
-    "annulus_wide": ((), ()),
+
+# base shape -> (split, deformations, strengths, build); None takes the
+# spec's deformations or its strengths 1..n. `build()` returns a surface of
+# revolution, the only kind that bends or decimates, or a (mesh, symmetry) pair
+_BASES = {
+    # articulated trainer: same family as the eval blob, different
+    # proportions, no exact self-equivalences (unequal lobes + skew)
+    "triblob": ("train", None, None, lambda: multi_sphere(
+        n_seg=48, n_rows=49, lobe_radii=(0.68, 0.42, 0.58), spacings=(0.85, 1.1), neck=0.17,
+        window_skew=0.35)),
+    "capsule": ("train_neg", (), (), capsule),
+    "icosphere": ("train_neg", ("jitter",), (3,), lambda: (icosphere(3), None)),
+    "ellipsoid": ("train_neg", (), (), lambda: (_ellipsoid(), None)),
+    "sphere_small": ("train_neg", (), (), lambda: (icosphere(3, radius=0.9), None)),
+    "disk": ("train_neg", (), (), lambda: (flat_annulus(r_inner=0.25, r_outer=1.9), None)),
+    "flat_annulus": ("val_neg", ("jitter",), (3,), lambda: (flat_annulus(), None)),
+    "annulus_wide": ("val_neg", (), (), lambda: (
+        flat_annulus(n_r=10, n_theta=52, r_inner=0.9, r_outer=2.0), None)),
+    # sized so the surface area matches the rest of the corpus; spectral
+    # descriptors are not scale invariant and the filter bank is shared
+    "multisphere": ("eval", None, None, lambda: multi_sphere(
+        n_seg=48, n_rows=49, lobe_radii=(0.65, 0.45, 0.65), spacings=(0.9, 1.17), neck=0.18)),
+    "torus": ("eval_neg", ("jitter",), (2, 4), lambda: (torus(), torus_symmetry())),
+    "dumbbell": ("train", None, None, lambda: multi_sphere(
+        n_seg=52, n_rows=49, lobe_radii=(0.72, 0.62), spacings=(1.45,), neck=0.19,
+        window_skew=0.6)),
 }
 
 
@@ -572,105 +517,32 @@ def load_index_map(path, tag: str, n_source: int, n_target: int) -> np.ndarray:
     return values
 
 
-@dataclass
-class _BaseShape:
-    name: str
-    mesh: TriangleMesh
-    symmetry: Optional[np.ndarray] = None
-    joints: tuple[float, ...] = ()
-    decimate: Optional[Callable[[], tuple[TriangleMesh, np.ndarray]]] = None
-
-
-def _build_base(name: str) -> _BaseShape:
-    if name == "icosphere":
-        fine = icosphere(3)
-        coarse = icosphere(2)
-
-        def dec():
-            return coarse, np.arange(coarse.n_vertices, dtype=np.int64)
-
-        return _BaseShape(name, fine, decimate=dec)
-    if name == "ellipsoid":
-        base = icosphere(3)
-        stretched = TriangleMesh(base.vertices * np.array([1.3, 0.8, 1.05]), base.faces)
-        return _BaseShape(name, stretched)
-    if name == "sphere_small":
-        return _BaseShape(name, icosphere(3, radius=0.9))
-    if name == "disk":
-        return _BaseShape(name, flat_annulus(n_r=12, n_theta=48, r_inner=0.25,
-                                             r_outer=1.9))
-    if name == "annulus_wide":
-        return _BaseShape(name, flat_annulus(n_r=10, n_theta=52, r_inner=0.9,
-                                             r_outer=2.0))
-    if name == "torus":
-        return _BaseShape(name, torus(), symmetry=torus_symmetry())
-    if name == "flat_annulus":
-        return _BaseShape(name, flat_annulus())
-    if name == "capsule":
-        shape = capsule()
-        return _revolution_base(name, shape)
-    if name == "multisphere":
-        # sized so the surface area matches the rest of the corpus; spectral
-        # descriptors are not scale invariant and the filter bank is shared
-        shape = multi_sphere(n_seg=48, n_rows=49, lobe_radii=(0.65, 0.45, 0.65),
-                             spacings=(0.9, 1.17), neck=0.18)
-        return _revolution_base(name, shape)
-    if name == "dumbbell":
-        shape = multi_sphere(n_seg=52, n_rows=49, lobe_radii=(0.72, 0.62),
-                             spacings=(1.45,), neck=0.19, window_skew=0.6)
-        return _revolution_base(name, shape)
-    if name == "triblob":
-        # articulated trainer: same family as the eval blob, different
-        # proportions, no exact self-equivalences (unequal lobes + skew)
-        shape = multi_sphere(n_seg=48, n_rows=49, lobe_radii=(0.68, 0.42, 0.58),
-                             spacings=(0.85, 1.1), neck=0.17, window_skew=0.35)
-        return _revolution_base(name, shape)
-    raise DataError(f"unknown base shape {name!r}")
-
-
-def _revolution_base(name: str, shape: RevolutionShape) -> _BaseShape:
-    mesh = shape.mesh()
-
-    def dec():
-        coarse, corr = shape.decimated()
-        return coarse.mesh(), corr
-
-    return _BaseShape(
-        name,
-        mesh,
-        symmetry=shape.symmetry(),
-        joints=shape.joints,
-        decimate=dec,
-    )
-
-
-def _deform(base: _BaseShape, kind: str, strength: int, seed_seq: np.random.SeedSequence,
-            diameter: float):
-    """Returns (mesh, correspondence to null, symmetry or None)."""
-    identity = np.arange(base.mesh.n_vertices, dtype=np.int64)
+def _deform(shape, mesh: TriangleMesh, sym: Optional[np.ndarray], kind: str, strength: int,
+            seed_seq: np.random.SeedSequence, diameter: float):
+    """Returns (mesh, correspondence to null, symmetry or None); bending and
+    decimation read the RevolutionShape `shape` that `mesh` was built from."""
+    identity = np.arange(mesh.n_vertices, dtype=np.int64)
     if kind == "rigid":
-        return rigid_motion(base.mesh, strength), identity, base.symmetry
+        return rigid_motion(mesh, strength), identity, sym
     if kind == "bend":
-        if not base.joints:
-            raise DataError(f"shape {base.name} has no joints to bend")
-        return bend(base.mesh, base.joints, strength), identity, base.symmetry
+        return bend(mesh, shape.joints, strength), identity, sym
     if kind == "jitter":
         rng = np.random.default_rng(seed_seq)
         sigma = strength * JITTER_DIAMETER_FRACTION * diameter
-        return jitter(base.mesh, sigma, rng), identity, base.symmetry
+        return jitter(mesh, sigma, rng), identity, sym
     if kind == "holes":
         rng = np.random.default_rng(seed_seq)
         radius = (HOLE_RADIUS_BASE_FRACTION + HOLE_RADIUS_STEP_FRACTION * strength) * diameter
-        holed, corr = punch_holes(base.mesh, n_holes=strength, radius=radius, rng=rng)
-        sym = None
-        if base.symmetry is not None:
-            sym = remap_symmetry(base.symmetry, corr, base.mesh.n_vertices)
-        return holed, corr, sym
+        holed, kept = punch_holes(mesh, n_holes=strength, radius=radius, rng=rng)
+        if sym is not None:
+            # restricted to the kept vertices, -1 where the mirror was removed
+            remap = -np.ones(mesh.n_vertices, dtype=np.int64)
+            remap[kept] = np.arange(len(kept))
+            sym = remap[sym[kept]]
+        return holed, kept, sym
     if kind == "decimate":
-        if base.decimate is None:
-            raise DataError(f"shape {base.name} does not support decimation")
-        coarse, corr = base.decimate()
-        return coarse, corr, None
+        coarse, corr = shape.decimated()
+        return coarse.mesh(), corr, None
     raise DataError(f"unknown deformation {kind!r}")
 
 
@@ -684,13 +556,19 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
     out.mkdir(parents=True, exist_ok=True)
     entries: list[ManifestEntry] = []
     for base_idx, base_name in enumerate(spec.base_shapes):
-        base = _build_base(base_name)
-        split = _CLASS_SPLITS.get(base_name, "train")
-        save_off(base.mesh, out / f"{base_name}.off")
+        if base_name not in _BASES:
+            raise DataError(f"unknown base shape {base_name!r}")
+        split, deforms, strengths, build = _BASES[base_name]
+        shape = build()
+        if isinstance(shape, RevolutionShape):
+            base, base_sym = shape.mesh(), shape.symmetry()
+        else:
+            base, base_sym = shape
+        save_off(base, out / f"{base_name}.off")
         sym_path = ""
-        if base.symmetry is not None:
+        if base_sym is not None:
             sym_path = f"{base_name}.sym"
-            save_index_map(base.symmetry, out / sym_path, "sym")
+            save_index_map(base_sym, out / sym_path, "sym")
         entries.append(
             ManifestEntry(
                 shape_id=base_name,
@@ -700,23 +578,19 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
                 sym_path=sym_path,
             )
         )
-        plan_deforms, plan_strengths = _DEFORM_PLAN.get(base_name, (None, None))
-        deforms = plan_deforms if plan_deforms is not None else spec.deformations
-        strengths = (
-            plan_strengths
-            if plan_strengths is not None
-            else tuple(range(1, spec.strengths + 1))
-        )
+        deforms = spec.deformations if deforms is None else deforms
+        strengths = range(1, spec.strengths + 1) if strengths is None else strengths
         if not deforms:
             continue
-        diameter = intrinsic_diameter(base.mesh, DIAMETER_SAMPLES)
+        diameter = intrinsic_diameter(base, DIAMETER_SAMPLES)
         for di, kind in enumerate(deforms):
             for strength in strengths:
                 seed_seq = np.random.SeedSequence(
                     entropy=spec.rng_seed,
                     spawn_key=(base_idx, di, strength),
                 )
-                dmesh, corr, sym = _deform(base, kind, strength, seed_seq, diameter)
+                dmesh, corr, sym = _deform(shape, base, base_sym, kind, strength, seed_seq,
+                                           diameter)
                 shape_id = f"{base_name}_{kind}_{strength}"
                 save_off(dmesh, out / f"{shape_id}.off")
                 save_index_map(corr, out / f"{shape_id}.corr", "corr")

@@ -12,6 +12,7 @@ import numpy as np
 from conftest import read_table
 from specdesc.descriptors import (
     FrequencyBasis,
+    ResponseModel,
     apply_response,
     hks,
     wks,
@@ -24,7 +25,6 @@ from specdesc.learning import (
     estimate_covariances,
     pair_distances,
     sample_pair_indices,
-    solve_response,
     solve_tradeoff,
     tradeoff_matrix,
 )
@@ -176,7 +176,6 @@ def test_criterion_05_whitening_equivariance():
     positives = anchors + 0.05 * rng.standard_normal(anchors.shape)
     negatives = rng.standard_normal(anchors.shape) @ base.T * 1.3
     transform = rng.standard_normal((m, m)) + 0.5 * np.eye(m)
-    basis = FrequencyBasis(nu_max=1.0, m=m)
 
     def held_distances(mult):
         from test_learning import make_pairset
@@ -188,8 +187,8 @@ def test_criterion_05_whitening_equivariance():
                             positives[n_train:] @ mult.T,
                             negatives[n_train:] @ mult.T)
         stats = estimate_covariances(*train, ridge=0.0)
-        model = solve_response(stats, 0.2, 4, basis)
-        return pair_distances(*held, model.response)
+        coef, _ = solve_tradeoff(stats, 0.2, 4)
+        return pair_distances(*held, coef)
 
     d0 = np.concatenate(held_distances(np.eye(m)))
     d1 = np.concatenate(held_distances(transform))
@@ -237,9 +236,9 @@ def test_criterion_06_isometry_invariance():
     sample = ShapeSample("null", mesh, "blob", symmetry=shape.symmetry())
     pairs = sample_pair_indices([sample], 0.04, 0.1, 40, 12, 5, positives_per_ref=6)
     stats = estimate_covariances(pairs, [ga], ridge=1e-4)
-    model = solve_response(stats, 0.3, 5, basis)
-    a = apply_response(ga, model.response).values
-    b = apply_response(gb, model.response).values
+    model = ResponseModel(basis=basis, coefficients=solve_tradeoff(stats, 0.3, 5)[0])
+    a = apply_response(ga, model).values
+    b = apply_response(gb, model).values
     worst["learned"] = np.abs(a - b).max() / np.abs(a).max()
 
     detail = ", ".join(f"{k} {v:.2e}" for k, v in worst.items())

@@ -1,6 +1,7 @@
 import ast
 import filecmp
 import hashlib
+import json
 import logging
 import os
 import re
@@ -236,6 +237,26 @@ def test_full_deformation_taxonomy(tmp_path):
             np.testing.assert_array_equal(mesh.vertices, null.vertices[corr])
 
 
+GOLDEN_CORPUS_SPECS = {
+    "default": SyntheticCorpusSpec(),
+    "dumbbell_taxonomy": SyntheticCorpusSpec(
+        base_shapes=("dumbbell",),
+        deformations=("rigid", "bend", "jitter", "holes", "decimate"),
+        strengths=1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CORPUS_SPECS))
+def test_corpus_matches_golden_digests(tmp_path, name):
+    # SHA-256 of every file the generator writes: meshes, index maps, manifest
+    golden = json.loads((Path(__file__).parent / "golden_corpus.json").read_text())[name]
+    generate_corpus(GOLDEN_CORPUS_SPECS[name], tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert digests == golden
+
+
 def test_synth_cli_strength_default_is_five(tmp_path):
     assert run(["synth", "--out", tmp_path / "c", "--deformations", "jitter"]) == 0
     entries = read_manifest(tmp_path / "c" / "manifest.csv")
@@ -358,7 +379,8 @@ def test_nonpositive_pair_count_is_data_error(mini_corpus, tmp_path, caplog, cou
     with caplog.at_level(logging.ERROR, logger="specdesc"):
         assert run(["spectrum", "--config", mini_corpus / "config.cfg",
                     "--spectrum-cache", tmp_path, "--s", count]) == 3
-    assert any(f"count={count} outside" in r.getMessage() for r in caplog.records)
+    assert any(f"s={count} must be at least 1" in r.getMessage() for r in caplog.records)
+    assert not list(tmp_path.glob("*.spec"))  # rejected before the first solve
 
 
 def test_override_applies(mini_corpus, caplog):
@@ -607,14 +629,32 @@ def test_train_bad_sampling_setting_is_data_error(mini_pipeline, tmp_path, caplo
     pytest.param(["describe", "--family", "wks"], "wks_sigma", "-1", id="describe-wks_sigma-negative"),
     pytest.param(["describe", "--family", "hks"], "hks_times", "-1", id="describe-hks_times"),
     pytest.param(["describe", "--family", "hks"], "n", "0", id="describe-n"),
+    pytest.param(["describe", "--family", "hks"], "s", "0", id="describe-s"),
+    pytest.param(["train"], "m", "3", id="train-m"),
+    pytest.param(["train"], "ridge", "-1", id="train-ridge"),
+    pytest.param(["train"], "alpha", "1.5", id="train-alpha"),
+    pytest.param(["train"], "alpha_grid", "0.1,nan", id="train-alpha_grid-nan"),
+    pytest.param(["sweep-alpha"], "alpha_grid", "2,3", id="sweep-alpha-alpha_grid"),
 ])
 def test_bad_setting_is_data_error(mini_pipeline, tmp_path, caplog, command, key, value):
     command = [arg.format(desc=mini_pipeline / "desc") for arg in command]
     with caplog.at_level(logging.ERROR, logger="specdesc"):
         code = run([*command, "--config", mini_pipeline / "config.cfg", "--out", tmp_path,
-                    f"--{key}", value])
+                    "--spectrum-cache", tmp_path / "spectra", f"--{key}", value])
     assert code == 3
     assert any(f"{key}={value}" in r.getMessage() for r in caplog.records)
+    assert not list(tmp_path.rglob("*.spec"))  # rejected before any solve
+
+
+def test_eval_repeated_family_is_data_error(mini_pipeline, tmp_path, caplog):
+    desc = mini_pipeline / "desc"
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["eval", "--config", mini_pipeline / "config.cfg",
+                    "--descriptors", f"hks={desc}", f"wks={desc}", f"hks={tmp_path}",
+                    "--out", tmp_path / "report"])
+    assert code == 3
+    assert any("family 'hks' more than once" in r.getMessage() for r in caplog.records)
+    assert not (tmp_path / "report").exists()
 
 
 def test_geometry_vectors_need_one_row_per_vertex(pipeline_copy, caplog):
@@ -773,6 +813,15 @@ def test_match_count_below_one_is_usage_error(mini_pipeline, tmp_path, capsys, o
             "--out", tmp_path, option, value]
     assert run(argv) == 2
     assert f"argument {option}: '{value}' is not an integer of at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "matches.csv").exists()
+
+
+def test_match_takes_one_family(mini_pipeline, tmp_path):
+    desc = mini_pipeline / "desc"
+    assert run(["match", "--config", mini_pipeline / "config.cfg",
+                "--descriptors", f"hks={desc}", f"wks={desc}",
+                "--source", "multisphere", "--target", "multisphere_jitter_1",
+                "--out", tmp_path]) == 2
     assert not (tmp_path / "matches.csv").exists()
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specdesc.descriptors import FrequencyBasis
+from specdesc.descriptors import FrequencyBasis, ResponseModel
 from specdesc.errors import DataError, NumericalError
 from specdesc.learning import (
     TAG_INVARIANCE,
@@ -15,7 +15,6 @@ from specdesc.learning import (
     estimate_covariances,
     pair_distances,
     sample_pair_indices,
-    solve_response,
     solve_tradeoff,
     sweep_alpha,
     tradeoff_matrix,
@@ -548,9 +547,7 @@ def test_whitening_equivariance_of_distances():
         pairs = make_pairset(anchors @ mult.T, positives @ mult.T, negatives @ mult.T)
         stats = estimate_covariances(*pairs, ridge=0.0)
         coef, _ = solve_tradeoff(stats, 0.2, 4)
-        basis = FrequencyBasis(nu_max=1.0, m=m)
-        model = solve_response(stats, 0.2, 4, basis).response
-        return pair_distances(*pairs, model)
+        return pair_distances(*pairs, coef)
 
     d0_pos, d0_neg = train_and_score(np.eye(m))
     d1_pos, d1_neg = train_and_score(transform)
@@ -558,20 +555,23 @@ def test_whitening_equivariance_of_distances():
     assert np.abs(d1_neg / d0_neg - 1.0).max() < 1e-6
 
 
-def test_solve_response_wraps_basis():
+def test_response_model_wraps_solved_coefficients():
     stats = diag_stats([1, 4, 9, 16], [16, 9, 4, 1])
     basis = FrequencyBasis(nu_max=2.0, m=4)
-    model = solve_response(stats, 0.5, 2, basis)
-    assert model.response.basis is basis
-    assert model.achieved_n == model.response.n == 2
-    assert (model.eigenvalues < 0).all()
-    assert model.objective == pytest.approx(model.eigenvalues.sum())
+    coef, lam = solve_tradeoff(stats, 0.5, 2)
+    model = ResponseModel(basis=basis, coefficients=coef)
+    assert model.basis is basis
+    assert model.n == len(lam) == 2
+    assert (lam < 0).all()
+    # the retained eigenvalues sum to the trace objective the filters reach
+    objective = np.trace(coef @ tradeoff_matrix(stats, 0.5) @ coef.T)
+    assert objective == pytest.approx(lam.sum())
 
 
-def test_solve_response_basis_size_mismatch():
-    stats = diag_stats([1, 4, 9], [9, 4, 1])
+def test_response_model_basis_size_mismatch():
+    coef, _ = solve_tradeoff(diag_stats([1, 4, 9], [9, 4, 1]), 0.5, 1)
     with pytest.raises(DataError, match="basis size"):
-        solve_response(stats, 0.5, 1, FrequencyBasis(nu_max=2.0, m=5))
+        ResponseModel(basis=FrequencyBasis(nu_max=2.0, m=5), coefficients=coef)
 
 
 def test_alpha_and_n_validation():
@@ -598,9 +598,8 @@ def test_sweep_single_alpha_returns_it():
     rng = np.random.default_rng(10)
     train = eval_pairset(rng)
     held = eval_pairset(rng)
-    basis = FrequencyBasis(nu_max=1.0, m=6)
     stats = estimate_covariances(*train, ridge=1e-8)
-    best, table = sweep_alpha(stats, [0.3], 2, *held, basis)
+    best, table = sweep_alpha(stats, [0.3], 2, *held)
     assert best == 0.3
     assert len(table) == 1
     assert table[0].achieved_n >= 1
@@ -611,12 +610,11 @@ def test_sweep_on_indices_matches_gathered_pairs():
     values = [rng.standard_normal((size, 6)) for size in (60, 80)]
     held = random_indices(TRIPLET_CHUNK + 300, [60, 80], rng)
     stats = estimate_covariances(*eval_pairset(rng), ridge=1e-8)
-    basis = FrequencyBasis(nu_max=1.0, m=6)
     alphas = [0.0, 0.3, 0.6]  # alpha 0 has no negative direction: a NaN row
-    streamed = sweep_alpha(stats, alphas, 2, held, values, basis, work_point=0.1)
+    streamed = sweep_alpha(stats, alphas, 2, held, values, work_point=0.1)
     # the same triplet vectors laid out as one pseudo-shape, one row each
     stacked = make_pairset(*triplet_vectors(held, values))
-    whole = sweep_alpha(stats, alphas, 2, *stacked, basis, work_point=0.1)
+    whole = sweep_alpha(stats, alphas, 2, *stacked, work_point=0.1)
     assert np.isnan(streamed[1][0].fn_at_fixed_fp)
     np.testing.assert_array_equal(np.array(streamed[1], float),
                                   np.array(whole[1], float))
@@ -634,9 +632,8 @@ def test_sweep_indistinguishable_pairs_flat_but_no_crash():
     held_anchor = rng.standard_normal((n, m))
     held = make_pairset(held_anchor, held_anchor + rng.standard_normal((n, m)),
                         held_anchor + rng.standard_normal((n, m)))
-    basis = FrequencyBasis(nu_max=1.0, m=m)
     best, table = sweep_alpha(estimate_covariances(*train, ridge=1e-8), [0.4, 0.6], 2,
-                              *held, basis, work_point=0.1)
+                              *held, work_point=0.1)
     for row in table:
         if np.isfinite(row.fn_at_fixed_fp):
             assert row.fn_at_fixed_fp > 0.6  # chance level at FP=0.1
@@ -647,15 +644,13 @@ def test_sweep_degenerate_distances_error():
     train = eval_pairset(rng)
     ones = np.ones((50, 6))
     held = make_pairset(ones, ones, ones)
-    basis = FrequencyBasis(nu_max=1.0, m=6)
     with pytest.raises(NumericalError, match="degenerate"):
-        sweep_alpha(estimate_covariances(*train), [0.3], 2, *held, basis)
+        sweep_alpha(estimate_covariances(*train), [0.3], 2, *held)
 
 
 def test_sweep_mode_validation():
     rng = np.random.default_rng(14)
     train = eval_pairset(rng)
     held = eval_pairset(rng)
-    basis = FrequencyBasis(nu_max=1.0, m=6)
     with pytest.raises(DataError):
-        sweep_alpha(estimate_covariances(*train), [0.3], 2, *held, basis, mode="balanced")
+        sweep_alpha(estimate_covariances(*train), [0.3], 2, *held, mode="balanced")
