@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ManifestEntry, PipelineConfig, parse_config, read_manifest
-from .container import write_table
+from .container import make_dir, write_table
 from .descriptors import (
     DESCRIPTOR_FAMILIES,
     DescriptorField,
@@ -171,7 +171,7 @@ class Workspace:
         mesh = self.mesh(entry)
         op = assemble_fem(mesh, mass_mode=self.cfg.get("spectral", "mass_mode"))
         spectrum = compute_spectrum(op, min(count, mesh.n_vertices))
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        make_dir(self.cache_dir)
         save_spectrum(spectrum, self.file_hash(entry), self._cache_path(entry))
         self._spectra[entry.shape_id] = spectrum
         return spectrum
@@ -310,8 +310,7 @@ def cmd_describe(args, cfg: PipelineConfig) -> int:
         if not args.model:
             raise DataError("--model is required for the learned family")
         model = load_response_model(args.model)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(args.out)
     for entry in ws.entries:
         field = _describe_field(ws, entry, args.family, model)
         save_descriptor_binary(field, out / f"{entry.shape_id}.{args.family}.dsc")
@@ -375,9 +374,8 @@ def _write_sweep_csv(table, path: Path) -> None:
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
+    out = make_dir(args.out)
     model, objective, best_alpha, table = _train_model(ws)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_response_model(model, out / "model.json")
     _write_sweep_csv(table, out / "training_report.csv")
     print(f"train: alpha={best_alpha:.4g} achieved_n={model.n} "
@@ -388,9 +386,8 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 def cmd_sweep_alpha(args, cfg: PipelineConfig) -> int:
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
     cfg.override("alpha", "")  # force the sweep
+    out = make_dir(args.out)
     _, _, best_alpha, table = _train_model(ws)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_sweep_csv(table, out / "alpha_sweep.csv")
     print(f"sweep-alpha: best alpha {best_alpha:.4g} -> {out / 'alpha_sweep.csv'}")
     return EXIT_OK
@@ -566,8 +563,7 @@ def cmd_match(args, cfg: PipelineConfig) -> int:
     source_values = fields[source.shape_id]
     refs = farthest_point_sample(source_values, min(args.refs, len(source_values)))
     target_values = fields[target.shape_id]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(args.out)
     rows = []
     for ref in refs.tolist():
         dist = np.linalg.norm(target_values - source_values[ref], axis=1)
@@ -666,15 +662,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: PipelineConfig, extra: list[str]) -> None:
-    """Interpret leftover arguments as ``--key value`` config overrides."""
-    i = 0
-    while i < len(extra):
-        token = extra[i]
-        if not token.startswith("--") or i + 1 >= len(extra):
-            raise ParseError(f"expected '--key value' overrides, got {extra[i:]}")
-        cfg.override(token[2:], extra[i + 1])
-        i += 2
+def _apply_overrides(cfg: Optional[PipelineConfig], extra: list[str]) -> None:
+    """Interpret leftover arguments as ``--key value`` config overrides; a
+    command without a config takes none."""
+    for i in range(0, len(extra), 2):
+        if cfg is None or not extra[i].startswith("--"):
+            raise ParseError(f"unrecognized arguments: {' '.join(extra[i:])}")
+        if i + 1 == len(extra):
+            raise ParseError(f"bad override: {extra[i]} has no value")
+        cfg.override(extra[i][2:], extra[i + 1])
 
 
 def main(argv=None) -> int:
@@ -689,21 +685,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.needs_config:
-            cfg = parse_config(args.config)
-            try:
-                _apply_overrides(cfg, extra)
-            except (ParseError, DataError) as exc:
-                parser.print_usage(sys.stderr)
-                log.error("bad override: %s", exc)
-                return EXIT_USAGE
+        cfg = parse_config(args.config) if args.needs_config else None
+        try:
+            _apply_overrides(cfg, extra)
+        except (ParseError, DataError) as exc:
+            parser.print_usage(sys.stderr)
+            log.error("%s", exc)
+            return EXIT_USAGE
+        if cfg is not None:
             cfg.check()
-        else:
-            cfg = None
-            if extra:
-                parser.print_usage(sys.stderr)
-                log.error("unrecognized arguments: %s", " ".join(extra))
-                return EXIT_USAGE
         return args.func(args, cfg)
     except NumericalError as exc:
         log.error("%s", exc)

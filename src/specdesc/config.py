@@ -10,6 +10,7 @@ files.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -194,12 +195,20 @@ def parse_config_text(text: str, base_dir: Path = Path(".")) -> PipelineConfig:
     return PipelineConfig(values=values, base_dir=Path(base_dir))
 
 
+def _utf8_text(p: Path) -> str:
+    try:
+        return p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def parse_config(path) -> PipelineConfig:
     p = Path(path)
     if not p.is_file():
         raise DataError(f"config file not found: {p}")
+    text = _utf8_text(p)
     try:
-        return parse_config_text(p.read_text(), base_dir=p.parent)
+        return parse_config_text(text, base_dir=p.parent)
     except ParseError as exc:
         raise ParseError(f"{p}: {exc}") from exc
 
@@ -237,17 +246,14 @@ def read_manifest(path) -> list[ManifestEntry]:
     if not p.is_file():
         raise DataError(f"manifest not found: {p}")
     entries: list[ManifestEntry] = []
-    with open(p, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != MANIFEST_FIELDS:
-            raise ParseError(
-                f"{p}: manifest header must be {','.join(MANIFEST_FIELDS)}"
-            )
-        for row in reader:
-            entry = ManifestEntry(**{k: (row[k] or "").strip() for k in MANIFEST_FIELDS})
-            if entry.split not in VALID_SPLITS:
-                raise ParseError(f"{p}: shape {entry.shape_id}: bad split {entry.split!r}")
-            entries.append(entry)
+    reader = csv.DictReader(io.StringIO(_utf8_text(p), newline=""))
+    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != MANIFEST_FIELDS:
+        raise ParseError(f"{p}: manifest header must be {','.join(MANIFEST_FIELDS)}")
+    for row in reader:
+        entry = ManifestEntry(**{k: (row[k] or "").strip() for k in MANIFEST_FIELDS})
+        if entry.split not in VALID_SPLITS:
+            raise ParseError(f"{p}: shape {entry.shape_id}: bad split {entry.split!r}")
+        entries.append(entry)
     if not entries:
         raise DataError(f"{p}: manifest lists no shapes")
     ids = [e.shape_id for e in entries]

@@ -1,5 +1,6 @@
 """File formats shared across the package: the binary container of the
-spectrum cache and the descriptor files, and the writer of every text table."""
+spectrum cache and the descriptor files, the writer of every text table and
+the maker of every output directory."""
 
 import struct
 from pathlib import Path
@@ -35,7 +36,21 @@ class Container:
         """`count` float64 values from `offset` to the very end of the file."""
         if len(raw) != offset + 8 * count:
             raise DataError(f"{path}: truncated {self.what} file")
-        return np.frombuffer(raw, "<f8", count, offset).copy()
+        values = np.frombuffer(raw, "<f8", count, offset).copy()
+        if not np.isfinite(values).all():
+            raise DataError(f"{path}: {self.what} file holds non-finite values")
+        return values
+
+
+def make_dir(path) -> Path:
+    """`path` as a directory, made with its parents when missing; a path
+    that cannot be one, such as an existing file, is a DataError naming it."""
+    p = Path(path)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{p}: cannot create directory: {exc.strerror}") from exc
+    return p
 
 
 def write_table(path, head, rows=(), sep: str = ",") -> None:

@@ -60,8 +60,8 @@ class FrequencyBasis:
     def __post_init__(self):
         if self.m < 4:
             raise DataError("cubic B-spline basis needs m >= 4")
-        if not self.nu_max > 0:
-            raise DataError("nu_max must be positive")
+        if not 0.0 < self.nu_max < np.inf:
+            raise DataError(f"nu_max={self.nu_max} must be positive and finite")
 
     @cached_property
     def knots(self) -> np.ndarray:
@@ -286,18 +286,18 @@ def load_response_model(path) -> ResponseModel:
         raise DataError(f"response model not found: {p}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{p}: not a valid model file: {exc}") from exc
     try:
         if doc["format_version"] != _MODEL_VERSION:
-            raise DataError(f"{p}: unsupported model version {doc['format_version']}")
+            raise DataError(f"unsupported model version {doc['format_version']}")
         if doc["basis"]["kind"] != FrequencyBasis.kind:
-            raise DataError(f"{p}: unsupported basis kind {doc['basis']['kind']!r}")
+            raise DataError(f"unsupported basis kind {doc['basis']['kind']!r}")
         basis = FrequencyBasis(nu_max=float(doc["basis"]["nu_max"]),
                                m=int(doc["basis"]["m"]))
         coef = np.asarray(doc["coefficients"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{p}: malformed model file") from exc
+        raise DataError(f"{p}: malformed model file: {exc}") from exc
     return ResponseModel(basis=basis, coefficients=coef)
 
 

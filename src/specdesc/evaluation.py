@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .container import write_table
+from .container import make_dir, write_table
 from .errors import DataError
 from .mesh import TriangleMesh, geodesic_distance_fields, save_coff
 
@@ -242,9 +242,8 @@ def emit_report(
     """Write CSVs (and SVG plots / vertex-colored OFFs) for every curve, map
     and table; returns the manifest, which is also written to manifest.txt.
     Deterministic: identical inputs produce byte-identical CSV files."""
-    out = Path(out_dir)
+    out = make_dir(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         written: list[str] = []
         for i, curve in enumerate(roc_curves):
             name = f"roc_{i:03d}"

@@ -346,8 +346,6 @@ def load_spectrum(path, mesh_hash: str) -> Spectrum:
     if mode_idx >= len(MASS_MODES):
         raise DataError(f"{path}: unknown mass mode tag {mode_idx}")
     flat = _CACHE.floats(raw, _CACHE.size, s + nv * s, path)
-    if not np.isfinite(flat).all():
-        raise DataError(f"{path}: cached spectrum holds non-finite values")
     if (np.diff(flat[:s]) < 0).any():
         raise DataError(f"{path}: cached eigenvalues are not in ascending order")
     return Spectrum(

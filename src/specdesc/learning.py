@@ -12,9 +12,11 @@ the inverse square root of the geometry-vector second moment and keeping the
 eigenvectors with negative eigenvalues of the weighted covariance
 difference. Raw second moments (no mean subtraction) are used throughout:
 the objective is the expected squared pair distance, which is exactly a
-trace of the uncentered moment. Moments and held-out distances are summed
-over fixed-size blocks of triplets, gathered from the sampled indices one
-block at a time.
+trace of the uncentered moment. A split's per-shape vectors are stacked
+once into one row space that the sampled triplets index. Each distinct
+positive pair, negative pair and row is summed once, weighted by how many
+triplets use it; held-out distances are taken between stacked rows, mapped
+once through the coefficients, in fixed-size blocks of triplets.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ TAG_LOCALIZATION, TAG_INVARIANCE, TAG_DISCRIMINATIVITY = 0, 1, 2
 
 MAX_REF_RESAMPLES = 25
 
-# triplets whose vectors are gathered at a time by the moment accumulator and
-# the sweep: their working memory is a few TRIPLET_CHUNK x m float64 arrays
-# (3.3 MB each at m = 100), whatever the number of sampled triplets
+# distinct pairs or rows summed at a time by the moment accumulator, and
+# triplets whose distances are taken at a time: their working memory is a few
+# TRIPLET_CHUNK x m float64 arrays (3.3 MB each at m = 100)
 TRIPLET_CHUNK = 4096
 ROLES = ("anchor", "positive", "negative")
 
@@ -84,10 +86,7 @@ class PairIndices:
         return len(self.tags)
 
     def tag_counts(self) -> dict[str, int]:
-        return {
-            name: int((self.tags == code).sum())
-            for code, name in enumerate(TAG_NAMES)
-        }
+        return {name: int((self.tags == code).sum()) for code, name in enumerate(TAG_NAMES)}
 
     def describe_triplet(self, i: int) -> str:
         return (
@@ -98,45 +97,38 @@ class PairIndices:
         )
 
 
-def _gather_rows(per_shape_values, shape_idx, vertex_idx, out) -> np.ndarray:
-    """The rows the (shape, vertex) index pairs point to, written into the
-    first len(shape_idx) rows of `out`."""
-    out = out[: len(shape_idx)]
-    for s in np.unique(shape_idx):
-        mask = shape_idx == s
-        out[mask] = per_shape_values[s][vertex_idx[mask]]
-    return out
-
-
-def _triplet_blocks(pairs: PairIndices, per_shape_values):
-    """Vector dimension and an iterator of (start, anchors, positives,
-    negatives) over consecutive blocks of at most TRIPLET_CHUNK triplets,
-    gathered from `per_shape_values` (one (V, m) array per shape, aligned with
-    shape_ids) one block at a time into three reused buffers: a block is valid
-    only until the next one is drawn, and no triplet-sized vector array is
-    ever built."""
+def _stacked(pairs: PairIndices, per_shape_values):
+    """The split's per-shape (V, m) vectors, aligned with shape_ids, stacked
+    once into one (sum V, m) array, and the global row ids of the anchors,
+    positives and negatives in it (in the order of ROLES): the shape's row
+    offset plus the vertex."""
     for sid, values in zip(pairs.shape_ids, per_shape_values):
         if values is None:
             raise DataError(f"shape {sid}: missing per-vertex vectors")
-    dims = {v.shape[1] for v in per_shape_values}
-    if len(dims) != 1:
+    if len({v.shape[1] for v in per_shape_values}) != 1:
         raise DataError("per-shape vector dimensions differ")
-    m = dims.pop()
-    buffers = np.empty((3, min(len(pairs), TRIPLET_CHUNK), m))
-    roles = ((pairs.anchor_shape, pairs.anchor_vertex), (pairs.pos_shape, pairs.pos_vertex),
-             (pairs.neg_shape, pairs.neg_vertex))  # in the order of ROLES
+    offsets = np.cumsum([0, *map(len, per_shape_values)])
+    rows = tuple(offsets[shapes] + vertices for shapes, vertices in (
+        (pairs.anchor_shape, pairs.anchor_vertex), (pairs.pos_shape, pairs.pos_vertex),
+        (pairs.neg_shape, pairs.neg_vertex)))
+    return np.concatenate(per_shape_values), rows
 
-    def take(rows):
-        return tuple(
-            _gather_rows(per_shape_values, shapes[rows], vertices[rows], out)
-            for out, (shapes, vertices) in zip(buffers, roles)
-        )
 
-    blocks = (
-        (start, *take(slice(start, start + TRIPLET_CHUNK)))
-        for start in range(0, len(pairs), TRIPLET_CHUNK)
-    )
-    return m, blocks
+def _moment(values: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum over k of e_k e_k^T, where e_k is row a[k] of `values`, or row a[k]
+    minus row b[k]. Each distinct row or (a, b) pair is taken once, weighted
+    by its count, TRIPLET_CHUNK of them at a time; rows that no entry names
+    are never read."""
+    n_rows = len(values)
+    keys, counts = np.unique(a if b is None else a * n_rows + b, return_counts=True)
+    total = np.zeros((values.shape[1],) * 2)
+    for start in range(0, len(keys), TRIPLET_CHUNK):
+        key, count = keys[start:start + TRIPLET_CHUNK], counts[start:start + TRIPLET_CHUNK]
+        e = values[key if b is None else key // n_rows]
+        if b is not None:
+            e -= values[key % n_rows]
+        total += (e.T * count) @ e
+    return 0.5 * (total + total.T)
 
 
 def _ball_masks(sample: ShapeSample, ref: int, r: float, big_r: float):
@@ -333,45 +325,29 @@ def estimate_covariances(
     moment uses every sampled vector (anchors, positives and negatives) and
     gets `ridge * trace/m` added to its diagonal.
 
-    Takes sampled indices plus the per-shape (V, m) vectors they index, and
-    sums over blocks of TRIPLET_CHUNK triplets, so the memory used is
-    O(m^2 + TRIPLET_CHUNK * m) beyond the index arrays.
+    Takes sampled indices plus the per-shape (V, m) vectors they index. The
+    vectors are stacked once; each distinct row, positive pair and negative
+    pair is summed once, weighted by how often the triplets use it, so the
+    memory used is O(sum V * m + m^2) beyond the index arrays.
     """
-    m, blocks = _triplet_blocks(pairs, per_shape_values)
-    cov_pos, cov_neg, cov_g = np.zeros((m, m)), np.zeros((m, m)), np.zeros((m, m))
-    diff = np.empty((min(len(pairs), TRIPLET_CHUNK), m))
-    first_bad: dict[str, int] = {}
-    for start, *vectors in blocks:
-        for role, block in zip(ROLES, vectors):
-            finite = np.isfinite(block).all(axis=1)
-            if role not in first_bad and not finite.all():
-                first_bad[role] = start + int(np.flatnonzero(~finite)[0])
-            cov_g += block.T @ block
-        anchors, positives, negatives = vectors
-        e = np.subtract(anchors, positives, out=diff[: len(anchors)])
-        cov_pos += e.T @ e
-        np.subtract(anchors, negatives, out=e)
-        cov_neg += e.T @ e
+    values, rows = _stacked(pairs, per_shape_values)
+    m = values.shape[1]
+    bad = ~np.isfinite(values).all(axis=1)
     # every anchor is checked before any positive, as a whole-array scan would
-    for role in ROLES:
-        if role in first_bad:
-            triplet = pairs.describe_triplet(first_bad[role])
-            raise DataError(f"non-finite {role} vector in {triplet}")
+    for role, role_rows in zip(ROLES, rows):
+        hit = np.flatnonzero(bad[role_rows])
+        if hit.size:
+            raise DataError(f"non-finite {role} vector in {pairs.describe_triplet(hit[0])}")
     n = len(pairs)
-    n_sampled = 3 * n
-    if n_sampled < m + 1:
-        raise DataError(
-            f"need at least {m + 1} sampled vectors to estimate an {m}x{m} "
-            f"moment, got {n_sampled}; add data or raise the ridge"
-        )
-    cov_pos /= n
-    cov_neg /= n
-    cov_g /= n_sampled
-    cov_g = cov_g + (ridge * np.trace(cov_g) / m) * np.eye(m)
+    if 3 * n < m + 1:
+        raise DataError(f"need at least {m + 1} sampled vectors to estimate an {m}x{m} "
+                        f"moment, got {3 * n}; add data or raise the ridge")
+    anchors, positives, negatives = rows
+    cov_g = _moment(values, np.concatenate(rows)) / (3 * n)
     return CovarianceStats(
-        cov_pos=0.5 * (cov_pos + cov_pos.T),
-        cov_neg=0.5 * (cov_neg + cov_neg.T),
-        cov_g=0.5 * (cov_g + cov_g.T),
+        cov_pos=_moment(values, anchors, positives) / n,
+        cov_neg=_moment(values, anchors, negatives) / n,
+        cov_g=cov_g + (ridge * np.trace(cov_g) / m) * np.eye(m),
         ridge=ridge,
     )
 
@@ -428,25 +404,30 @@ class AlphaSweepEntry(NamedTuple):
     achieved_n: int
 
 
+def _row_distances(values: np.ndarray, rows):
+    """Anchor-positive and anchor-negative distances between the rows of
+    `values` that the row ids name, TRIPLET_CHUNK triplets at a time."""
+    anchors, positives, negatives = rows
+    d_pos, d_neg = np.empty(len(anchors)), np.empty(len(anchors))
+    for start in range(0, len(anchors), TRIPLET_CHUNK):
+        chunk = slice(start, start + TRIPLET_CHUNK)
+        a = values[anchors[chunk]]
+        d_pos[chunk] = np.linalg.norm(a - values[positives[chunk]], axis=1)
+        d_neg[chunk] = np.linalg.norm(a - values[negatives[chunk]], axis=1)
+    return d_pos, d_neg
+
+
 def pair_distances(
     pairs: PairIndices,
     per_shape_values: Sequence[np.ndarray],
     coefficients: Optional[np.ndarray] = None,
 ):
     """Distances of the positive and negative pairs, from sampled indices
-    plus the per-shape vectors they index, computed one block of triplets at
-    a time: between the vectors mapped through `coefficients` (n x m), or
-    between the vectors themselves when it is None."""
-    _, blocks = _triplet_blocks(pairs, per_shape_values)
-    d_pos, d_neg = np.empty(len(pairs)), np.empty(len(pairs))
-    for start, anchors, positives, negatives in blocks:
-        rows = slice(start, start + len(anchors))
-        e_pos, e_neg = anchors - positives, anchors - negatives
-        if coefficients is not None:
-            e_pos, e_neg = e_pos @ coefficients.T, e_neg @ coefficients.T
-        d_pos[rows] = np.linalg.norm(e_pos, axis=1)
-        d_neg[rows] = np.linalg.norm(e_neg, axis=1)
-    return d_pos, d_neg
+    plus the per-shape vectors they index: between the stacked rows mapped
+    once through `coefficients` (n x m), or between the rows themselves when
+    it is None."""
+    values, rows = _stacked(pairs, per_shape_values)
+    return _row_distances(values if coefficients is None else values @ coefficients.T, rows)
 
 
 def sweep_alpha(
@@ -459,7 +440,8 @@ def sweep_alpha(
     work_point: float = 0.01,
 ) -> tuple[float, list[AlphaSweepEntry]]:
     """Train once per alpha and score each model on held-out pairs: sampled
-    indices plus the per-shape vectors they index, never gathered whole.
+    indices plus the per-shape vectors they index, stacked once for the
+    whole sweep.
 
     Sensitivity mode minimizes the false negative rate at a fixed false
     positive work point; specificity mode minimizes the false positive rate
@@ -471,6 +453,7 @@ def sweep_alpha(
     if not alphas:
         raise DataError("alpha grid is empty")
 
+    values, rows = _stacked(eval_pairs, eval_values)
     table: list[AlphaSweepEntry] = []
     for alpha in alphas:
         try:
@@ -478,23 +461,19 @@ def sweep_alpha(
         except NumericalError:
             table.append(AlphaSweepEntry(alpha, np.nan, np.nan, 0))
             continue
-        # one pass over the held-out blocks per alpha keeps a single alpha's
-        # distances in memory
-        d_pos, d_neg = pair_distances(eval_pairs, eval_values, coef)
+        # one projection of the held-out rows per alpha keeps a single
+        # alpha's distances in memory
+        d_pos, d_neg = _row_distances(values @ coef.T, rows)
         if max(d_pos.max(), d_neg.max()) - min(d_pos.min(), d_neg.min()) == 0.0:
-            raise NumericalError(
-                f"degenerate distance distribution at alpha={alpha}: all pair "
-                f"distances equal"
-            )
+            raise NumericalError(f"degenerate distance distribution at alpha={alpha}: "
+                                 "all pair distances equal")
         curve = roc(d_pos, d_neg)
         fn_at_fp = 1.0 - rate_at(curve, "FP", work_point)
         fp_at_fn = rate_at(curve, "FN", work_point)
         table.append(AlphaSweepEntry(alpha, fn_at_fp, fp_at_fn, len(coef)))
 
-    scores = [
-        entry.fn_at_fixed_fp if mode == "sensitivity" else entry.fp_at_fixed_fn
-        for entry in table
-    ]
+    score = "fn_at_fixed_fp" if mode == "sensitivity" else "fp_at_fixed_fn"
+    scores = [getattr(entry, score) for entry in table]
     if np.all(np.isnan(scores)):
         raise NumericalError("every alpha in the sweep failed to train")
     best = alphas[int(np.nanargmin(scores))]

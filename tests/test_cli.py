@@ -755,10 +755,20 @@ def _non_utf8_family(desc):
     return path, "hks", "descriptor family name is not UTF-8"
 
 
+def _nan_value(desc):
+    path = desc / "torus.hks.dsc"
+    field = load_descriptor_binary(path)
+    values = field.values.copy()
+    values[-1, 0] = np.nan
+    save_descriptor_binary(DescriptorField(values, field.family), path)
+    return path, "hks", "descriptor file holds non-finite values"
+
+
 BAD_DESCRIPTOR_FILES = {
     "dropped_column": _drop_column,
     "other_family": _other_family,
     "non_utf8_family": _non_utf8_family,
+    "nan_value": _nan_value,
 }
 
 
@@ -816,13 +826,76 @@ def test_match_count_below_one_is_usage_error(mini_pipeline, tmp_path, capsys, o
     assert not (tmp_path / "matches.csv").exists()
 
 
-def test_match_takes_one_family(mini_pipeline, tmp_path):
+def test_match_takes_one_family(mini_pipeline, tmp_path, caplog):
     desc = mini_pipeline / "desc"
-    assert run(["match", "--config", mini_pipeline / "config.cfg",
-                "--descriptors", f"hks={desc}", f"wks={desc}",
-                "--source", "multisphere", "--target", "multisphere_jitter_1",
-                "--out", tmp_path]) == 2
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        assert run(["match", "--config", mini_pipeline / "config.cfg",
+                    "--descriptors", f"hks={desc}", f"wks={desc}",
+                    "--source", "multisphere", "--target", "multisphere_jitter_1",
+                    "--out", tmp_path]) == 2
     assert not (tmp_path / "matches.csv").exists()
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"unrecognized arguments: wks={desc}"]
+
+
+def test_override_without_value_is_usage_error(mini_corpus, caplog):
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        assert run(["spectrum", "--config", mini_corpus / "config.cfg", "--s"]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == ["bad override: --s has no value"]
+
+
+# argv after "--config CONFIG"; {file} is an existing file, {desc} the
+# descriptor directory
+FILE_AS_DIRECTORY = {
+    "describe": ["--family", "hks", "--out", "{file}"],
+    "train": ["--out", "{file}"],
+    "sweep-alpha": ["--out", "{file}"],
+    "eval": ["--descriptors", "hks={desc}", "--out", "{file}"],
+    "match": ["--descriptors", "hks={desc}", "--source", "multisphere",
+              "--target", "multisphere_jitter_1", "--out", "{file}"],
+    "spectrum": ["--spectrum-cache", "{file}"],
+}
+
+
+@pytest.mark.parametrize("command", list(FILE_AS_DIRECTORY))
+def test_output_directory_that_is_a_file_is_data_error(mini_pipeline, tmp_path, caplog,
+                                                       command):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    args = [a.format(file=taken, desc=mini_pipeline / "desc")
+            for a in FILE_AS_DIRECTORY[command]]
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run([command, "--config", mini_pipeline / "config.cfg", *args])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"{taken}: cannot create directory: File exists"]
+    assert taken.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("name", ["config.cfg", "corpus/manifest.csv"])
+def test_non_utf8_config_or_manifest_is_parse_error(pipeline_copy, caplog, name):
+    path = pipeline_copy / name
+    path.write_bytes(path.read_bytes() + "# caf\xe9\n".encode("latin-1"))
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["spectrum", "--config", pipeline_copy / "config.cfg"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and errors[0].startswith(f"{path}: not UTF-8 text")
+
+
+def test_model_with_infinite_nu_max_is_data_error(mini_pipeline, tmp_path, caplog):
+    doc = json.loads((mini_pipeline / "train" / "model.json").read_text())
+    doc["basis"]["nu_max"] = float("inf")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert '"nu_max": Infinity' in model.read_text()
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["describe", "--config", mini_pipeline / "config.cfg", "--family", "learned",
+                    "--model", model, "--out", tmp_path / "desc"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"{model}: malformed model file: nu_max=inf must be positive and finite"]
 
 
 def test_match_command(mini_pipeline):

@@ -66,6 +66,12 @@ def test_basis_support_bound(sphere_basis):
     assert np.abs(sphere_basis.evaluate(probe)).max() == 0.0
 
 
+@pytest.mark.parametrize("nu_max", [0.0, -1.0, np.inf, np.nan])
+def test_basis_cutoff_must_be_positive_and_finite(nu_max):
+    with pytest.raises(DataError, match="must be positive and finite"):
+        FrequencyBasis(nu_max=nu_max, m=10)
+
+
 @pytest.mark.parametrize("nu_max, m", [(118.0, 30), (1.0, 4), (57.3, 12), (1000.0, 50), (3.7, 7)])
 def test_basis_equals_scipy_design_matrix(nu_max, m):
     from scipy.interpolate import BSpline

@@ -354,14 +354,11 @@ def random_indices(n, shape_sizes, rng):
     )
 
 
-@pytest.mark.parametrize("n", [TRIPLET_CHUNK - 5, TRIPLET_CHUNK, 2 * TRIPLET_CHUNK + 1])
-def test_streamed_moments_match_whole_array_moments(n):
-    rng = np.random.default_rng(20)
-    values = [rng.standard_normal((size, 6)) for size in (40, 55, 70)]
-    indices = random_indices(n, [40, 55, 70], rng)
-    streamed = estimate_covariances(indices, values, ridge=1e-3)
+def assert_per_triplet_moments(stats, indices, values, ridge):
+    """`stats` equal the whole-array per-triplet formulas, one outer product
+    per triplet and role, to 1e-12 relative, and are exactly symmetric."""
+    n, m = len(indices), values[0].shape[1]
     anchors, positives, negatives = triplet_vectors(indices, values)
-    # the whole-array formulas the block sums replace
     e_pos = anchors - positives
     e_neg = anchors - negatives
     stacked = np.vstack([anchors, positives, negatives])
@@ -369,12 +366,54 @@ def test_streamed_moments_match_whole_array_moments(n):
     reference = {
         "cov_pos": e_pos.T @ e_pos / n,
         "cov_neg": e_neg.T @ e_neg / n,
-        "cov_g": cov_g + 1e-3 * np.trace(cov_g) / 6 * np.eye(6),
+        "cov_g": cov_g + ridge * np.trace(cov_g) / m * np.eye(m),
     }
     for name, expected in reference.items():
-        got = getattr(streamed, name)
+        got = getattr(stats, name)
         assert np.array_equal(got, got.T)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [TRIPLET_CHUNK - 5, TRIPLET_CHUNK, 2 * TRIPLET_CHUNK + 1])
+def test_streamed_moments_match_whole_array_moments(n):
+    rng = np.random.default_rng(20)
+    values = [rng.standard_normal((size, 6)) for size in (40, 55, 70)]
+    indices = random_indices(n, [40, 55, 70], rng)
+    streamed = estimate_covariances(indices, values, ridge=1e-3)
+    assert_per_triplet_moments(streamed, indices, values, ridge=1e-3)
+
+
+def test_repeated_pairs_match_per_triplet_moments():
+    # 12 distinct (anchor, positive) pairs, each shared by about 1,000
+    # triplets, as the sampler's cycling of positives against negatives gives
+    rng = np.random.default_rng(24)
+    values = [rng.standard_normal((size, 7)) for size in (30, 45)]
+    n = 3 * TRIPLET_CHUNK + 11
+    indices = random_indices(n, [30, 45], rng)
+    pick = rng.integers(12, size=n)
+    for name in ("anchor_shape", "anchor_vertex", "pos_shape", "pos_vertex"):
+        role = getattr(indices, name)
+        role[:] = role[:12][pick]
+    pairs = set(zip(indices.anchor_shape, indices.anchor_vertex,
+                    indices.pos_shape, indices.pos_vertex))
+    assert len(pairs) <= 12
+    stats = estimate_covariances(indices, values, ridge=1e-3)
+    assert_per_triplet_moments(stats, indices, values, ridge=1e-3)
+
+
+def test_unused_non_finite_row_leaves_moments_unchanged():
+    rng = np.random.default_rng(25)
+    values = [rng.standard_normal((size, 5)) for size in (41, 50)]
+    # random_indices draws vertices of shape 0 below 40: row 40 is never used,
+    # and shape 1's rows come after it in the stacked row space
+    indices = random_indices(600, [40, 50], rng)
+    finite = estimate_covariances(indices, values)
+    for bad in (np.nan, np.inf):
+        values[0][40] = bad
+        stats = estimate_covariances(indices, values)
+        for name in ("cov_pos", "cov_neg", "cov_g"):
+            assert np.isfinite(getattr(stats, name)).all()
+            assert np.array_equal(getattr(stats, name), getattr(finite, name))
 
 
 @pytest.mark.parametrize("n", [TRIPLET_CHUNK - 1, TRIPLET_CHUNK, TRIPLET_CHUNK + 1])
