@@ -327,10 +327,7 @@ def _train_model(ws: Workspace):
     basis = _training_basis(ws)
 
     def vectors(entry: ManifestEntry) -> np.ndarray:
-        gvecs = ws.geometry_vectors(entry, basis)
-        if gvecs.shape[0] != ws.mesh(entry).n_vertices:
-            raise DataError(f"shape {entry.shape_id}: geometry vectors have wrong shape")
-        return gvecs
+        return ws.geometry_vectors(entry, basis)
 
     train_pairs, train_gvecs = _sample_split(ws, ws.by_split("train", "train_neg"), "train", "",
                                              vectors)

@@ -53,15 +53,15 @@ def roc(distances_pos, distances_neg) -> RocCurve:
     if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
         raise DataError("distances must be finite")
     sweep = np.unique(np.concatenate([pos, neg]))
-    tp = np.searchsorted(pos, sweep, side="right") / pos.size
-    fp = np.searchsorted(neg, sweep, side="right") / neg.size
-    thresholds = np.concatenate([[-np.inf], sweep])
-    fp = np.concatenate([[0.0], fp])
-    tp = np.concatenate([[0.0], tp])
-    auc = float(np.trapezoid(tp, fp))
+    tp = np.concatenate([[0], np.searchsorted(pos, sweep, side="right")])
+    fp = np.concatenate([[0], np.searchsorted(neg, sweep, side="right")])
+    # twice the area in whole counts, divided once: the AUC depends only on
+    # the ranking and is correctly rounded
+    twice_area = int((np.diff(fp) * (tp[:-1] + tp[1:])).sum())
     return RocCurve(
-        thresholds=thresholds, fp_rate=fp, tp_rate=tp,
-        n_pos=int(pos.size), n_neg=int(neg.size), auc=auc,
+        thresholds=np.concatenate([[-np.inf], sweep]), fp_rate=fp / neg.size,
+        tp_rate=tp / pos.size, n_pos=int(pos.size), n_neg=int(neg.size),
+        auc=twice_area / (2 * pos.size * neg.size),
     )
 
 

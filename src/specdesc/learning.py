@@ -12,11 +12,12 @@ the inverse square root of the geometry-vector second moment and keeping the
 eigenvectors with negative eigenvalues of the weighted covariance
 difference. Raw second moments (no mean subtraction) are used throughout:
 the objective is the expected squared pair distance, which is exactly a
-trace of the uncentered moment. A split's per-shape vectors are stacked
-once into one row space that the sampled triplets index. Each distinct
-positive pair, negative pair and row is summed once, weighted by how many
-triplets use it; held-out distances are taken between stacked rows, mapped
-once through the coefficients, in fixed-size blocks of triplets.
+trace of the uncentered moment. The sampler writes each triplet as three
+row ids of its split's row space, in which the per-shape vectors are
+stacked once, shape after shape. Each distinct positive pair, negative pair
+and row is summed once, weighted by how many triplets use it; held-out
+distances are taken between stacked rows, mapped once through the
+coefficients, in fixed-size blocks of triplets.
 """
 
 from __future__ import annotations
@@ -71,16 +72,13 @@ class ShapeSample:
 
 @dataclass
 class PairIndices:
-    """Sampled triplet provenance without the vectors."""
+    """Sampled triplets as rows of the split's stacked row space: shape k of
+    shape_ids owns rows offsets[k] to offsets[k + 1] - 1, one per vertex."""
 
     tags: np.ndarray  # (N,) uint8
     shape_ids: list[str]
-    anchor_shape: np.ndarray  # (N,) int32 indices into shape_ids
-    pos_shape: np.ndarray
-    neg_shape: np.ndarray
-    anchor_vertex: np.ndarray
-    pos_vertex: np.ndarray
-    neg_vertex: np.ndarray
+    offsets: np.ndarray  # (S + 1,) int64
+    rows: np.ndarray  # (3, N) int32 anchor, positive and negative rows, in the order of ROLES
 
     def __len__(self) -> int:
         return len(self.tags)
@@ -89,29 +87,23 @@ class PairIndices:
         return {name: int((self.tags == code).sum()) for code, name in enumerate(TAG_NAMES)}
 
     def describe_triplet(self, i: int) -> str:
-        return (
-            f"triplet {i} [{TAG_NAMES[self.tags[i]]}] "
-            f"{self.shape_ids[self.anchor_shape[i]]}:{self.anchor_vertex[i]} / "
-            f"{self.shape_ids[self.pos_shape[i]]}:{self.pos_vertex[i]} / "
-            f"{self.shape_ids[self.neg_shape[i]]}:{self.neg_vertex[i]}"
-        )
+        rows = self.rows[:, i]
+        shapes = np.searchsorted(self.offsets, rows, side="right") - 1
+        return f"triplet {i} [{TAG_NAMES[self.tags[i]]}] " + " / ".join(
+            f"{self.shape_ids[k]}:{row - self.offsets[k]}" for k, row in zip(shapes, rows))
 
 
-def _stacked(pairs: PairIndices, per_shape_values):
+def _stacked(pairs: PairIndices, per_shape_values) -> np.ndarray:
     """The split's per-shape (V, m) vectors, aligned with shape_ids, stacked
-    once into one (sum V, m) array, and the global row ids of the anchors,
-    positives and negatives in it (in the order of ROLES): the shape's row
-    offset plus the vertex."""
-    for sid, values in zip(pairs.shape_ids, per_shape_values):
+    once into the (sum V, m) array that the triplet rows index."""
+    for sid, values, size in zip(pairs.shape_ids, per_shape_values, np.diff(pairs.offsets)):
         if values is None:
             raise DataError(f"shape {sid}: missing per-vertex vectors")
+        if len(values) != size:
+            raise DataError(f"shape {sid}: {len(values)} vector rows for {size} vertices")
     if len({v.shape[1] for v in per_shape_values}) != 1:
         raise DataError("per-shape vector dimensions differ")
-    offsets = np.cumsum([0, *map(len, per_shape_values)])
-    rows = tuple(offsets[shapes] + vertices for shapes, vertices in (
-        (pairs.anchor_shape, pairs.anchor_vertex), (pairs.pos_shape, pairs.pos_vertex),
-        (pairs.neg_shape, pairs.neg_vertex)))
-    return np.concatenate(per_shape_values), rows
+    return np.concatenate(per_shape_values)
 
 
 def _moment(values: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
@@ -120,7 +112,9 @@ def _moment(values: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None) -
     by its count, TRIPLET_CHUNK of them at a time; rows that no entry names
     are never read."""
     n_rows = len(values)
-    keys, counts = np.unique(a if b is None else a * n_rows + b, return_counts=True)
+    # int64 pair keys: an int32 product wraps once n_rows exceeds 46,340
+    keys, counts = np.unique(a if b is None else a.astype(np.int64) * n_rows + b,
+                             return_counts=True)
     total = np.zeros((values.shape[1],) * 2)
     for start in range(0, len(keys), TRIPLET_CHUNK):
         key, count = keys[start:start + TRIPLET_CHUNK], counts[start:start + TRIPLET_CHUNK]
@@ -158,7 +152,8 @@ def sample_pair_indices(
     cross_negatives_per_ref: int = 0,
     diameter_samples: int = 32,
 ) -> PairIndices:
-    """Sample triplet (anchor, positive, negative) indices over a collection.
+    """Sample triplets (anchor, positive, negative) over a collection, as
+    rows of its stacked row space: vertex v of shape k is row offsets[k] + v.
 
     Per reference point: `positives_per_ref` ball positives (plus the
     corresponding point on the mapped shape when a correspondence exists),
@@ -188,14 +183,13 @@ def sample_pair_indices(
     if cross_negatives_per_ref > 0 and len({sh.class_label for sh in shapes}) < 2:
         raise DataError("cross-class negatives requested but only one class present")
 
-    # every reference yields the same number of triplets, written in place;
-    # index rows: anchor shape, anchor vertex, positive shape, positive
-    # vertex, negative shape, negative vertex
+    # every reference yields the same number of triplets, written in place
+    offsets = np.cumsum([0, *(sh.mesh.n_vertices for sh in shapes)], dtype=np.int64)
     n_geo = negatives_per_ref
     per_ref = negatives_per_ref + cross_negatives_per_ref
     n_total = per_ref * refs_per_shape * sum(1 for sh in shapes if sh.sample_refs)
     tags = np.empty(n_total, dtype=np.uint8)
-    index = np.empty((6, n_total), dtype=np.int32)
+    rows = np.empty((3, n_total), dtype=np.int32)
     start = 0
     for si, sh in enumerate(shapes):
         if not sh.sample_refs:
@@ -244,53 +238,34 @@ def sample_pair_indices(
                     f"{big_r:.4g}"
                 )
 
-            pos_vertex = rng.choice(pos_idx, size=positives_per_ref, replace=True)
-            pos_shape = np.full(positives_per_ref, si)
+            pos_rows = offsets[si] + rng.choice(pos_idx, size=positives_per_ref, replace=True)
             pos_tag = np.full(positives_per_ref, TAG_LOCALIZATION)
             if corr is not None and corr_shape >= 0:
                 mapped = int(corr[ref])
                 if mapped >= 0:
-                    pos_vertex = np.append(pos_vertex, mapped)
-                    pos_shape = np.append(pos_shape, corr_shape)
+                    pos_rows = np.append(pos_rows, offsets[corr_shape] + mapped)
                     pos_tag = np.append(pos_tag, TAG_INVARIANCE)
 
-            geo_negs = rng.choice(far_idx, size=negatives_per_ref, replace=True)
-            cross_shape = np.empty(cross_negatives_per_ref, dtype=np.int64)
-            cross_vertex = np.empty(cross_negatives_per_ref, dtype=np.int64)
-            for i in range(cross_negatives_per_ref):
+            block = rows[:, start:start + per_ref]
+            block[2, :n_geo] = offsets[si] + rng.choice(far_idx, size=negatives_per_ref,
+                                                        replace=True)
+            for i in range(n_geo, per_ref):
                 tj = int(cross_pool[int(rng.integers(len(cross_pool)))])
-                cross_shape[i] = tj
-                cross_vertex[i] = int(rng.integers(shapes[tj].mesh.n_vertices))
+                block[2, i] = offsets[tj] + int(rng.integers(shapes[tj].mesh.n_vertices))
 
             # positives are cycled against the geometric negatives, then again
             # from the first one against the cross negatives
             cycle = np.concatenate([np.arange(negatives_per_ref),
-                                    np.arange(cross_negatives_per_ref)]) % len(pos_vertex)
-            block = index[:, start:start + per_ref]
-            block[0] = si
-            block[1] = ref
-            block[2] = pos_shape[cycle]
-            block[3] = pos_vertex[cycle]
-            block[4, :n_geo] = si
-            block[4, n_geo:] = cross_shape
-            block[5, :n_geo] = geo_negs
-            block[5, n_geo:] = cross_vertex
+                                    np.arange(cross_negatives_per_ref)]) % len(pos_rows)
+            block[0] = offsets[si] + ref
+            block[1] = pos_rows[cycle]
             tags[start:start + n_geo] = pos_tag[cycle[:n_geo]]
             tags[start + n_geo:start + per_ref] = TAG_DISCRIMINATIVITY
             start += per_ref
 
     if n_total == 0:
         raise DataError("no triplets generated; check refs_per_shape and flags")
-    return PairIndices(
-        tags=tags,
-        shape_ids=shape_ids,
-        anchor_shape=index[0],
-        pos_shape=index[2],
-        neg_shape=index[4],
-        anchor_vertex=index[1],
-        pos_vertex=index[3],
-        neg_vertex=index[5],
-    )
+    return PairIndices(tags=tags, shape_ids=shape_ids, offsets=offsets, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +300,17 @@ def estimate_covariances(
     moment uses every sampled vector (anchors, positives and negatives) and
     gets `ridge * trace/m` added to its diagonal.
 
-    Takes sampled indices plus the per-shape (V, m) vectors they index. The
-    vectors are stacked once; each distinct row, positive pair and negative
-    pair is summed once, weighted by how often the triplets use it, so the
-    memory used is O(sum V * m + m^2) beyond the index arrays.
+    Takes sampled triplet rows plus the per-shape (V, m) vectors whose stack
+    they index. The vectors are stacked once; each distinct row, positive
+    pair and negative pair is summed once, weighted by how often the
+    triplets use it, so the memory used is O(sum V * m + m^2) beyond the
+    index arrays.
     """
-    values, rows = _stacked(pairs, per_shape_values)
+    values = _stacked(pairs, per_shape_values)
     m = values.shape[1]
     bad = ~np.isfinite(values).all(axis=1)
     # every anchor is checked before any positive, as a whole-array scan would
-    for role, role_rows in zip(ROLES, rows):
+    for role, role_rows in zip(ROLES, pairs.rows):
         hit = np.flatnonzero(bad[role_rows])
         if hit.size:
             raise DataError(f"non-finite {role} vector in {pairs.describe_triplet(hit[0])}")
@@ -342,8 +318,8 @@ def estimate_covariances(
     if 3 * n < m + 1:
         raise DataError(f"need at least {m + 1} sampled vectors to estimate an {m}x{m} "
                         f"moment, got {3 * n}; add data or raise the ridge")
-    anchors, positives, negatives = rows
-    cov_g = _moment(values, np.concatenate(rows)) / (3 * n)
+    anchors, positives, negatives = pairs.rows
+    cov_g = _moment(values, pairs.rows.ravel()) / (3 * n)
     return CovarianceStats(
         cov_pos=_moment(values, anchors, positives) / n,
         cov_neg=_moment(values, anchors, negatives) / n,
@@ -422,12 +398,12 @@ def pair_distances(
     per_shape_values: Sequence[np.ndarray],
     coefficients: Optional[np.ndarray] = None,
 ):
-    """Distances of the positive and negative pairs, from sampled indices
-    plus the per-shape vectors they index: between the stacked rows mapped
-    once through `coefficients` (n x m), or between the rows themselves when
-    it is None."""
-    values, rows = _stacked(pairs, per_shape_values)
-    return _row_distances(values if coefficients is None else values @ coefficients.T, rows)
+    """Distances of the positive and negative pairs, from sampled triplet
+    rows plus the per-shape vectors whose stack they index: between the
+    stacked rows mapped once through `coefficients` (n x m), or between the
+    rows themselves when it is None."""
+    values = _stacked(pairs, per_shape_values)
+    return _row_distances(values if coefficients is None else values @ coefficients.T, pairs.rows)
 
 
 def sweep_alpha(
@@ -440,8 +416,8 @@ def sweep_alpha(
     work_point: float = 0.01,
 ) -> tuple[float, list[AlphaSweepEntry]]:
     """Train once per alpha and score each model on held-out pairs: sampled
-    indices plus the per-shape vectors they index, stacked once for the
-    whole sweep.
+    triplet rows plus the per-shape vectors whose stack they index, stacked
+    once for the whole sweep.
 
     Sensitivity mode minimizes the false negative rate at a fixed false
     positive work point; specificity mode minimizes the false positive rate
@@ -453,7 +429,7 @@ def sweep_alpha(
     if not alphas:
         raise DataError("alpha grid is empty")
 
-    values, rows = _stacked(eval_pairs, eval_values)
+    values = _stacked(eval_pairs, eval_values)
     table: list[AlphaSweepEntry] = []
     for alpha in alphas:
         try:
@@ -463,7 +439,7 @@ def sweep_alpha(
             continue
         # one projection of the held-out rows per alpha keeps a single
         # alpha's distances in memory
-        d_pos, d_neg = _row_distances(values @ coef.T, rows)
+        d_pos, d_neg = _row_distances(values @ coef.T, eval_pairs.rows)
         if max(d_pos.max(), d_neg.max()) - min(d_pos.min(), d_neg.min()) == 0.0:
             raise NumericalError(f"degenerate distance distribution at alpha={alpha}: "
                                  "all pair distances equal")

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ManifestEntry, write_manifest
-from .container import write_table
+from .container import make_dir, write_table
 from .errors import DataError, MeshValidationError
 from .mesh import TriangleMesh, geodesic_distance_fields, intrinsic_diameter, save_off
 
@@ -552,8 +552,7 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
     Fully deterministic for a given spec (seeded per shape/deformation), so a
     second run reproduces every file byte for byte.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     entries: list[ManifestEntry] = []
     for base_idx, base_name in enumerate(spec.base_shapes):
         if base_name not in _BASES:

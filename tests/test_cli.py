@@ -668,7 +668,8 @@ def test_geometry_vectors_need_one_row_per_vertex(pipeline_copy, caplog):
         code = run(["train", "--config", pipeline_copy / "config.cfg",
                     "--out", pipeline_copy / "train"])
     assert code == 3
-    assert any("shape dumbbell: geometry vectors have wrong shape" in r.getMessage()
+    rows = load_spectrum(path, mesh_hash).eigenfunctions.shape[0]
+    assert any(r.getMessage() == f"shape dumbbell: {rows} vector rows for {rows + 1} vertices"
                for r in caplog.records)
 
 
@@ -867,6 +868,18 @@ def test_output_directory_that_is_a_file_is_data_error(mini_pipeline, tmp_path, 
             for a in FILE_AS_DIRECTORY[command]]
     with caplog.at_level(logging.ERROR, logger="specdesc"):
         code = run([command, "--config", mini_pipeline / "config.cfg", *args])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"{taken}: cannot create directory: File exists"]
+    assert taken.read_text() == "a file\n"
+
+
+def test_synth_out_that_is_a_file_is_data_error(tmp_path, caplog):
+    # synth takes no --config, so it is checked apart from FILE_AS_DIRECTORY
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["synth", "--out", taken, "--strengths", "1"])
     assert code == 3
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert errors == [f"{taken}: cannot create directory: File exists"]

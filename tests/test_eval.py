@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,45 @@ def test_roc_exhaustive_example():
     # P(d_pos < d_neg) over {1,3} x {2,4} = 3/4
     curve = roc([1.0, 3.0], [2.0, 4.0])
     assert curve.auc == pytest.approx(0.75, abs=0.0)
+
+
+def mann_whitney_auc(pos, neg) -> Fraction:
+    """P(d_pos < d_neg) + P(d_pos == d_neg) / 2, counted pair by pair."""
+    wins = sum(2 * (p < q) + (p == q) for p in pos for q in neg)
+    return Fraction(wins, 2 * len(pos) * len(neg))
+
+
+def test_roc_auc_is_exact_mann_whitney_count_under_ties():
+    rng = np.random.default_rng(30)
+    for n_pos, n_neg in [(97, 61), (300, 211), (7, 1000)]:
+        # few distinct values: most pairs tie across and within the classes
+        pos = rng.integers(0, 9, n_pos) / 10.0
+        neg = rng.integers(3, 12, n_neg) / 10.0
+        assert roc(pos, neg).auc == float(mann_whitney_auc(pos.tolist(), neg.tolist()))
+
+
+def split_ties(values, others):
+    """`values` with every other member of each tie moved up by less than
+    0.05, for the ties with no value of `others` from them to 0.1 above."""
+    split = values.copy()
+    for value in np.unique(values):
+        tied = np.flatnonzero(values == value)
+        if len(tied) > 1 and not ((others >= value) & (others <= value + 0.1)).any():
+            split[tied[::2]] += 0.05 * np.arange(1, len(tied[::2]) + 1) / len(tied)
+    return split
+
+
+def test_roc_auc_bits_survive_splitting_ties_inside_one_class():
+    # these draws moved the last bit of the trapezoid-rule AUC in both classes
+    rng = np.random.default_rng(7)
+    pos = rng.integers(0, 40, 333) / 8.0
+    neg = rng.integers(10, 60, 517) / 8.0
+    auc = roc(pos, neg).auc
+    split_pos, split_neg = split_ties(pos, neg), split_ties(neg, pos)
+    assert len(np.unique(split_pos)) > len(np.unique(pos))
+    assert len(np.unique(split_neg)) > len(np.unique(neg))
+    assert roc(split_pos, neg).auc == auc
+    assert roc(pos, split_neg).auc == auc
 
 
 def test_roc_monotone_and_bounded():

@@ -24,31 +24,41 @@ from specdesc.mesh import geodesic_distance_fields
 from specdesc.synth import grid_mesh, icosphere, multi_sphere
 
 
+def pair_indices(rows, shape_sizes):
+    """Untagged triplets with the given (3, N) anchor, positive and negative
+    rows over shapes s0, s1, ... with the given row counts."""
+    return PairIndices(
+        tags=np.zeros(np.shape(rows)[1], dtype=np.uint8),
+        shape_ids=[f"s{i}" for i in range(len(shape_sizes))],
+        offsets=np.cumsum([0, *shape_sizes], dtype=np.int64),
+        rows=np.asarray(rows, dtype=np.int32),
+    )
+
+
+def single_shape_indices(n):
+    """n triplets on one shape of 3n rows: triplet k is rows k, n + k and 2n + k."""
+    return pair_indices(np.arange(3 * n).reshape(3, n), [3 * n])
+
+
 def make_pairset(anchors, positives, negatives):
     """Sampled indices plus per-shape vectors for the given triplet vectors:
     triplet k is vertex rows k, n + k and 2n + k of a single pseudo-shape."""
-    n = len(anchors)
-    rows = np.arange(n, dtype=np.int32)
-    zero = np.zeros(n, dtype=np.int32)
-    indices = PairIndices(
-        tags=np.zeros(n, dtype=np.uint8), shape_ids=["s0"],
-        anchor_shape=zero, pos_shape=zero, neg_shape=zero,
-        anchor_vertex=rows, pos_vertex=rows + n, neg_vertex=rows + 2 * n,
-    )
     stacked = np.vstack([np.asarray(v, float) for v in (anchors, positives, negatives)])
-    return indices, [stacked]
+    return single_shape_indices(len(anchors)), [stacked]
 
 
 def triplet_vectors(indices, values):
     """Anchor, positive and negative vectors of every triplet, read from the
-    per-shape arrays one index pair at a time."""
-    def rows(shapes, vertices):
-        picked = [values[s][v] for s, v in zip(shapes, vertices)]
-        return np.array(picked).reshape(-1, values[0].shape[1])
+    per-shape arrays one row at a time: row r is vertex r - offsets[k] of the
+    last shape k whose first row is at most r."""
+    starts = [int(start) for start in indices.offsets[:-1]]
 
-    return (rows(indices.anchor_shape, indices.anchor_vertex),
-            rows(indices.pos_shape, indices.pos_vertex),
-            rows(indices.neg_shape, indices.neg_vertex))
+    def vector(row):
+        k = max(k for k, start in enumerate(starts) if start <= row)
+        return values[k][row - starts[k]]
+
+    return tuple(np.array([vector(int(row)) for row in role]).reshape(-1, values[0].shape[1])
+                 for role in indices.rows)
 
 
 def diag_stats(cov_pos, cov_neg, cov_g=None, ridge=0.0):
@@ -94,11 +104,12 @@ def test_build_pairs_ring_exclusion(blob_shape):
     shapes = [ShapeSample("a", mesh, "blob")]
     pairs = sample_pair_indices(shapes, **sample_args())
     diam = intrinsic_diameter(mesh, 25)
-    for i in range(len(pairs)):
-        d = geodesic_distance_fields(mesh, [pairs.anchor_vertex[i]])[0]
-        assert d[pairs.pos_vertex[i]] <= 0.04 * diam
-        assert d[pairs.neg_vertex[i]] > 0.1 * diam
-        assert pairs.pos_vertex[i] != pairs.anchor_vertex[i]
+    # one shape: its rows are its vertices
+    for anchor, positive, negative in pairs.rows.T:
+        d = geodesic_distance_fields(mesh, [anchor])[0]
+        assert d[positive] <= 0.04 * diam
+        assert d[negative] > 0.1 * diam
+        assert positive != anchor
 
 
 def test_identity_symmetry_equals_no_symmetry(blob_shape):
@@ -110,9 +121,7 @@ def test_identity_symmetry_equals_no_symmetry(blob_shape):
                      symmetry=np.arange(mesh.n_vertices))],
         **sample_args(),
     )
-    np.testing.assert_array_equal(plain.anchor_vertex, with_sym.anchor_vertex)
-    np.testing.assert_array_equal(plain.pos_vertex, with_sym.pos_vertex)
-    np.testing.assert_array_equal(plain.neg_vertex, with_sym.neg_vertex)
+    np.testing.assert_array_equal(plain.rows, with_sym.rows)
 
 
 def test_symmetric_ball_joins_positive_set(blob_shape):
@@ -125,13 +134,13 @@ def test_symmetric_ball_joins_positive_set(blob_shape):
 
     diam = intrinsic_diameter(mesh, 25)
     mirrored = 0
-    for ref in np.unique(pairs.anchor_vertex):
-        rows = pairs.anchor_vertex == ref
+    anchors, positives, negatives = pairs.rows  # one shape: rows are vertices
+    for ref in np.unique(anchors):
+        rows = anchors == ref
         d = geodesic_distance_fields(mesh, [ref, sym[ref]])
-        pos = pairs.pos_vertex[rows]
+        pos = positives[rows]
         assert (np.minimum(d[0][pos], d[1][pos]) <= 0.04 * diam).all()
-        assert (np.minimum(d[0][pairs.neg_vertex[rows]],
-                           d[1][pairs.neg_vertex[rows]]) > 0.1 * diam).all()
+        assert (np.minimum(d[0][negatives[rows]], d[1][negatives[rows]]) > 0.1 * diam).all()
         mirrored += int((d[0][pos] > 0.04 * diam).sum())
     assert mirrored > 0  # some positives really come from the mirror ball
 
@@ -158,10 +167,10 @@ def test_pairs_reproducible_and_seed_sensitive(blob_shape):
     values = gvecs
     a = sample_pair_indices(shapes, **sample_args())
     b = sample_pair_indices(shapes, **sample_args())
-    np.testing.assert_array_equal(values[a.anchor_vertex], values[b.anchor_vertex])
-    np.testing.assert_array_equal(a.neg_vertex, b.neg_vertex)
+    np.testing.assert_array_equal(values[a.rows[0]], values[b.rows[0]])
+    np.testing.assert_array_equal(a.rows[2], b.rows[2])
     c = sample_pair_indices(shapes, **sample_args(rng_seed=4))
-    assert not np.array_equal(a.neg_vertex, c.neg_vertex)
+    assert not np.array_equal(a.rows[2], c.rows[2])
 
 
 def test_cross_class_negatives_tagged(blob_shape):
@@ -175,7 +184,8 @@ def test_cross_class_negatives_tagged(blob_shape):
     counts = pairs.tag_counts()
     assert counts["discriminativity"] == 5 * 6
     cross = pairs.tags == 2
-    assert (pairs.neg_shape[cross] == 1).all()
+    negatives = pairs.rows[2][cross]
+    assert ((negatives >= pairs.offsets[1]) & (negatives < pairs.offsets[2])).all()
 
 
 def test_cross_negatives_need_second_class(blob_shape):
@@ -233,8 +243,9 @@ def test_empty_ball_resamples_reference_with_warning(blob_shape):
     assert len(idx) == 6 * 4  # every reference still produced its triplets
 
 
-# SHA-256 of each index array of the sampling below, as the per-triplet append
-# loop produced them; the block-built sampler must reproduce them bit for bit
+# SHA-256 of each int32 (shape, vertex) index array of the sampling below, as
+# the per-triplet append loop produced them; the sampled rows, decoded back to
+# those arrays, must reproduce them bit for bit
 GOLDEN_INDICES = {
     "tags": "302f6cddd68c336900bec2b1265924459fa4a0d289ca8e4201ae1a78b3edf3ba",
     "anchor_shape": "928b8556bbec94332c19916614378756aa57ede7c7697ddc50a0f315994ed98b",
@@ -263,12 +274,16 @@ def test_sampled_indices_match_golden_digests(blob_shape):
     assert idx.tag_counts() == {"localization": 52, "invariance": 4,
                                 "discriminativity": 40}
     assert idx.tags.dtype == np.uint8
-    digests = {}
-    for name in GOLDEN_INDICES:
-        arr = getattr(idx, name)
-        if name != "tags":
-            assert arr.dtype == np.int32
-        digests[name] = hashlib.sha256(arr.tobytes()).hexdigest()
+    assert idx.rows.dtype == np.int32 and idx.offsets.dtype == np.int64
+    np.testing.assert_array_equal(idx.offsets, np.cumsum([0, mesh.n_vertices, mesh.n_vertices,
+                                                          icosphere(1).n_vertices]))
+    arrays = {"tags": idx.tags}
+    for role, rows in zip(("anchor", "pos", "neg"), idx.rows):
+        shapes = np.searchsorted(idx.offsets, rows, side="right") - 1
+        arrays[f"{role}_shape"] = shapes.astype(np.int32)
+        arrays[f"{role}_vertex"] = (rows - idx.offsets[shapes]).astype(np.int32)
+    digests = {name: hashlib.sha256(arrays[name].tobytes()).hexdigest()
+               for name in GOLDEN_INDICES}
     assert digests == GOLDEN_INDICES
 
 
@@ -338,20 +353,18 @@ def test_non_finite_reported_with_triplet_index():
         estimate_covariances(*pairs)
 
 
-def random_indices(n, shape_sizes, rng):
-    """`n` triplets over shapes with the given vertex counts."""
+def random_indices(n, shape_sizes, rng, drawn_sizes=None):
+    """`n` triplets over shapes with the given vertex counts, whose vertices
+    are drawn below `drawn_sizes` (by default the counts themselves)."""
+    offsets = np.cumsum([0, *shape_sizes])
+    drawn_sizes = np.asarray(shape_sizes if drawn_sizes is None else drawn_sizes)
+
     def draw():
         shapes = rng.integers(len(shape_sizes), size=n).astype(np.int32)
-        vertices = (rng.random(n) * np.asarray(shape_sizes)[shapes]).astype(np.int32)
-        return shapes, vertices
+        vertices = (rng.random(n) * drawn_sizes[shapes]).astype(np.int32)
+        return offsets[shapes] + vertices
 
-    (a_s, a_v), (p_s, p_v), (n_s, n_v) = draw(), draw(), draw()
-    return PairIndices(
-        tags=np.zeros(n, dtype=np.uint8),
-        shape_ids=[f"s{i}" for i in range(len(shape_sizes))],
-        anchor_shape=a_s, pos_shape=p_s, neg_shape=n_s,
-        anchor_vertex=a_v, pos_vertex=p_v, neg_vertex=n_v,
-    )
+    return pair_indices([draw(), draw(), draw()], shape_sizes)
 
 
 def assert_per_triplet_moments(stats, indices, values, ridge):
@@ -391,22 +404,49 @@ def test_repeated_pairs_match_per_triplet_moments():
     n = 3 * TRIPLET_CHUNK + 11
     indices = random_indices(n, [30, 45], rng)
     pick = rng.integers(12, size=n)
-    for name in ("anchor_shape", "anchor_vertex", "pos_shape", "pos_vertex"):
-        role = getattr(indices, name)
-        role[:] = role[:12][pick]
-    pairs = set(zip(indices.anchor_shape, indices.anchor_vertex,
-                    indices.pos_shape, indices.pos_vertex))
+    indices.rows[:2] = indices.rows[:2, :12][:, pick]
+    pairs = set(zip(indices.rows[0], indices.rows[1]))
     assert len(pairs) <= 12
     stats = estimate_covariances(indices, values, ridge=1e-3)
     assert_per_triplet_moments(stats, indices, values, ridge=1e-3)
 
 
+def test_pair_keys_past_int32_match_per_triplet_moments():
+    # 60,000 stacked rows: an (anchor, negative) key a * 60,000 + b passes
+    # 2**31 from anchor row 35,792 on, so int32 keys would wrap
+    rng = np.random.default_rng(26)
+    sizes = [40_000, 20_000]
+    values = [rng.standard_normal((size, 2)) for size in sizes]
+    top = [rng.integers(sizes[0] - 500, sizes[0], 300),
+           sizes[0] + rng.integers(sizes[1] - 500, sizes[1], 300)]
+    rows = np.stack([rng.permutation(np.concatenate(top)) for _ in range(3)])
+    assert rows[0].min().astype(np.int64) * sum(sizes) > 2**31
+    indices = pair_indices(rows, sizes)
+    stats = estimate_covariances(indices, values, ridge=1e-3)
+    assert_per_triplet_moments(stats, indices, values, ridge=1e-3)
+
+
+def test_describe_triplet_names_shape_and_vertex_of_each_row():
+    indices = pair_indices([[0, 7], [12, 4], [5, 20]], [5, 7, 9])
+    indices.tags[1] = TAG_INVARIANCE
+    indices.shape_ids = ["cat", "dog", "horse"]
+    assert indices.describe_triplet(0) == "triplet 0 [localization] cat:0 / horse:0 / dog:0"
+    assert indices.describe_triplet(1) == "triplet 1 [invariance] dog:2 / cat:4 / horse:8"
+
+
+def test_wrong_row_count_names_the_shape():
+    indices = pair_indices([[0, 7], [12, 4], [5, 20]], [5, 7, 9])
+    values = [np.zeros((5, 2)), np.zeros((6, 2)), np.zeros((9, 2))]
+    with pytest.raises(DataError, match="shape s1: 6 vector rows for 7 vertices"):
+        pair_distances(indices, values)
+
+
 def test_unused_non_finite_row_leaves_moments_unchanged():
     rng = np.random.default_rng(25)
     values = [rng.standard_normal((size, 5)) for size in (41, 50)]
-    # random_indices draws vertices of shape 0 below 40: row 40 is never used,
-    # and shape 1's rows come after it in the stacked row space
-    indices = random_indices(600, [40, 50], rng)
+    # shape 0 owns 41 rows, but its vertices are drawn below 40: row 40 is
+    # never used, and shape 1's rows come after it in the stacked row space
+    indices = random_indices(600, [41, 50], rng, drawn_sizes=[40, 50])
     finite = estimate_covariances(indices, values)
     for bad in (np.nan, np.inf):
         values[0][40] = bad
@@ -433,13 +473,7 @@ def test_non_finite_after_first_chunk_names_the_triplet():
     # vertex k of the single shape is used once: as anchor k, positive k - n
     # or negative k - 2n
     n = 2 * TRIPLET_CHUNK + 1
-    rows = np.arange(n, dtype=np.int32)
-    zero = np.zeros(n, dtype=np.int32)
-    indices = PairIndices(
-        tags=np.zeros(n, dtype=np.uint8), shape_ids=["s0"],
-        anchor_shape=zero, pos_shape=zero, neg_shape=zero,
-        anchor_vertex=rows, pos_vertex=rows + n, neg_vertex=rows + 2 * n,
-    )
+    indices = single_shape_indices(n)
     values = np.random.default_rng(21).standard_normal((3 * n, 3))
     late = TRIPLET_CHUNK + 17
     values[n + late, 1] = np.inf  # positive of a triplet in the second chunk
