@@ -66,7 +66,7 @@ from .learning import (
     sweep_alpha,
 )
 from .mesh import TriangleMesh, farthest_point_sample, intrinsic_diameter, load_mesh
-from .synth import SyntheticCorpusSpec, generate_corpus, load_index_map
+from .synth import DEFORMATIONS, SyntheticCorpusSpec, generate_corpus, load_index_map
 
 log = logging.getLogger("specdesc")
 
@@ -610,8 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strengths", type=int, default=5)
-    p.add_argument("--deformations", default="",
-                   help="comma list among bend,jitter,holes,rigid,decimate")
+    p.add_argument("--deformations", default="", help="comma list among " + ",".join(DEFORMATIONS))
     p.set_defaults(func=cmd_synth, needs_config=False)
 
     def common(p):

@@ -75,25 +75,30 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
 }
 
-# Valid values of numeric settings as (test, rule); `PipelineConfig.check`
-# applies the test to every number a non-empty setting holds.
-_RANGES = {
-    "s": (lambda v: v >= 1, "must be at least 1"),
-    "m": (lambda v: v >= 4, "must be at least 4"),
-    "nu_max_percentile": (lambda v: 0 <= v <= 100, "outside [0, 100]"),
-    "n": (lambda v: v >= 1, "must be at least 1"),
-    "hks_times": (lambda v: v > 0, "must be positive"),
-    "wks_sigma": (lambda v: v > 0, "must be positive"),
-    "work_point": (lambda v: 0 < v < 1, "outside (0, 1)"),
-    "ball_radius_frac": (lambda v: v >= 0, "must be non-negative"),
-    "cmc_rank_frac": (lambda v: 0 <= v <= 1, "outside [0, 1]"),
-    "cmc_refs": (lambda v: v >= 1, "must be at least 1"),
-    "alpha": (lambda v: 0 <= v <= 1, "outside [0, 1]"),
-    "alpha_grid": (lambda v: 0 <= v <= 1, "outside [0, 1]"),
-    "ridge": (lambda v: v >= 0, "must be non-negative"),
-    "rng_seed": (lambda v: v >= 0, "must be non-negative"),
-    "eval_rng_seed": (lambda v: v >= 0, "must be non-negative"),
-}
+MODES = ("sensitivity", "specificity")
+MASS_MODES = ("lumped", "consistent")
+
+# The one table of setting rules, as (keys, test, rule): `PipelineConfig.check`
+# applies the test to every number a non-empty setting of those keys holds
+# (NaN fails every test), or, for a tuple of words, asks for one of them.
+_RULES = (
+    (("ball_radius_frac", "ridge", "rng_seed", "eval_rng_seed", "refs_per_shape",
+      "eval_refs_per_shape", "negatives_per_ref", "eval_negatives_per_ref",
+      "cross_negatives_per_ref", "eval_cross_negatives_per_ref"),
+     lambda v: v >= 0, "must be non-negative"),
+    (("s", "n", "cmc_refs", "positives_per_ref", "eval_positives_per_ref"),
+     lambda v: v >= 1, "must be at least 1"),
+    (("diameter_samples",), lambda v: v >= 2, "must be at least 2"),
+    (("m",), lambda v: v >= 4, "must be at least 4"),
+    (("hks_times", "wks_energies", "wks_sigma", "r_frac", "big_r_frac"),
+     lambda v: v > 0, "must be positive"),
+    (("cmc_rank_frac", "alpha", "alpha_grid"), lambda v: 0 <= v <= 1, "outside [0, 1]"),
+    (("work_point",), lambda v: 0 < v < 1, "outside (0, 1)"),
+    (("nu_max_percentile",), lambda v: 0 <= v <= 100, "outside [0, 100]"),
+    (("mode",), MODES, "must be one of " + ", ".join(MODES)),
+    (("mass_mode",), MASS_MODES, "must be one of " + ", ".join(MASS_MODES)),
+)
+_RULE_OF = {key: (test, rule) for keys, test, rule in _RULES for key in keys}
 
 
 @dataclass
@@ -139,14 +144,18 @@ class PipelineConfig:
         return (self.base_dir / self.get(section, key)).resolve()
 
     def check(self) -> None:
-        """Raise DataError naming the first setting outside its _RANGES rule
-        (NaN is outside every rule)."""
+        """Raise DataError naming the first setting outside its _RULES rule,
+        or both radii unless r_frac < big_r_frac."""
         for section, entries in self.values.items():
-            for key in entries:
-                if key in _RANGES:
-                    test, rule = _RANGES[key]
-                    if not all(test(v) for v in self.get_floats(section, key)):
-                        raise DataError(f"{key}={entries[key]} {rule}")
+            for key, raw in entries.items():
+                if key in _RULE_OF:
+                    test, rule = _RULE_OF[key]
+                    if not (raw in test if isinstance(test, tuple) else
+                            all(test(v) for v in self.get_floats(section, key))):
+                        raise DataError(f"{key}={raw} {rule}")
+        r, big_r = self.get("learning", "r_frac"), self.get("learning", "big_r_frac")
+        if not self.get_float("learning", "r_frac") < self.get_float("learning", "big_r_frac"):
+            raise DataError(f"r_frac={r} must be below big_r_frac={big_r}")
 
     # -- mutation / serialization -------------------------------------------
 

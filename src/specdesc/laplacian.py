@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from .config import MASS_MODES
 from .container import Container
 from .errors import DataError, NumericalError
 from .mesh import TriangleMesh
@@ -49,7 +50,6 @@ COT_CLAMP = 1e8
 DENSE_SOLVER_MAX_VERTICES = 600
 CLUSTER_REL_GAP = 1e-8
 CLUSTER_MAX_EXTEND = 5
-MASS_MODES = ("lumped", "consistent")
 
 
 @dataclass

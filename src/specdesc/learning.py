@@ -97,12 +97,8 @@ def _stacked(pairs: PairIndices, per_shape_values) -> np.ndarray:
     """The split's per-shape (V, m) vectors, aligned with shape_ids, stacked
     once into the (sum V, m) array that the triplet rows index."""
     for sid, values, size in zip(pairs.shape_ids, per_shape_values, np.diff(pairs.offsets)):
-        if values is None:
-            raise DataError(f"shape {sid}: missing per-vertex vectors")
         if len(values) != size:
             raise DataError(f"shape {sid}: {len(values)} vector rows for {size} vertices")
-    if len({v.shape[1] for v in per_shape_values}) != 1:
-        raise DataError("per-shape vector dimensions differ")
     return np.concatenate(per_shape_values)
 
 
@@ -161,20 +157,11 @@ def sample_pair_indices(
     random points on other-class shapes. Positives are cycled against the
     negatives, one triplet per negative. Reproducible bit for bit from
     `rng_seed`: every (shape, reference) gets its own counter-derived stream,
-    so shape order or parallel evaluation cannot change the output.
+    so shape order or parallel evaluation cannot change the output. It takes
+    settings that `PipelineConfig.check` has passed and checks none of them.
     """
     if not shapes:
         raise DataError("need at least one shape")
-    if not 0.0 < r_frac < big_r_frac:
-        raise DataError("need 0 < r_frac < R_frac")
-    if positives_per_ref < 1:
-        raise DataError(f"positives_per_ref={positives_per_ref} must be at least 1")
-    if diameter_samples < 2:
-        raise DataError(f"diameter_samples={diameter_samples} must be at least 2")
-    for name, count in (("refs_per_shape", refs_per_shape), ("negatives_per_ref", negatives_per_ref),
-                        ("cross_negatives_per_ref", cross_negatives_per_ref)):
-        if count < 0:
-            raise DataError(f"{name}={count} must be non-negative")
     shape_ids = [sh.shape_id for sh in shapes]
     if len(set(shape_ids)) != len(shape_ids):
         raise DataError("duplicate shape ids")
@@ -200,10 +187,6 @@ def sample_pair_indices(
         cross_pool = [
             sj for sj, other in enumerate(shapes) if other.class_label != sh.class_label
         ]
-        if cross_negatives_per_ref > 0 and not cross_pool:
-            raise DataError(
-                f"shape {sh.shape_id}: no other-class shapes for cross negatives"
-            )
         corr = sh.correspondence
         corr_shape = index_of.get(sh.corr_target, -1) if corr is not None else -1
 

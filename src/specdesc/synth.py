@@ -50,6 +50,7 @@ JITTER_DIAMETER_FRACTION = 0.001  # displacement std per unit strength
 HOLE_RADIUS_BASE_FRACTION = 0.01  # hole radius = (base + step * strength) * diameter
 HOLE_RADIUS_STEP_FRACTION = 0.005
 DIAMETER_SAMPLES = 32
+DEFORMATIONS = ("bend", "jitter", "holes", "rigid", "decimate")
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +541,30 @@ def _deform(shape, mesh: TriangleMesh, sym: Optional[np.ndarray], kind: str, str
             remap[kept] = np.arange(len(kept))
             sym = remap[sym[kept]]
         return holed, kept, sym
-    if kind == "decimate":
-        coarse, corr = shape.decimated()
-        return coarse.mesh(), corr, None
-    raise DataError(f"unknown deformation {kind!r}")
+    coarse, corr = shape.decimated()  # "decimate", the last of DEFORMATIONS
+    return coarse.mesh(), corr, None
 
 
 def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
     """Write the corpus meshes, correspondences, symmetry maps and manifest.
 
     Fully deterministic for a given spec (seeded per shape/deformation), so a
-    second run reproduces every file byte for byte.
+    second run reproduces every file byte for byte. The spec is checked
+    before anything is written; a bad field is named by its synth option.
     """
+    unknown = [name for name in spec.base_shapes if name not in _BASES]
+    if unknown:
+        raise DataError(f"unknown base shape {unknown[0]!r}")
+    if not set(spec.deformations) <= set(DEFORMATIONS):
+        raise DataError(f"deformations={','.join(spec.deformations)}: each must be one of "
+                        f"{', '.join(DEFORMATIONS)}")
+    if spec.strengths < 1:
+        raise DataError(f"strengths={spec.strengths} must be at least 1")
+    if spec.rng_seed < 0:
+        raise DataError(f"seed={spec.rng_seed} must be non-negative")
     out = make_dir(out_dir)
     entries: list[ManifestEntry] = []
     for base_idx, base_name in enumerate(spec.base_shapes):
-        if base_name not in _BASES:
-            raise DataError(f"unknown base shape {base_name!r}")
         split, deforms, strengths, build = _BASES[base_name]
         shape = build()
         if isinstance(shape, RevolutionShape):

@@ -16,7 +16,7 @@ import pytest
 
 import specdesc
 from specdesc.cli import Workspace, _solve_count, main
-from specdesc.config import DEFAULTS, parse_config, parse_config_text, read_manifest
+from specdesc.config import _RULES, DEFAULTS, parse_config, parse_config_text, read_manifest
 from specdesc.descriptors import (
     DESCRIPTOR_FAMILIES,
     DescriptorField,
@@ -605,13 +605,49 @@ def test_train_deterministic_model_bytes(mini_pipeline):
     ("alpha", "abc"),
     ("diameter_samples", "1"),
     ("rng_seed", "-1"),
+    ("big_r_frac", "-1"),
 ])
 def test_train_bad_sampling_setting_is_data_error(mini_pipeline, tmp_path, caplog, key, value):
     with caplog.at_level(logging.ERROR, logger="specdesc"):
         code = run(["train", "--config", mini_pipeline / "config.cfg", "--out", tmp_path,
                     f"--{key}", value])
     assert code == 3
-    assert any(f"{key}={value}" in r.getMessage() for r in caplog.records)
+    assert names_setting(caplog, key, value)
+
+
+def names_setting(caplog, key, value) -> bool:
+    """Whether an error log line holds `key=value` under that key's own name,
+    not as the tail of a longer key (negatives_per_ref in
+    eval_negatives_per_ref) or as the head of a longer value."""
+    pattern = re.compile(rf"(?<!\w){re.escape(key)}={re.escape(value)}(?![\w.])")
+    return any(pattern.search(r.getMessage()) for r in caplog.records
+               if r.levelno == logging.ERROR)
+
+
+def test_bad_radii(mini_corpus, tmp_path, caplog):
+    # r_frac must lie below big_r_frac (default 0.05); the message names both
+    for value in ("0.1", "0.05"):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="specdesc"):
+            code = run(["train", "--config", mini_corpus / "config.cfg", "--r_frac", value,
+                        "--out", tmp_path / "out", "--spectrum-cache", tmp_path / "spectra"])
+        assert code == 3
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+            f"r_frac={value} must be below big_r_frac=0.05"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_every_rule_names_a_config_key():
+    keys = [key for entries in DEFAULTS.values() for key in entries]
+    ruled = [key for rule_keys, _, _ in _RULES for key in rule_keys]
+    assert len(set(ruled)) == len(ruled) and set(ruled) <= set(keys)
+
+
+# a bad value of each sampling count and of the seed; the counts are tried
+# under their eval_ names too (eval_rng_seed has its own case)
+SAMPLING_VALUES = [("refs_per_shape", "-1"), ("positives_per_ref", "0"),
+                   ("negatives_per_ref", "-5"), ("cross_negatives_per_ref", "-2"),
+                   ("rng_seed", "-1")]
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -635,15 +671,33 @@ def test_train_bad_sampling_setting_is_data_error(mini_pipeline, tmp_path, caplo
     pytest.param(["train"], "alpha", "1.5", id="train-alpha"),
     pytest.param(["train"], "alpha_grid", "0.1,nan", id="train-alpha_grid-nan"),
     pytest.param(["sweep-alpha"], "alpha_grid", "2,3", id="sweep-alpha-alpha_grid"),
+    *(pytest.param(["train"], key, value, id=f"train-{key}") for key, value in SAMPLING_VALUES),
+    pytest.param(["sweep-alpha"], "refs_per_shape", "-1", id="sweep-alpha-refs_per_shape"),
+    *(pytest.param(["eval", "--descriptors", "hks={desc}"], f"eval_{key}", value,
+                   id=f"eval-eval_{key}") for key, value in SAMPLING_VALUES[:4]),
+    pytest.param(["train"], "diameter_samples", "1", id="train-diameter_samples"),
+    pytest.param(["train"], "r_frac", "0", id="train-r_frac-zero"),
+    pytest.param(["train"], "r_frac", "nan", id="train-r_frac-nan"),
+    pytest.param(["train"], "r_frac", "0.05", id="train-r_frac-at-big_r_frac"),
+    pytest.param(["train"], "big_r_frac", "0.01", id="train-big_r_frac-below-r_frac"),
+    pytest.param(["describe", "--family", "hks"], "mode", "balanced", id="describe-mode"),
+    pytest.param(["eval", "--descriptors", "hks={desc}"], "mode", "balanced", id="eval-mode"),
+    pytest.param(["match", "--descriptors", "hks={desc}", "--source", "multisphere",
+                  "--target", "multisphere_jitter_1"], "mode", "balanced", id="match-mode"),
+    pytest.param(["train", "--alpha", "0.2"], "mode", "balanced", id="train-mode"),
+    pytest.param(["eval", "--descriptors", "hks={desc}"], "mass_mode", "foo", id="eval-mass_mode"),
+    pytest.param(["describe", "--family", "wks"], "wks_energies", "-1",
+                 id="describe-wks_energies"),
 ])
 def test_bad_setting_is_data_error(mini_pipeline, tmp_path, caplog, command, key, value):
     command = [arg.format(desc=mini_pipeline / "desc") for arg in command]
     with caplog.at_level(logging.ERROR, logger="specdesc"):
-        code = run([*command, "--config", mini_pipeline / "config.cfg", "--out", tmp_path,
+        code = run([*command, "--config", mini_pipeline / "config.cfg", "--out", tmp_path / "out",
                     "--spectrum-cache", tmp_path / "spectra", f"--{key}", value])
     assert code == 3
-    assert any(f"{key}={value}" in r.getMessage() for r in caplog.records)
-    assert not list(tmp_path.rglob("*.spec"))  # rejected before any solve
+    assert names_setting(caplog, key, value)
+    # rejected before any solve or output: the cold cache gets no .spec file
+    assert not list(tmp_path.iterdir())
 
 
 def test_eval_repeated_family_is_data_error(mini_pipeline, tmp_path, caplog):
@@ -884,6 +938,25 @@ def test_synth_out_that_is_a_file_is_data_error(tmp_path, caplog):
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert errors == [f"{taken}: cannot create directory: File exists"]
     assert taken.read_text() == "a file\n"
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--seed", "-1"), ("--deformations", "foo"), ("--deformations", "bend,"),
+    ("--strengths", "-2"), ("--strengths", "0"),
+])
+def test_bad_synth_flag_writes_nothing(tmp_path, caplog, option, value):
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["synth", "--out", tmp_path / "corpus", option, value])
+    assert code == 3
+    assert names_setting(caplog, option[2:], value)
+    assert not list(tmp_path.iterdir())
+
+
+def test_unknown_base_shape_writes_nothing(tmp_path):
+    spec = SyntheticCorpusSpec(base_shapes=("dumbbell", "teapot"))
+    with pytest.raises(DataError, match="unknown base shape 'teapot'"):
+        generate_corpus(spec, tmp_path / "corpus")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name", ["config.cfg", "corpus/manifest.csv"])

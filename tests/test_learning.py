@@ -195,13 +195,6 @@ def test_cross_negatives_need_second_class(blob_shape):
                             **sample_args(cross_negatives_per_ref=2))
 
 
-def test_bad_radii(blob_shape):
-    mesh, _, _ = blob_shape
-    with pytest.raises(DataError):
-        sample_pair_indices([ShapeSample("a", mesh, "blob")],
-                            **sample_args(r_frac=0.1, big_r_frac=0.05))
-
-
 def test_no_negatives_when_big_ball_covers_shape(blob_shape):
     mesh, _, _ = blob_shape
     with pytest.raises(DataError, match="negatives"):
