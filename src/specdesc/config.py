@@ -99,6 +99,11 @@ _RULES = (
     (("mass_mode",), MASS_MODES, "must be one of " + ", ".join(MASS_MODES)),
 )
 _RULE_OF = {key: (test, rule) for keys, test, rule in _RULES for key in keys}
+# the keys that commands read with `get_int`; `check` parses them the same way
+_INTEGERS = ("s", "m", "n", "diameter_samples", "cmc_refs", "rng_seed", "eval_rng_seed",
+             "refs_per_shape", "eval_refs_per_shape", "positives_per_ref",
+             "eval_positives_per_ref", "negatives_per_ref", "eval_negatives_per_ref",
+             "cross_negatives_per_ref", "eval_cross_negatives_per_ref")
 
 
 @dataclass
@@ -144,10 +149,16 @@ class PipelineConfig:
         return (self.base_dir / self.get(section, key)).resolve()
 
     def check(self) -> None:
-        """Raise DataError naming the first setting outside its _RULES rule,
-        or both radii unless r_frac < big_r_frac."""
+        """Raise DataError naming the first setting outside its _RULES rule
+        or, for an _INTEGERS key, not an integer; or both radii unless
+        r_frac < big_r_frac."""
         for section, entries in self.values.items():
             for key, raw in entries.items():
+                if key in _INTEGERS:
+                    try:
+                        int(raw)
+                    except ValueError:
+                        raise DataError(f"{key}={raw} must be an integer") from None
                 if key in _RULE_OF:
                     test, rule = _RULE_OF[key]
                     if not (raw in test if isinstance(test, tuple) else

@@ -13,7 +13,7 @@ import numpy as np
 
 from .container import make_dir, write_table
 from .errors import DataError
-from .mesh import TriangleMesh, geodesic_distance_fields, save_coff
+from .mesh import TriangleMesh, geodesic_balls, save_coff
 
 __all__ = [
     "RocCurve",
@@ -99,11 +99,6 @@ class CmcCurve:
         return float(self.hit_rate[0])
 
 
-# references whose ball searches run in one Dijkstra call; each call holds a
-# (2 * GROUND_TRUTH_BLOCK, V) float64 array (2.4 MB at V = 2,354)
-GROUND_TRUTH_BLOCK = 64
-
-
 def match_ground_truth(
     target_mesh: TriangleMesh,
     corr_vertices,
@@ -113,27 +108,11 @@ def match_ground_truth(
     """Acceptable target vertices per reference point: the geodesic ball
     around the corresponding point plus, when a symmetry map exists, the ball
     around its symmetric image."""
-    corr_vertices = np.asarray(corr_vertices, dtype=np.int64)
-    centers = [corr_vertices]
-    if symmetry is not None:
-        sym = np.asarray(symmetry, dtype=np.int64)
-        mirrored = np.where(corr_vertices >= 0, sym[corr_vertices], -1)
-        centers.append(mirrored)
-    centers = np.stack(centers, axis=1)  # (refs, 1 or 2); -1 is an empty ball
-
-    sets = []
-    for start in range(0, len(centers), GROUND_TRUTH_BLOCK):
-        block = centers[start : start + GROUND_TRUTH_BLOCK]
-        # searches stop at the radius: only ball membership is read
-        dist = geodesic_distance_fields(target_mesh, block[block >= 0], limit=radius)
-        row = 0
-        for i, ref_centers in enumerate(block, start):
-            n_valid = int((ref_centers >= 0).sum())
-            members = np.flatnonzero((dist[row : row + n_valid] <= radius).any(axis=0))
-            row += n_valid
-            if members.size == 0:
-                raise DataError(f"reference {i}: empty ground-truth ball")
-            sets.append(members)
+    [balls] = geodesic_balls(target_mesh, corr_vertices, symmetry, (radius,))
+    sets = [np.flatnonzero(ball) for ball in balls]
+    for i, members in enumerate(sets):
+        if members.size == 0:
+            raise DataError(f"reference {i}: empty ground-truth ball")
     return sets
 
 

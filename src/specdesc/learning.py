@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .evaluation import rate_at, roc
-from .mesh import TriangleMesh, geodesic_distance_fields, intrinsic_diameter
+from .mesh import TriangleMesh, geodesic_balls, intrinsic_diameter
 
 __all__ = [
     "PairIndices",
@@ -121,22 +121,6 @@ def _moment(values: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None) -
     return 0.5 * (total + total.T)
 
 
-def _ball_masks(sample: ShapeSample, ref: int, r: float, big_r: float):
-    """Positive / negative vertex masks around `ref` (and its symmetric
-    image), excluding the ring between the two radii from both."""
-    centers = [ref]
-    if sample.symmetry is not None:
-        mirrored = int(sample.symmetry[ref])
-        if mirrored != ref and mirrored >= 0:
-            centers.append(mirrored)
-    # vertices beyond big_r read inf, which is all the negative mask needs
-    dist = geodesic_distance_fields(sample.mesh, centers, limit=big_r)
-    pos = (dist <= r).any(axis=0)
-    far = (dist > big_r).all(axis=0)
-    pos[ref] = False  # the reference itself is not its own positive
-    return pos, far
-
-
 def sample_pair_indices(
     shapes: Sequence[ShapeSample],
     r_frac: float,
@@ -157,8 +141,10 @@ def sample_pair_indices(
     random points on other-class shapes. Positives are cycled against the
     negatives, one triplet per negative. Reproducible bit for bit from
     `rng_seed`: every (shape, reference) gets its own counter-derived stream,
-    so shape order or parallel evaluation cannot change the output. It takes
-    settings that `PipelineConfig.check` has passed and checks none of them.
+    so shape order or parallel evaluation cannot change the output. The
+    first candidates of a shape are searched in one batch and a redrawn one
+    alone, with each stream's draws unchanged. It takes settings that
+    `PipelineConfig.check` has passed and checks none of them.
     """
     if not shapes:
         raise DataError("need at least one shape")
@@ -190,31 +176,25 @@ def sample_pair_indices(
         corr = sh.correspondence
         corr_shape = index_of.get(sh.corr_target, -1) if corr is not None else -1
 
-        for ref_i in range(refs_per_shape):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=rng_seed, spawn_key=(si, ref_i))
-            )
-            ref = -1
-            pos_idx = far_idx = None
-            for _ in range(MAX_REF_RESAMPLES):
-                candidate = int(rng.integers(nv))
-                pos_mask, far_mask = _ball_masks(sh, candidate, r, big_r)
-                if pos_mask.any():
-                    ref = candidate
-                    pos_idx = np.flatnonzero(pos_mask)
-                    far_idx = np.flatnonzero(far_mask)
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(si, i)))
+                for i in range(refs_per_shape)]
+        refs = [int(rng.integers(nv)) for rng in rngs]
+        # the ring between r and big_r is in neither the positives nor the far set
+        near_balls, big_balls = geodesic_balls(sh.mesh, refs, sh.symmetry, (r, big_r))
+        for rng, ref, near, within in zip(rngs, refs, near_balls, big_balls):
+            for attempt in range(MAX_REF_RESAMPLES):
+                if attempt:
+                    ref = int(rng.integers(nv))
+                    [near], [within] = geodesic_balls(sh.mesh, [ref], sh.symmetry, (r, big_r))
+                near[ref] = False  # the reference itself is not its own positive
+                if near.any():
                     break
-                warnings.warn(
-                    f"shape {sh.shape_id}: vertex {candidate} has an empty "
-                    f"positive ball; resampling the reference",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            if ref < 0:
-                raise DataError(
-                    f"shape {sh.shape_id}: could not find a reference with a "
-                    f"non-trivial positive ball"
-                )
+                warnings.warn(f"shape {sh.shape_id}: vertex {ref} has an empty positive ball; "
+                              "resampling the reference", RuntimeWarning, stacklevel=2)
+            else:
+                raise DataError(f"shape {sh.shape_id}: could not find a reference with a "
+                                "non-trivial positive ball")
+            pos_idx, far_idx = np.flatnonzero(near), np.flatnonzero(~within)
             if far_idx.size == 0:
                 raise DataError(
                     f"shape {sh.shape_id}: no valid negatives outside radius "

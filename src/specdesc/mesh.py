@@ -28,6 +28,7 @@ __all__ = [
     "save_off",
     "save_coff",
     "geodesic_distance_fields",
+    "geodesic_balls",
     "intrinsic_diameter",
     "farthest_point_sample",
 ]
@@ -35,6 +36,10 @@ __all__ = [
 # A face counts as degenerate when its area falls at or below this fraction
 # of the squared mean edge length.
 DEGENERATE_AREA_FACTOR = 1e-12
+
+# centres whose ball searches run in one Dijkstra call; each call holds a
+# (2 * BALL_BLOCK, V) float64 array (2.4 MB at V = 2,354)
+BALL_BLOCK = 64
 
 
 class TriangleMesh:
@@ -313,15 +318,40 @@ def _write_off(mesh: TriangleMesh, magic: str, vertex_rows, path) -> None:
 def geodesic_distance_fields(mesh: TriangleMesh, sources, limit: float = np.inf) -> np.ndarray:
     """Dijkstra distances from several sources at once; rows follow `sources`.
     Distances beyond `limit` are not searched and read inf. Every Dijkstra
-    search of the package goes through here."""
+    search of the package goes through here, directed: the edge graph holds
+    both directions of each edge, so no call transposes it."""
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         return np.zeros((0, mesh.n_vertices))
     if sources.min() < 0 or sources.max() >= mesh.n_vertices:
         raise DataError("source vertex outside mesh")
     from scipy.sparse import csgraph
-    dist = csgraph.dijkstra(mesh._edge_graph, directed=False, indices=sources, limit=limit)
+    dist = csgraph.dijkstra(mesh._edge_graph, directed=True, indices=sources, limit=limit)
     return np.atleast_2d(dist)
+
+
+def geodesic_balls(mesh: TriangleMesh, centers, symmetry, radii) -> list[np.ndarray]:
+    """Closed geodesic balls, one bool (len(centers), V) array per radius in
+    `radii`: row i holds the vertices within that radius of centers[i] or of
+    its image under `symmetry` (an int vertex map, or None). A centre or image
+    of -1 adds nothing. Searches stop at max(radii), BALL_BLOCK centres per
+    Dijkstra call. Every geodesic ball of the package is taken here."""
+    centers = np.asarray(centers, dtype=np.int64)
+    sources = centers[None]
+    if symmetry is not None:
+        mirrored = np.where(centers >= 0, np.asarray(symmetry, dtype=np.int64)[centers], -1)
+        # an image equal to its centre adds no second source
+        sources = np.stack([centers, np.where(mirrored == centers, -1, mirrored)])
+    balls = [np.zeros((len(centers), mesh.n_vertices), dtype=bool) for _ in radii]
+    for start in range(0, len(centers), BALL_BLOCK):
+        block = sources[:, start:start + BALL_BLOCK]
+        dist = geodesic_distance_fields(mesh, block[block >= 0], limit=max(radii))
+        # the rows of dist hold the valid centres, then the valid images
+        ends = np.cumsum([0, *(block >= 0).sum(axis=1)])
+        for valid, a, b in zip(block >= 0, ends, ends[1:]):
+            for ball, radius in zip(balls, radii):
+                ball[start:start + BALL_BLOCK][valid] |= dist[a:b] <= radius
+    return balls
 
 
 def _fps(distance_from, k: int, record_pairs: bool = False):

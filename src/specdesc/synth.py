@@ -27,7 +27,7 @@ import numpy as np
 from .config import ManifestEntry, write_manifest
 from .container import make_dir, write_table
 from .errors import DataError, MeshValidationError
-from .mesh import TriangleMesh, geodesic_distance_fields, intrinsic_diameter, save_off
+from .mesh import TriangleMesh, geodesic_balls, intrinsic_diameter, save_off
 
 __all__ = [
     "SyntheticCorpusSpec",
@@ -408,9 +408,8 @@ def punch_holes(mesh: TriangleMesh, n_holes: int, radius: float,
                 centers.append(int(c))
             if len(centers) == n_holes:
                 break
-        fields = geodesic_distance_fields(mesh, centers)
-        in_ball = (fields <= r).any(axis=0)
-        drop = in_ball[mesh.faces].any(axis=1)
+        [balls] = geodesic_balls(mesh, centers, None, (r,))
+        drop = balls.any(axis=0)[mesh.faces].any(axis=1)
         kept_faces = mesh.faces[~drop]
         keep = np.unique(kept_faces)
         remap = -np.ones(mesh.n_vertices, dtype=np.int64)

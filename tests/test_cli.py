@@ -16,7 +16,14 @@ import pytest
 
 import specdesc
 from specdesc.cli import Workspace, _solve_count, main
-from specdesc.config import _RULES, DEFAULTS, parse_config, parse_config_text, read_manifest
+from specdesc.config import (
+    _INTEGERS,
+    _RULES,
+    DEFAULTS,
+    parse_config,
+    parse_config_text,
+    read_manifest,
+)
 from specdesc.descriptors import (
     DESCRIPTOR_FAMILIES,
     DescriptorField,
@@ -641,6 +648,16 @@ def test_every_rule_names_a_config_key():
     keys = [key for entries in DEFAULTS.values() for key in entries]
     ruled = [key for rule_keys, _, _ in _RULES for key in rule_keys]
     assert len(set(ruled)) == len(ruled) and set(ruled) <= set(keys)
+    assert len(set(_INTEGERS)) == len(_INTEGERS) and set(_INTEGERS) <= set(keys)
+
+
+@pytest.mark.parametrize("key", _INTEGERS)
+@pytest.mark.parametrize("value", ["2.5", "1e3", ""])
+def test_integer_setting_must_be_integer(key, value):
+    cfg = parse_config_text("")
+    cfg.override(key, value)
+    with pytest.raises(DataError, match=f"^{key}={re.escape(value)} must be an integer$"):
+        cfg.check()
 
 
 # a bad value of each sampling count and of the seed; the counts are tried
@@ -648,6 +665,15 @@ def test_every_rule_names_a_config_key():
 SAMPLING_VALUES = [("refs_per_shape", "-1"), ("positives_per_ref", "0"),
                    ("negatives_per_ref", "-5"), ("cross_negatives_per_ref", "-2"),
                    ("rng_seed", "-1")]
+# each integer setting given as a decimal, under a command that reads it
+DECIMAL_CASES = [
+    (["describe", "--family", "hks"], "s", "2.5"), (["describe", "--family", "hks"], "n", "2.5"),
+    (["train"], "m", "4.5"), (["train"], "diameter_samples", "2.5"),
+    (["eval", "--descriptors", "hks={desc}"], "cmc_refs", "1e3"),
+    *((["train"], key, "1.5") for key, _ in SAMPLING_VALUES),
+    *((["eval", "--descriptors", "hks={desc}"], f"eval_{key}", "1.5")
+      for key, _ in SAMPLING_VALUES),
+]
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -688,6 +714,8 @@ SAMPLING_VALUES = [("refs_per_shape", "-1"), ("positives_per_ref", "0"),
     pytest.param(["eval", "--descriptors", "hks={desc}"], "mass_mode", "foo", id="eval-mass_mode"),
     pytest.param(["describe", "--family", "wks"], "wks_energies", "-1",
                  id="describe-wks_energies"),
+    *(pytest.param(command, key, value, id=f"{command[0]}-{key}-decimal")
+      for command, key, value in DECIMAL_CASES),
 ])
 def test_bad_setting_is_data_error(mini_pipeline, tmp_path, caplog, command, key, value):
     command = [arg.format(desc=mini_pipeline / "desc") for arg in command]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from specdesc.errors import DataError
 from specdesc.evaluation import (
-    GROUND_TRUTH_BLOCK,
     CmcCurve,
     cmc,
     distance_maps,
@@ -16,7 +15,7 @@ from specdesc.evaluation import (
     rate_at,
     roc,
 )
-from specdesc.mesh import geodesic_distance_fields
+from specdesc.mesh import BALL_BLOCK, geodesic_distance_fields
 from specdesc.synth import icosphere
 
 # ---------------------------------------------------------------------------
@@ -253,7 +252,7 @@ def test_match_ground_truth_limited_search_matches_full_fields():
          for v in mesh.vertices]
     )
     antipode[::3] = -1  # vertices without a symmetric image
-    refs = np.random.default_rng(4).integers(mesh.n_vertices, size=2 * GROUND_TRUTH_BLOCK + 5)
+    refs = np.random.default_rng(4).integers(mesh.n_vertices, size=2 * BALL_BLOCK + 5)
     # a radius that some vertex lies at exactly: the ball is closed
     first = geodesic_distance_fields(mesh, [int(refs[0])])[0]
     radius = float(np.sort(first)[30])
@@ -273,9 +272,9 @@ def test_match_ground_truth_limited_search_matches_full_fields():
 
 def test_match_ground_truth_unmapped_center_is_empty_ball():
     mesh = icosphere(2)
-    refs = np.arange(GROUND_TRUTH_BLOCK + 3)
-    refs[GROUND_TRUTH_BLOCK + 1] = -1
-    with pytest.raises(DataError, match=f"reference {GROUND_TRUTH_BLOCK + 1}: empty"):
+    refs = np.arange(BALL_BLOCK + 3)
+    refs[BALL_BLOCK + 1] = -1
+    with pytest.raises(DataError, match=f"reference {BALL_BLOCK + 1}: empty"):
         match_ground_truth(mesh, refs, 0.3)
 
 

@@ -19,8 +19,8 @@ from specdesc.learning import (
     sweep_alpha,
     tradeoff_matrix,
 )
-from specdesc.learning import _ball_masks
-from specdesc.mesh import geodesic_distance_fields
+from specdesc.learning import MAX_REF_RESAMPLES
+from specdesc.mesh import geodesic_balls, geodesic_distance_fields
 from specdesc.synth import grid_mesh, icosphere, multi_sphere
 
 
@@ -212,15 +212,12 @@ def test_bounded_ball_search_gives_unbounded_masks(mirrored):
     assert np.isinf(geodesic_distance_fields(mesh, [0], limit=big_r)).any()
     # the point reflection (i, j) -> (3 - i, 3 - j) maps vertex v to 15 - v
     symmetry = mesh.n_vertices - 1 - np.arange(mesh.n_vertices) if mirrored else None
-    sample = ShapeSample("grid", mesh, "grid", symmetry=symmetry)
+    near, within = geodesic_balls(mesh, np.arange(mesh.n_vertices), symmetry, (r, big_r))
     for ref in range(mesh.n_vertices):
         centers = [ref, symmetry[ref]] if mirrored else [ref]
         dist = geodesic_distance_fields(mesh, centers)
-        pos = (dist <= r).any(axis=0)
-        pos[ref] = False
-        got_pos, got_far = _ball_masks(sample, ref, r, big_r)
-        np.testing.assert_array_equal(got_pos, pos)
-        np.testing.assert_array_equal(got_far, (dist > big_r).all(axis=0))
+        np.testing.assert_array_equal(near[ref], (dist <= r).any(axis=0))
+        np.testing.assert_array_equal(~within[ref], (dist > big_r).all(axis=0))
 
 
 def test_empty_ball_resamples_reference_with_warning(blob_shape):
@@ -234,6 +231,16 @@ def test_empty_ball_resamples_reference_with_warning(blob_shape):
             refs_per_shape=6, rng_seed=0, positives_per_ref=2,
         )
     assert len(idx) == 6 * 4  # every reference still produced its triplets
+
+
+def test_exhausted_resamples_are_data_error(blob_shape):
+    # no two vertices of this mesh lie within 1e-6 of the diameter of each other, so
+    # every candidate reference has an empty positive ball
+    mesh, _, _ = blob_shape
+    with pytest.warns(RuntimeWarning, match="empty positive ball") as record:
+        with pytest.raises(DataError, match="shape a: could not find a reference"):
+            sample_pair_indices([ShapeSample("a", mesh, "blob")], **sample_args(r_frac=1e-6))
+    assert sum("empty positive ball" in str(w.message) for w in record) == MAX_REF_RESAMPLES
 
 
 # SHA-256 of each int32 (shape, vertex) index array of the sampling below, as

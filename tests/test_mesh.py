@@ -14,7 +14,16 @@ from specdesc.mesh import (
     save_coff,
     save_off,
 )
-from specdesc.synth import grid_mesh, icosphere, load_index_map, save_index_map
+from specdesc.synth import (
+    capsule,
+    grid_mesh,
+    icosphere,
+    jitter,
+    load_index_map,
+    multi_sphere,
+    punch_holes,
+    save_index_map,
+)
 
 TETRA_OFF = """OFF
 4 4 0
@@ -256,6 +265,32 @@ def test_geodesic_distance_fields_batched(ico4):
     batch = geodesic_distance_fields(ico4, [0, 7])
     np.testing.assert_array_equal(batch[0], geodesic_distance_fields(ico4, [0])[0])
     np.testing.assert_array_equal(batch[1], geodesic_distance_fields(ico4, [7])[0])
+
+
+def _search_meshes():
+    rng = np.random.default_rng(8)
+    blob = multi_sphere(n_seg=24, n_rows=25)
+    holed, _ = punch_holes(blob.mesh(), n_holes=2, radius=0.15, rng=rng)
+    return {"grid": grid_mesh(5, 4, width=2.0, height=1.5), "icosphere": icosphere(3),
+            "holed": holed, "jittered": jitter(capsule().mesh(), 0.01, rng),
+            "decimated": blob.decimated()[0].mesh()}
+
+
+@pytest.mark.parametrize("name, mesh", _search_meshes().items())
+def test_directed_search_equals_undirected(name, mesh):
+    # the edge graph holds both directions of every edge with one weight, so
+    # the directed search needs no transpose and gives the same bits
+    from scipy.sparse import csgraph
+
+    sources = np.random.default_rng(9).choice(mesh.n_vertices, size=12, replace=False)
+    full = csgraph.dijkstra(mesh._edge_graph, directed=False, indices=sources)
+    limit = float(np.median(full))
+    for bound in (np.inf, limit):
+        expected = csgraph.dijkstra(mesh._edge_graph, directed=False, indices=sources,
+                                    limit=bound)
+        got = geodesic_distance_fields(mesh, sources, limit=bound)
+        assert got.tobytes() == expected.tobytes()
+    assert np.isinf(got).any() and np.isfinite(got).any()
 
 
 # ---------------------------------------------------------------------------
