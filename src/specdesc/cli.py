@@ -1,10 +1,10 @@
 """Command line pipeline: mesh corpus -> spectra -> descriptors -> training
 -> evaluation.
 
-Subcommands: ``synth``, ``spectrum``, ``describe``, ``train``,
-``sweep-alpha``, ``eval``, ``match``. Every config key can be overridden on
-the command line as ``--key value``. Exit codes: 0 success, 2 usage,
-3 data error, 4 numerical failure.
+Subcommands: ``synth``, ``spectrum``, ``describe``, ``train``, ``eval``,
+``match``. Every config key can be overridden on the command line as
+``--key value``. Exit codes: 0 success, 2 usage, 3 data error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .evaluation import (
     distance_maps,
     emit_report,
     match_ground_truth,
-    rate_at,
     roc,
+    work_points,
 )
 from .laplacian import (
     Spectrum,
@@ -57,7 +57,6 @@ from .laplacian import (
     spectrum_cache_key,
 )
 from .learning import (
-    AlphaSweepEntry,
     ShapeSample,
     estimate_covariances,
     pair_distances,
@@ -233,23 +232,20 @@ _SAMPLING_KEYS = ("refs_per_shape", "positives_per_ref", "negatives_per_ref",
                   "cross_negatives_per_ref", "rng_seed")
 
 
-def _sample_split(ws: Workspace, entries, ref_split: str, prefix: str, values):
+def _sample_split(ws: Workspace, entries, ref_split: str, prefix: str):
     """Triplet indices sampled over `entries`, in that order, with references
-    on the `ref_split` shapes, and `values(entry)` for each entry: the
-    per-shape arrays the indices point into, aligned with shape_ids. The
-    counts and seed are the settings named `prefix` + _SAMPLING_KEYS: ""
-    for training, "eval_" for evaluation."""
+    on the `ref_split` shapes; they index the per-shape arrays stacked in the
+    same order. The counts and seed are the settings named `prefix` +
+    _SAMPLING_KEYS: "" for training, "eval_" for evaluation."""
     cfg = ws.cfg
     section = "eval" if prefix else "learning"
-    per_shape = [values(entry) for entry in entries]
-    indices = sample_pair_indices(
+    return sample_pair_indices(
         [ws.shape_sample(entry, sample_refs=entry.split == ref_split) for entry in entries],
         r_frac=cfg.get_float("learning", "r_frac"),
         big_r_frac=cfg.get_float("learning", "big_r_frac"),
         diameter_samples=cfg.get_int("learning", "diameter_samples"),
         **{key: cfg.get_int(section, prefix + key) for key in _SAMPLING_KEYS},
     )
-    return indices, per_shape
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +276,15 @@ def cmd_spectrum(args, cfg: PipelineConfig) -> int:
 
 
 def _describe_field(ws: Workspace, entry: ManifestEntry, family: str,
-                    model: Optional[ResponseModel]) -> DescriptorField:
+                    model: Optional[ResponseModel], model_path: Optional[str]) -> DescriptorField:
     cfg = ws.cfg
     n = cfg.get_int("descriptor", "n")
     if family == "learned":
-        return apply_response(ws.geometry_vectors(entry, model.basis), model)
+        spectrum = ws.spectrum_reaching(entry, model.basis.nu_max)
+        try:  # the model's basis against this shape's spectrum
+            return apply_response(geometry_vectors(spectrum, model.basis), model)
+        except DataError as exc:
+            raise DataError(f"{model_path}: shape {entry.shape_id}: {exc}") from exc
     spectrum = ws.spectrum(entry)
     if family == "hks":
         times = cfg.get_floats("descriptor", "hks_times")
@@ -312,51 +312,12 @@ def cmd_describe(args, cfg: PipelineConfig) -> int:
         model = load_response_model(args.model)
     out = make_dir(args.out)
     for entry in ws.entries:
-        field = _describe_field(ws, entry, args.family, model)
+        field = _describe_field(ws, entry, args.family, model, args.model)
         save_descriptor_binary(field, out / f"{entry.shape_id}.{args.family}.dsc")
         save_descriptor_csv(field, out / f"{entry.shape_id}.{args.family}.csv")
         log.info("described %s (%s, n=%d)", entry.shape_id, args.family, field.dim)
     print(f"describe: {len(ws.entries)} shapes -> {out}")
     return EXIT_OK
-
-
-def _train_model(ws: Workspace):
-    """Shared by train and sweep-alpha: returns (model, objective,
-    best_alpha, table). When the config pins alpha the sweep is skipped."""
-    cfg = ws.cfg
-    basis = _training_basis(ws)
-
-    def vectors(entry: ManifestEntry) -> np.ndarray:
-        return ws.geometry_vectors(entry, basis)
-
-    train_pairs, train_gvecs = _sample_split(ws, ws.by_split("train", "train_neg"), "train", "",
-                                             vectors)
-    log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
-    stats = estimate_covariances(train_pairs, train_gvecs,
-                                 ridge=cfg.get_float("learning", "ridge"))
-    del train_pairs, train_gvecs  # the sweep's held-out data takes their place
-    n = cfg.get_int("descriptor", "n")
-    table: list[AlphaSweepEntry] = []
-    if cfg.get("learning", "alpha").strip():
-        best_alpha = cfg.get_float("learning", "alpha")
-    else:
-        val_pairs, val_gvecs = _sample_split(ws, ws.by_split("val", "val_neg"), "val", "",
-                                             vectors)
-        best_alpha, table = sweep_alpha(
-            stats,
-            cfg.get_floats("learning", "alpha_grid"),
-            n,
-            val_pairs,
-            val_gvecs,
-            mode=cfg.get("eval", "mode"),
-            work_point=cfg.get_float("eval", "work_point"),
-        )
-        log.info("alpha sweep selected %.4g (%s mode)", best_alpha, cfg.get("eval", "mode"))
-    coef, lam = solve_tradeoff(stats, best_alpha, n)
-    model = ResponseModel(basis=basis, coefficients=coef)
-    if model.n < n:
-        log.warning("only %d of %d descriptor dimensions are feasible", model.n, n)
-    return model, float(lam.sum()), best_alpha, table
 
 
 _REPORT_NOTE = (
@@ -365,28 +326,43 @@ _REPORT_NOTE = (
 )
 
 
-def _write_sweep_csv(table, path: Path) -> None:
-    write_table(path, [_REPORT_NOTE, "alpha,fn_at_fixed_fp,fp_at_fixed_fn,achieved_n"], table)
-
-
 def cmd_train(args, cfg: PipelineConfig) -> int:
+    """Sweep the alpha grid on the held-out split unless the config pins
+    alpha (`--alpha ""` unpins it), then solve once at the chosen alpha."""
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
     out = make_dir(args.out)
-    model, objective, best_alpha, table = _train_model(ws)
+    basis = _training_basis(ws)
+    entries = ws.by_split("train", "train_neg")
+    train_pairs = _sample_split(ws, entries, "train", "")
+    log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
+    stats = estimate_covariances(train_pairs, [ws.geometry_vectors(e, basis) for e in entries],
+                                 ridge=cfg.get_float("learning", "ridge"))
+    del train_pairs  # the sweep's held-out data takes its place
+    n = cfg.get_int("descriptor", "n")
+    table = []
+    if cfg.get("learning", "alpha").strip():
+        best_alpha = cfg.get_float("learning", "alpha")
+    else:
+        entries = ws.by_split("val", "val_neg")
+        best_alpha, table = sweep_alpha(
+            stats,
+            cfg.get_floats("learning", "alpha_grid"),
+            n,
+            _sample_split(ws, entries, "val", ""),
+            [ws.geometry_vectors(e, basis) for e in entries],
+            mode=cfg.get("eval", "mode"),
+            work_point=cfg.get_float("eval", "work_point"),
+        )
+        log.info("alpha sweep selected %.4g (%s mode)", best_alpha, cfg.get("eval", "mode"))
+    coef, lam = solve_tradeoff(stats, best_alpha, n)
+    model = ResponseModel(basis=basis, coefficients=coef)
+    if model.n < n:
+        log.warning("only %d of %d descriptor dimensions are feasible", model.n, n)
     save_response_model(model, out / "model.json")
-    _write_sweep_csv(table, out / "training_report.csv")
+    write_table(out / "training_report.csv",
+                [_REPORT_NOTE, "alpha,fn_at_fixed_fp,fp_at_fixed_fn,achieved_n"], table)
     print(f"train: alpha={best_alpha:.4g} achieved_n={model.n} "
-          f"objective={objective:.6g} -> {out / 'model.json'}")
-    return EXIT_OK
-
-
-def cmd_sweep_alpha(args, cfg: PipelineConfig) -> int:
-    ws = Workspace(cfg, cache_dir=args.spectrum_cache)
-    cfg.override("alpha", "")  # force the sweep
-    out = make_dir(args.out)
-    _, _, best_alpha, table = _train_model(ws)
-    _write_sweep_csv(table, out / "alpha_sweep.csv")
-    print(f"sweep-alpha: best alpha {best_alpha:.4g} -> {out / 'alpha_sweep.csv'}")
+          f"objective={float(lam.sum()):.6g} -> {out / 'model.json'}")
     return EXIT_OK
 
 
@@ -443,17 +419,16 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     families = list(family_dirs)
 
     # --- ROC over sampled eval triplets ---------------------------------
-    indices, per_shape = _sample_split(ws, all_entries, "eval", "eval_",
-                                       lambda e: [fields[f][e.shape_id] for f in families])
+    indices = _sample_split(ws, all_entries, "eval", "eval_")
     log.info("eval triplets: %d", len(indices))
     work_point = cfg.get_float("eval", "work_point")
     roc_curves = []
     roc_rows = []
-    for family, family_values in zip(families, zip(*per_shape)):
-        d_pos, d_neg = pair_distances(indices, family_values)
+    for family in families:
+        d_pos, d_neg = pair_distances(indices, [fields[family][e.shape_id] for e in all_entries])
         curve = roc(d_pos, d_neg)
-        tp_at_fp = rate_at(curve, "FP", work_point)
-        tn_at_fn = 1.0 - rate_at(curve, "FN", work_point)
+        tp_at_fp, fp_at_fn = work_points(curve, work_point)
+        tn_at_fn = 1.0 - fp_at_fn
         roc_curves.append(curve)
         roc_rows.append((family, curve.auc, tp_at_fp, tn_at_fn))
         log.info("%s: AUC %.4f TP@FP=%g %.4f TN@FN=%g %.4f",
@@ -632,11 +607,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train, needs_config=True)
-
-    p = sub.add_parser("sweep-alpha", help="score the alpha grid on held-out pairs")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep_alpha, needs_config=True)
 
     p = sub.add_parser("eval", help="ROC/CMC/distance-map evaluation report")
     common(p)

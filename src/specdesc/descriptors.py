@@ -239,15 +239,18 @@ def shape_dna_field(spectrum: Spectrum, n: int) -> DescriptorField:
 def geometry_vectors(spectrum: Spectrum, basis: FrequencyBasis) -> np.ndarray:
     """Accumulate the basis design matrix over the spectrum: a (V, m) array,
     one shape-independent geometry vector of basis responses per vertex,
-    weighted by the squared eigenfunctions. Requires the spectrum to reach
-    nu_max, otherwise the series truncation is invalid and more eigenpairs
-    must be computed."""
+    weighted by the squared eigenfunctions. The spectrum must reach nu_max
+    (else the series truncation is invalid: compute more eigenpairs), and
+    nu_max the first positive eigenvalue (else every vector is the same)."""
     top = float(spectrum.eigenvalues[-1])
     if basis.nu_max > top * (1.0 + 1e-12):
         raise DataError(
             f"spectrum reaches nu={top:.6g} but the basis needs nu_max="
             f"{basis.nu_max:.6g}; compute more eigenpairs"
         )
+    if basis.nu_max < spectrum.first_positive():
+        raise DataError(f"basis cutoff nu_max={basis.nu_max:.6g} lies below the first "
+                        f"positive eigenvalue {spectrum.first_positive():.6g}")
     design = basis.evaluate(spectrum.eigenvalues)  # (s, m)
     return spectrum.squared() @ design
 

@@ -19,7 +19,7 @@ __all__ = [
     "RocCurve",
     "CmcCurve",
     "roc",
-    "rate_at",
+    "work_points",
     "cmc",
     "match_ground_truth",
     "distance_maps",
@@ -65,27 +65,19 @@ def roc(distances_pos, distances_neg) -> RocCurve:
     )
 
 
-def rate_at(curve: RocCurve, fixed: str, rate: float) -> float:
-    """Work-point readout by linear interpolation along the sweep.
-
-    ``fixed="FP"`` returns the true positive rate at that false positive
-    rate; ``fixed="FN"`` returns the false positive rate at that false
-    negative rate (i.e. at true positive rate 1 - rate).
-    """
+def work_points(curve: RocCurve, rate: float) -> tuple[float, float]:
+    """Work-point readouts by linear interpolation along the sweep: the true
+    positive rate at false positive rate `rate`, and the false positive rate
+    at false negative rate `rate` (i.e. at true positive rate 1 - rate)."""
     if not 0.0 < rate < 1.0:
         raise DataError(f"rate={rate} outside (0, 1)")
-    if fixed == "FP":
-        x, idx = np.unique(curve.fp_rate, return_inverse=True)
-        best = np.zeros_like(x)
-        np.maximum.at(best, idx, curve.tp_rate)
-        return float(np.interp(rate, x, best))
-    if fixed == "FN":
-        target_tp = 1.0 - rate
-        x, idx = np.unique(curve.tp_rate, return_inverse=True)
-        best = np.full_like(x, np.inf)
-        np.minimum.at(best, idx, curve.fp_rate)
-        return float(np.interp(target_tp, x, best))
-    raise DataError(f"fixed must be 'FP' or 'FN', got {fixed!r}")
+    fp, idx = np.unique(curve.fp_rate, return_inverse=True)
+    best_tp = np.zeros_like(fp)
+    np.maximum.at(best_tp, idx, curve.tp_rate)
+    tp, idx = np.unique(curve.tp_rate, return_inverse=True)
+    best_fp = np.full_like(tp, np.inf)
+    np.minimum.at(best_fp, idx, curve.fp_rate)
+    return float(np.interp(rate, fp, best_tp)), float(np.interp(1.0 - rate, tp, best_fp))
 
 
 @dataclass

@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .evaluation import rate_at, roc
+from .evaluation import roc, work_points
 from .mesh import TriangleMesh, geodesic_balls, intrinsic_diameter
 
 __all__ = [
@@ -407,9 +407,8 @@ def sweep_alpha(
             raise NumericalError(f"degenerate distance distribution at alpha={alpha}: "
                                  "all pair distances equal")
         curve = roc(d_pos, d_neg)
-        fn_at_fp = 1.0 - rate_at(curve, "FP", work_point)
-        fp_at_fn = rate_at(curve, "FN", work_point)
-        table.append(AlphaSweepEntry(alpha, fn_at_fp, fp_at_fn, len(coef)))
+        tp_at_fp, fp_at_fn = work_points(curve, work_point)
+        table.append(AlphaSweepEntry(alpha, 1.0 - tp_at_fp, fp_at_fn, len(coef)))
 
     score = "fn_at_fixed_fp" if mode == "sensitivity" else "fp_at_fixed_fn"
     scores = [getattr(entry, score) for entry in table]

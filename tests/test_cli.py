@@ -696,9 +696,8 @@ DECIMAL_CASES = [
     pytest.param(["train"], "ridge", "-1", id="train-ridge"),
     pytest.param(["train"], "alpha", "1.5", id="train-alpha"),
     pytest.param(["train"], "alpha_grid", "0.1,nan", id="train-alpha_grid-nan"),
-    pytest.param(["sweep-alpha"], "alpha_grid", "2,3", id="sweep-alpha-alpha_grid"),
+    pytest.param(["train"], "alpha_grid", "2,3", id="train-alpha_grid-range"),
     *(pytest.param(["train"], key, value, id=f"train-{key}") for key, value in SAMPLING_VALUES),
-    pytest.param(["sweep-alpha"], "refs_per_shape", "-1", id="sweep-alpha-refs_per_shape"),
     *(pytest.param(["eval", "--descriptors", "hks={desc}"], f"eval_{key}", value,
                    id=f"eval-eval_{key}") for key, value in SAMPLING_VALUES[:4]),
     pytest.param(["train"], "diameter_samples", "1", id="train-diameter_samples"),
@@ -755,12 +754,25 @@ def test_geometry_vectors_need_one_row_per_vertex(pipeline_copy, caplog):
                for r in caplog.records)
 
 
-def test_sweep_alpha_command(mini_pipeline):
-    config = mini_pipeline / "config.cfg"
-    out = mini_pipeline / "sweep"
-    assert run(["sweep-alpha", "--config", config, "--out", out]) == 0
-    lines = (out / "alpha_sweep.csv").read_text().splitlines()
-    assert len(lines) == 2 + 2  # note + header + one row per alpha
+def test_train_empty_alpha_forces_sweep(pipeline_copy):
+    config = pipeline_copy / "config.cfg"
+    pinned = pipeline_copy / "pinned.cfg"
+    pinned.write_text(config.read_text().replace("[learning]\n", "[learning]\nalpha = 0.2\n"))
+    reports = {}
+    for name, argv in [("free", [config]), ("pinned", [pinned]),
+                       ("swept", [pinned, "--alpha", ""])]:
+        assert run(["train", "--config", *argv, "--out", pipeline_copy / name]) == 0
+        reports[name] = (pipeline_copy / name / "training_report.csv").read_bytes()
+    assert len(reports["pinned"].splitlines()) == 2  # note + header, no sweep
+    assert reports["swept"] == reports["free"]
+    assert len(reports["swept"].splitlines()) == 2 + 2  # one row per alpha
+
+
+def test_sweep_alpha_is_no_command(mini_corpus, capsys):
+    assert run(["sweep-alpha", "--config", mini_corpus / "config.cfg",
+                "--out", mini_corpus / "sweep"]) == 2
+    assert "invalid choice: 'sweep-alpha'" in capsys.readouterr().err
+    assert not (mini_corpus / "sweep").exists()
 
 
 def test_eval_missing_descriptor_file(mini_pipeline, caplog):
@@ -933,7 +945,6 @@ def test_override_without_value_is_usage_error(mini_corpus, caplog):
 FILE_AS_DIRECTORY = {
     "describe": ["--family", "hks", "--out", "{file}"],
     "train": ["--out", "{file}"],
-    "sweep-alpha": ["--out", "{file}"],
     "eval": ["--descriptors", "hks={desc}", "--out", "{file}"],
     "match": ["--descriptors", "hks={desc}", "--source", "multisphere",
               "--target", "multisphere_jitter_1", "--out", "{file}"],
@@ -1010,6 +1021,29 @@ def test_model_with_infinite_nu_max_is_data_error(mini_pipeline, tmp_path, caplo
     assert code == 3
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert errors == [f"{model}: malformed model file: nu_max=inf must be positive and finite"]
+
+
+@pytest.mark.parametrize("nu_max", [1e-300, 0.5])
+def test_model_cutoff_below_spectrum_is_data_error(mini_pipeline, tmp_path, caplog, nu_max):
+    # below the first positive eigenvalue every geometry vector is the same,
+    # so every learned descriptor would be constant over the shape
+    config = mini_pipeline / "config.cfg"
+    doc = json.loads((mini_pipeline / "train" / "model.json").read_text())
+    doc["basis"]["nu_max"] = nu_max
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["describe", "--config", config, "--family", "learned",
+                    "--model", model, "--out", tmp_path / "desc"])
+    assert code == 3
+    ws = Workspace(parse_config(config))
+    first = ws.entries[0]
+    lowest = ws.spectrum_reaching(first, nu_max).first_positive()
+    assert lowest > nu_max
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"{model}: shape {first.shape_id}: basis cutoff nu_max={nu_max:.6g} "
+                      f"lies below the first positive eigenvalue {lowest:.6g}"]
+    assert not list((tmp_path / "desc").iterdir())
 
 
 def test_match_command(mini_pipeline):

@@ -12,8 +12,8 @@ from specdesc.evaluation import (
     distance_maps,
     emit_report,
     match_ground_truth,
-    rate_at,
     roc,
+    work_points,
 )
 from specdesc.mesh import BALL_BLOCK, geodesic_distance_fields
 from specdesc.synth import icosphere
@@ -127,33 +127,30 @@ def test_roc_invariant_under_monotone_transform(pos, neg):
 
 def test_rate_at_perfect_curve():
     curve = roc([0.1, 0.2], [1.0, 2.0])
-    assert rate_at(curve, "FP", 0.01) == 1.0
-    assert rate_at(curve, "FN", 0.01) == 0.0
+    assert work_points(curve, 0.01) == (1.0, 0.0)
 
 
 def test_rate_at_chance_curve():
     values = np.linspace(0.0, 1.0, 200)
     curve = roc(values, values)
-    assert rate_at(curve, "FP", 0.01) == pytest.approx(0.01, abs=1e-9)
+    assert work_points(curve, 0.01)[0] == pytest.approx(0.01, abs=1e-9)
 
 
 def test_rate_at_exhaustive_curve():
     curve = roc([1.0, 3.0], [2.0, 4.0])
-    assert rate_at(curve, "FP", 0.5) == 1.0
+    assert work_points(curve, 0.5)[0] == 1.0
 
 
 def test_rate_at_consistency_near_one():
     rng = np.random.default_rng(1)
     curve = roc(rng.normal(0, 1, 500), rng.normal(1.2, 1, 500))
-    assert rate_at(curve, "FP", 0.999) == pytest.approx(curve.tp_rate.max(), abs=1e-6)
+    assert work_points(curve, 0.999)[0] == pytest.approx(curve.tp_rate.max(), abs=1e-6)
 
 
 def test_rate_at_validation():
     curve = roc([1.0], [2.0])
     with pytest.raises(DataError):
-        rate_at(curve, "FP", 0.0)
-    with pytest.raises(DataError):
-        rate_at(curve, "TN", 0.5)
+        work_points(curve, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""Compare every file the pipeline writes under two source trees, byte for byte.
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--acceptance]
+
+Each ``src`` directory runs synth, spectrum, train x2, describe x5, eval x2
+and match, one child process per command, in a temporary directory of its
+own. The default corpus is the benchmark's (``synth --seed 1`` at
+perfbench's ``SCALE``, s = 40); ``--acceptance`` runs the full
+``CORPUS_CONFIG`` of tests/conftest.py on the default ``synth`` corpus.
+Prints each file whose SHA-256 differs, or that one tree lacks, and exits 1
+on any difference.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+bench = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # dataclasses look it up
+_spec.loader.exec_module(bench)
+
+
+def pipeline(src: Path, work: Path, acceptance: bool) -> dict:
+    """Run the pipeline with the specdesc of `src` in `work`; return the
+    SHA-256 of every file written there, by relative path."""
+    config = work / "config.cfg"
+    text = bench.corpus_config()
+    config.write_text(text if acceptance else bench.scaled_config(text, bench.SCALE.overrides))
+    base = ["--config", config]
+    steps = [["synth", "--out", work / "corpus",
+              *([] if acceptance else ["--seed", "1", *bench.SCALE.synth_args])],
+             ["spectrum", *base]]
+    steps += [["train", *base, "--mode", mode, "--out", work / f"train_{mode[:4]}"]
+              for mode in ("sensitivity", "specificity")]
+    steps += [["describe", *base, "--family", f, "--out", work / "desc"]
+              for f in ("hks", "wks", "shapedna")]
+    steps += [["describe", *base, "--family", "learned", "--out", work / f"desc_{tag}",
+               "--model", work / f"train_{tag}" / "model.json"] for tag in ("sens", "spec")]
+    family_dirs = [f"hks={work / 'desc'}", f"wks={work / 'desc'}"]
+    steps += [["eval", *base, "--descriptors", *family_dirs, f"learned={work / f'desc_{tag}'}",
+               "--out", work / f"report_{tag}"] for tag in ("sens", "spec")]
+    source, target = bench.MATCH
+    steps.append(["match", *base, "--descriptors", f"learned={work / 'desc_sens'}",
+                  "--source", source, "--target", target, "--out", work / "match"])
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for step in steps:
+        done = subprocess.run([sys.executable, *bench.UNTRACED, *map(str, step)], env=env,
+                              capture_output=True, text=True)
+        if done.returncode:
+            sys.exit(f"{src}: {step[0]} exited {done.returncode}\n{done.stderr[-2000:]}")
+    return {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(work.rglob("*")) if p.is_file()}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--acceptance", action="store_true", help="full CORPUS_CONFIG corpus")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
+        old = pipeline(args.parent_src.resolve(), Path(a), args.acceptance)
+        new = pipeline(args.change_src.resolve(), Path(b), args.acceptance)
+    differ = [name for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+    for name in differ:
+        print(f"differs: {name} ({old.get(name, 'missing')[:12]} -> "
+              f"{new.get(name, 'missing')[:12]})")
+    print(f"{len(old.keys() | new.keys())} files compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
