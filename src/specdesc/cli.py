@@ -83,7 +83,7 @@ class Workspace:
 
     def __init__(self, cfg: PipelineConfig, cache_dir: Optional[Path] = None):
         self.cfg = cfg
-        manifest_path = cfg.path("shapes", "manifest")
+        manifest_path = cfg.path("manifest")
         self.entries = read_manifest(manifest_path)
         self.base = manifest_path.parent
         self.cache_dir = Path(cache_dir) if cache_dir else self.base / "spectra"
@@ -119,7 +119,7 @@ class Workspace:
         prefix of the shape's cache entry; a miss, or an entry too short for
         the request, solves `_solve_count(count)` pairs into the entry."""
         if count is None:
-            count = self.cfg.get_int("spectral", "s")
+            count = self.cfg["s"]
         cached = self._spectra.get(entry.shape_id)
         if cached is None:
             cached = self._load_entry(entry)
@@ -146,7 +146,7 @@ class Workspace:
         return self._solve(entry, _solve_count(aim))  # geometry_vectors checks the reach
 
     def _cache_path(self, entry: ManifestEntry) -> Path:
-        key = spectrum_cache_key(self.file_hash(entry), self.cfg.get("spectral", "mass_mode"))
+        key = spectrum_cache_key(self.file_hash(entry), self.cfg["mass_mode"])
         return self.cache_dir / f"{entry.shape_id}.{key}.spec"
 
     def _load_entry(self, entry: ManifestEntry) -> Optional[Spectrum]:
@@ -168,7 +168,7 @@ class Workspace:
         """Solve `count` pairs (at most one per vertex) and make them the
         shape's cache entry, replacing its file."""
         mesh = self.mesh(entry)
-        op = assemble_fem(mesh, mass_mode=self.cfg.get("spectral", "mass_mode"))
+        op = assemble_fem(mesh, mass_mode=self.cfg["mass_mode"])
         spectrum = compute_spectrum(op, min(count, mesh.n_vertices))
         make_dir(self.cache_dir)
         save_spectrum(spectrum, self.file_hash(entry), self._cache_path(entry))
@@ -215,8 +215,7 @@ def _training_basis(ws: Workspace) -> FrequencyBasis:
     """Basis cutoff at the configured percentile of the top eigenvalue over
     the training shapes."""
     cfg = ws.cfg
-    count = cfg.get_int("spectral", "s")
-    percentile = cfg.get_float("basis", "nu_max_percentile")
+    count = cfg["s"]
     entries = ws.by_split("train", "train_neg")
     if not entries:
         raise DataError("manifest has no train shapes")
@@ -224,8 +223,8 @@ def _training_basis(ws: Workspace) -> FrequencyBasis:
     for entry in entries:
         spectrum = ws.spectrum(entry)
         tops.append(float(spectrum.eigenvalues[min(count, len(spectrum)) - 1]))
-    nu_max = float(np.percentile(tops, percentile))
-    return FrequencyBasis(nu_max=nu_max, m=cfg.get_int("basis", "m"))
+    nu_max = float(np.percentile(tops, cfg["nu_max_percentile"]))
+    return FrequencyBasis(nu_max=nu_max, m=cfg["m"])
 
 
 _SAMPLING_KEYS = ("refs_per_shape", "positives_per_ref", "negatives_per_ref",
@@ -238,13 +237,12 @@ def _sample_split(ws: Workspace, entries, ref_split: str, prefix: str):
     same order. The counts and seed are the settings named `prefix` +
     _SAMPLING_KEYS: "" for training, "eval_" for evaluation."""
     cfg = ws.cfg
-    section = "eval" if prefix else "learning"
     return sample_pair_indices(
         [ws.shape_sample(entry, sample_refs=entry.split == ref_split) for entry in entries],
-        r_frac=cfg.get_float("learning", "r_frac"),
-        big_r_frac=cfg.get_float("learning", "big_r_frac"),
-        diameter_samples=cfg.get_int("learning", "diameter_samples"),
-        **{key: cfg.get_int(section, prefix + key) for key in _SAMPLING_KEYS},
+        r_frac=cfg["r_frac"],
+        big_r_frac=cfg["big_r_frac"],
+        diameter_samples=cfg["diameter_samples"],
+        **{key: cfg[prefix + key] for key in _SAMPLING_KEYS},
     )
 
 
@@ -278,7 +276,7 @@ def cmd_spectrum(args, cfg: PipelineConfig) -> int:
 def _describe_field(ws: Workspace, entry: ManifestEntry, family: str,
                     model: Optional[ResponseModel], model_path: Optional[str]) -> DescriptorField:
     cfg = ws.cfg
-    n = cfg.get_int("descriptor", "n")
+    n = cfg["n"]
     if family == "learned":
         spectrum = ws.spectrum_reaching(entry, model.basis.nu_max)
         try:  # the model's basis against this shape's spectrum
@@ -287,12 +285,9 @@ def _describe_field(ws: Workspace, entry: ManifestEntry, family: str,
             raise DataError(f"{model_path}: shape {entry.shape_id}: {exc}") from exc
     spectrum = ws.spectrum(entry)
     if family == "hks":
-        times = cfg.get_floats("descriptor", "hks_times")
-        return hks(spectrum, times if times else hks_default_times(spectrum, n))
+        return hks(spectrum, cfg["hks_times"] or hks_default_times(spectrum, n))
     if family == "wks":
-        energies = cfg.get_floats("descriptor", "wks_energies")
-        sigma = (cfg.get_float("descriptor", "wks_sigma")
-                 if cfg.get("descriptor", "wks_sigma").strip() else None)
+        energies, sigma = cfg["wks_energies"], cfg["wks_sigma"]
         if not energies or sigma is None:
             default_e, default_sigma = wks_default_bands(spectrum, n)
             energies = energies or default_e
@@ -311,8 +306,11 @@ def cmd_describe(args, cfg: PipelineConfig) -> int:
             raise DataError("--model is required for the learned family")
         model = load_response_model(args.model)
     out = make_dir(args.out)
-    for entry in ws.entries:
-        field = _describe_field(ws, entry, args.family, model, args.model)
+    # every shape is described before any file is written, so a failure
+    # leaves no partial result in `out`
+    fields = [_describe_field(ws, entry, args.family, model, args.model)
+              for entry in ws.entries]
+    for entry, field in zip(ws.entries, fields):
         save_descriptor_binary(field, out / f"{entry.shape_id}.{args.family}.dsc")
         save_descriptor_csv(field, out / f"{entry.shape_id}.{args.family}.csv")
         log.info("described %s (%s, n=%d)", entry.shape_id, args.family, field.dim)
@@ -336,24 +334,23 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     train_pairs = _sample_split(ws, entries, "train", "")
     log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
     stats = estimate_covariances(train_pairs, [ws.geometry_vectors(e, basis) for e in entries],
-                                 ridge=cfg.get_float("learning", "ridge"))
+                                 ridge=cfg["ridge"])
     del train_pairs  # the sweep's held-out data takes its place
-    n = cfg.get_int("descriptor", "n")
+    n = cfg["n"]
     table = []
-    if cfg.get("learning", "alpha").strip():
-        best_alpha = cfg.get_float("learning", "alpha")
-    else:
+    best_alpha = cfg["alpha"]
+    if best_alpha is None:
         entries = ws.by_split("val", "val_neg")
         best_alpha, table = sweep_alpha(
             stats,
-            cfg.get_floats("learning", "alpha_grid"),
+            cfg["alpha_grid"],
             n,
             _sample_split(ws, entries, "val", ""),
             [ws.geometry_vectors(e, basis) for e in entries],
-            mode=cfg.get("eval", "mode"),
-            work_point=cfg.get_float("eval", "work_point"),
+            mode=cfg["mode"],
+            work_point=cfg["work_point"],
         )
-        log.info("alpha sweep selected %.4g (%s mode)", best_alpha, cfg.get("eval", "mode"))
+        log.info("alpha sweep selected %.4g (%s mode)", best_alpha, cfg["mode"])
     coef, lam = solve_tradeoff(stats, best_alpha, n)
     model = ResponseModel(basis=basis, coefficients=coef)
     if model.n < n:
@@ -421,7 +418,7 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     # --- ROC over sampled eval triplets ---------------------------------
     indices = _sample_split(ws, all_entries, "eval", "eval_")
     log.info("eval triplets: %d", len(indices))
-    work_point = cfg.get_float("eval", "work_point")
+    work_point = cfg["work_point"]
     roc_curves = []
     roc_rows = []
     for family in families:
@@ -469,7 +466,7 @@ def _cmc_pair(ws: Workspace, eval_entries):
     if not nulls:
         raise DataError("eval split has no null shape for the CMC protocol")
     source = nulls[0]
-    target_id = ws.cfg.get("eval", "cmc_target").strip()
+    target_id = ws.cfg["cmc_target"].strip()
     if target_id:
         target = ws.entry(target_id)
         if target.null_id != source.shape_id:
@@ -498,19 +495,17 @@ def _run_cmc(ws: Workspace, fields, families, source_entry, target_entry):
     inverse[corr[valid]] = np.flatnonzero(valid)
 
     fps_family = "learned" if "learned" in families else families[0]
-    n_refs = cfg.get_int("eval", "cmc_refs")
+    n_refs = cfg["cmc_refs"]
     refs = farthest_point_sample(fields[fps_family][source_entry.shape_id],
                                  min(n_refs, source_mesh.n_vertices))
     refs = refs[inverse[refs] >= 0]
     if refs.size == 0:
         raise DataError("no CMC references carry over to the target shape")
-    radius = cfg.get_float("eval", "ball_radius_frac") * intrinsic_diameter(
-        target_mesh, cfg.get_int("learning", "diameter_samples")
-    )
+    radius = cfg["ball_radius_frac"] * intrinsic_diameter(target_mesh, cfg["diameter_samples"])
     gt = match_ground_truth(
         target_mesh, inverse[refs], radius, symmetry=ws.symmetry(target_entry)
     )
-    max_rank = max(1, round(cfg.get_float("eval", "cmc_rank_frac") * target_mesh.n_vertices))
+    max_rank = max(1, round(cfg["cmc_rank_frac"] * target_mesh.n_vertices))
     curves, rows = [], []
     for family in families:
         curve = cmc(

@@ -20,180 +20,123 @@ from .errors import DataError, ParseError
 __all__ = [
     "PipelineConfig",
     "ManifestEntry",
-    "DEFAULTS",
+    "SETTINGS",
     "parse_config",
     "parse_config_text",
     "read_manifest",
     "write_manifest",
 ]
 
-# Section -> key -> default (all values are strings; empty string means
-# "derive a default at run time").
-DEFAULTS: dict[str, dict[str, str]] = {
-    "shapes": {
-        "manifest": "manifest.csv",
-    },
-    "spectral": {
-        "s": "300",
-        "mass_mode": "lumped",
-    },
-    "basis": {
-        "m": "150",
-        "nu_max_percentile": "95",
-    },
-    "descriptor": {
-        "n": "12",
-        "hks_times": "",
-        "wks_energies": "",
-        "wks_sigma": "",
-    },
-    "learning": {
-        "r_frac": "0.02",
-        "big_r_frac": "0.05",
-        "refs_per_shape": "50",
-        "positives_per_ref": "10",
-        "negatives_per_ref": "200",
-        "cross_negatives_per_ref": "100",
-        "alpha": "",
-        "alpha_grid": "0.01,0.02,0.03,0.05,0.07,0.09,0.13,0.2,0.35,0.6",
-        "ridge": "1e-6",
-        "rng_seed": "0",
-        "diameter_samples": "32",
-    },
-    "eval": {
-        "work_point": "0.01",
-        "mode": "sensitivity",
-        "ball_radius_frac": "0.01",
-        "cmc_rank_frac": "0.01",
-        "cmc_refs": "150",
-        "cmc_target": "",
-        "eval_rng_seed": "1",
-        "eval_refs_per_shape": "40",
-        "eval_positives_per_ref": "10",
-        "eval_negatives_per_ref": "250",
-        "eval_cross_negatives_per_ref": "120",
-    },
-}
-
 MODES = ("sensitivity", "specificity")
 MASS_MODES = ("lumped", "consistent")
 
-# The one table of setting rules, as (keys, test, rule): `PipelineConfig.check`
-# applies the test to every number a non-empty setting of those keys holds
-# (NaN fails every test), or, for a tuple of words, asks for one of them.
-_RULES = (
-    (("ball_radius_frac", "ridge", "rng_seed", "eval_rng_seed", "refs_per_shape",
-      "eval_refs_per_shape", "negatives_per_ref", "eval_negatives_per_ref",
-      "cross_negatives_per_ref", "eval_cross_negatives_per_ref"),
-     lambda v: v >= 0, "must be non-negative"),
-    (("s", "n", "cmc_refs", "positives_per_ref", "eval_positives_per_ref"),
-     lambda v: v >= 1, "must be at least 1"),
-    (("diameter_samples",), lambda v: v >= 2, "must be at least 2"),
-    (("m",), lambda v: v >= 4, "must be at least 4"),
-    (("hks_times", "wks_energies", "wks_sigma", "r_frac", "big_r_frac"),
-     lambda v: v > 0, "must be positive"),
-    (("cmc_rank_frac", "alpha", "alpha_grid"), lambda v: 0 <= v <= 1, "outside [0, 1]"),
-    (("work_point",), lambda v: 0 < v < 1, "outside (0, 1)"),
-    (("nu_max_percentile",), lambda v: 0 <= v <= 100, "outside [0, 100]"),
-    (("mode",), MODES, "must be one of " + ", ".join(MODES)),
-    (("mass_mode",), MASS_MODES, "must be one of " + ", ".join(MASS_MODES)),
-)
-_RULE_OF = {key: (test, rule) for keys, test, rule in _RULES for key in keys}
-# the keys that commands read with `get_int`; `check` parses them the same way
-_INTEGERS = ("s", "m", "n", "diameter_samples", "cmc_refs", "rng_seed", "eval_rng_seed",
-             "refs_per_shape", "eval_refs_per_shape", "positives_per_ref",
-             "eval_positives_per_ref", "negatives_per_ref", "eval_negatives_per_ref",
-             "cross_negatives_per_ref", "eval_cross_negatives_per_ref")
+NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+POSITIVE = (lambda v: v > 0, "must be positive")
+UNIT = (lambda v: 0 <= v <= 1, "outside [0, 1]")
+
+
+def _one_of(words):
+    return words, "must be one of " + ", ".join(words)
+
+
+# The one settings table: key -> (section, default, kind, (test, rule)). A
+# kind is int, float, None (a number that may be left empty), list (a comma
+# list of numbers) or str. `PipelineConfig.check` reads every value by its
+# kind, then applies the test to each number it holds (NaN fails every test)
+# or, for a tuple of words, asks for one of them. An empty default is derived
+# at run time.
+SETTINGS = {
+    "manifest": ("shapes", "manifest.csv", str, None),
+    "s": ("spectral", "300", int, AT_LEAST_1),
+    "mass_mode": ("spectral", "lumped", str, _one_of(MASS_MODES)),
+    "m": ("basis", "150", int, (lambda v: v >= 4, "must be at least 4")),
+    "nu_max_percentile": ("basis", "95", float, (lambda v: 0 <= v <= 100, "outside [0, 100]")),
+    "n": ("descriptor", "12", int, AT_LEAST_1),
+    "hks_times": ("descriptor", "", list, POSITIVE),
+    "wks_energies": ("descriptor", "", list, POSITIVE),
+    "wks_sigma": ("descriptor", "", None, POSITIVE),
+    "r_frac": ("learning", "0.02", float, POSITIVE),
+    "big_r_frac": ("learning", "0.05", float, POSITIVE),
+    "refs_per_shape": ("learning", "50", int, NON_NEGATIVE),
+    "positives_per_ref": ("learning", "10", int, AT_LEAST_1),
+    "negatives_per_ref": ("learning", "200", int, NON_NEGATIVE),
+    "cross_negatives_per_ref": ("learning", "100", int, NON_NEGATIVE),
+    "alpha": ("learning", "", None, UNIT),
+    "alpha_grid": ("learning", "0.01,0.02,0.03,0.05,0.07,0.09,0.13,0.2,0.35,0.6", list, UNIT),
+    "ridge": ("learning", "1e-6", float, NON_NEGATIVE),
+    "rng_seed": ("learning", "0", int, NON_NEGATIVE),
+    "diameter_samples": ("learning", "32", int, (lambda v: v >= 2, "must be at least 2")),
+    "work_point": ("eval", "0.01", float, (lambda v: 0 < v < 1, "outside (0, 1)")),
+    "mode": ("eval", "sensitivity", str, _one_of(MODES)),
+    "ball_radius_frac": ("eval", "0.01", float, NON_NEGATIVE),
+    "cmc_rank_frac": ("eval", "0.01", float, UNIT),
+    "cmc_refs": ("eval", "150", int, AT_LEAST_1),
+    "cmc_target": ("eval", "", str, None),
+    "eval_rng_seed": ("eval", "1", int, NON_NEGATIVE),
+    "eval_refs_per_shape": ("eval", "40", int, NON_NEGATIVE),
+    "eval_positives_per_ref": ("eval", "10", int, AT_LEAST_1),
+    "eval_negatives_per_ref": ("eval", "250", int, NON_NEGATIVE),
+    "eval_cross_negatives_per_ref": ("eval", "120", int, NON_NEGATIVE),
+}
+_KIND_NAMES = {int: "an integer", float: "a number", None: "a number",
+               list: "a comma list of numbers"}
+
+
+def _read(kind, raw: str):
+    """`raw` read as a value of `kind`; ValueError when it is not one."""
+    if kind is list:
+        return [float(tok) for tok in raw.split(",") if tok.strip()]
+    if kind is None:
+        return float(raw) if raw.strip() else None
+    return kind(raw)
 
 
 @dataclass
 class PipelineConfig:
-    """Parsed configuration: raw string values per section plus the base
-    directory used to resolve relative paths."""
+    """Parsed configuration: the text of every setting by its key, plus the
+    base directory used to resolve relative paths."""
 
-    values: dict[str, dict[str, str]]
+    values: dict[str, str]
     base_dir: Path = field(default_factory=Path)
 
-    # -- typed accessors ---------------------------------------------------
+    def __getitem__(self, key: str):
+        """The setting's value as its kind; `check` has read them all."""
+        return _read(SETTINGS[key][2], self.values[key])
 
-    def get(self, section: str, key: str) -> str:
-        try:
-            return self.values[section][key]
-        except KeyError as exc:
-            raise DataError(f"unknown config key [{section}] {key}") from exc
-
-    def get_int(self, section: str, key: str) -> int:
-        raw = self.get(section, key)
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ParseError(f"config [{section}] {key}={raw}: expected integer") from exc
-
-    def get_float(self, section: str, key: str) -> float:
-        raw = self.get(section, key)
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ParseError(f"config [{section}] {key}={raw}: expected number") from exc
-
-    def get_floats(self, section: str, key: str) -> list[float]:
-        raw = self.get(section, key).strip()
-        if not raw:
-            return []
-        try:
-            return [float(tok) for tok in raw.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ParseError(f"config [{section}] {key}={raw}: expected numbers") from exc
-
-    def path(self, section: str, key: str) -> Path:
-        return (self.base_dir / self.get(section, key)).resolve()
+    def path(self, key: str) -> Path:
+        return (self.base_dir / self.values[key]).resolve()
 
     def check(self) -> None:
-        """Raise DataError naming the first setting outside its _RULES rule
-        or, for an _INTEGERS key, not an integer; or both radii unless
+        """Raise DataError naming the first setting that is not of its kind
+        or breaks its rule, in table order; or both radii unless
         r_frac < big_r_frac."""
-        for section, entries in self.values.items():
-            for key, raw in entries.items():
-                if key in _INTEGERS:
-                    try:
-                        int(raw)
-                    except ValueError:
-                        raise DataError(f"{key}={raw} must be an integer") from None
-                if key in _RULE_OF:
-                    test, rule = _RULE_OF[key]
-                    if not (raw in test if isinstance(test, tuple) else
-                            all(test(v) for v in self.get_floats(section, key))):
-                        raise DataError(f"{key}={raw} {rule}")
-        r, big_r = self.get("learning", "r_frac"), self.get("learning", "big_r_frac")
-        if not self.get_float("learning", "r_frac") < self.get_float("learning", "big_r_frac"):
-            raise DataError(f"r_frac={r} must be below big_r_frac={big_r}")
-
-    # -- mutation / serialization -------------------------------------------
+        for key, raw in self.values.items():
+            _, _, kind, rule = SETTINGS[key]
+            try:
+                value = _read(kind, raw)
+            except ValueError:
+                raise DataError(f"{key}={raw} must be {_KIND_NAMES[kind]}") from None
+            if rule is None:
+                continue
+            test, text = rule
+            numbers = value if kind is list else [] if value is None else [value]
+            if not (value in test if isinstance(test, tuple) else all(map(test, numbers))):
+                raise DataError(f"{key}={raw} {text}")
+        if not self["r_frac"] < self["big_r_frac"]:
+            raise DataError(f"r_frac={self.values['r_frac']} must be below "
+                            f"big_r_frac={self.values['big_r_frac']}")
 
     def override(self, key: str, value: str) -> None:
         """Set a key by its flat name; keys are unique across sections."""
-        for section, entries in self.values.items():
-            if key in entries:
-                entries[key] = value
-                return
-        raise DataError(f"unknown config key {key!r}")
-
-    def serialize(self) -> str:
-        lines = []
-        for section, entries in self.values.items():
-            lines.append(f"[{section}]")
-            for key, value in entries.items():
-                lines.append(f"{key} = {value}")
-            lines.append("")
-        return "\n".join(lines)
-
-
-def _fresh_defaults() -> dict[str, dict[str, str]]:
-    return {sec: dict(entries) for sec, entries in DEFAULTS.items()}
+        if key not in self.values:
+            raise DataError(f"unknown config key {key!r}")
+        self.values[key] = value
 
 
 def parse_config_text(text: str, base_dir: Path = Path(".")) -> PipelineConfig:
-    values = _fresh_defaults()
+    values = {key: row[1] for key, row in SETTINGS.items()}
+    sections = {row[0] for row in SETTINGS.values()}
     section: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -201,7 +144,7 @@ def parse_config_text(text: str, base_dir: Path = Path(".")) -> PipelineConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in values:
+            if section not in sections:
                 raise ParseError(f"line {lineno}: unknown config section [{section}]")
             continue
         if "=" not in line:
@@ -209,9 +152,9 @@ def parse_config_text(text: str, base_dir: Path = Path(".")) -> PipelineConfig:
         if section is None:
             raise ParseError(f"line {lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in values[section]:
+        if SETTINGS.get(key, ("",))[0] != section:
             raise ParseError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        values[section][key] = value
+        values[key] = value
     return PipelineConfig(values=values, base_dir=Path(base_dir))
 
 

@@ -295,13 +295,13 @@ def test_criterion_07_triplet_volume(corpus_run):
     samples = [ws.shape_sample(e, sample_refs=(e.split == "eval")) for e in entries]
     indices = sample_pair_indices(
         samples,
-        r_frac=cfg.get_float("learning", "r_frac"),
-        big_r_frac=cfg.get_float("learning", "big_r_frac"),
-        negatives_per_ref=cfg.get_int("eval", "eval_negatives_per_ref"),
-        refs_per_shape=cfg.get_int("eval", "eval_refs_per_shape"),
-        rng_seed=cfg.get_int("eval", "eval_rng_seed"),
-        positives_per_ref=cfg.get_int("eval", "eval_positives_per_ref"),
-        cross_negatives_per_ref=cfg.get_int("eval", "eval_cross_negatives_per_ref"),
+        r_frac=cfg["r_frac"],
+        big_r_frac=cfg["big_r_frac"],
+        negatives_per_ref=cfg["eval_negatives_per_ref"],
+        refs_per_shape=cfg["eval_refs_per_shape"],
+        rng_seed=cfg["eval_rng_seed"],
+        positives_per_ref=cfg["eval_positives_per_ref"],
+        cross_negatives_per_ref=cfg["eval_cross_negatives_per_ref"],
     )
     assert len(indices) >= 100_000
 

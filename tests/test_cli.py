@@ -16,14 +16,7 @@ import pytest
 
 import specdesc
 from specdesc.cli import Workspace, _solve_count, main
-from specdesc.config import (
-    _INTEGERS,
-    _RULES,
-    DEFAULTS,
-    parse_config,
-    parse_config_text,
-    read_manifest,
-)
+from specdesc.config import SETTINGS, parse_config, parse_config_text, read_manifest
 from specdesc.descriptors import (
     DESCRIPTOR_FAMILIES,
     DescriptorField,
@@ -105,24 +98,16 @@ def run(args):
 
 def test_config_defaults_match_contract():
     cfg = parse_config_text("")
-    assert cfg.get_int("spectral", "s") == 300
-    assert cfg.get_float("basis", "nu_max_percentile") == 95
-    assert cfg.get_int("basis", "m") == 150
-    assert cfg.get_int("descriptor", "n") == 12
-    assert cfg.get_float("learning", "r_frac") == 0.02
-    assert cfg.get_float("learning", "big_r_frac") == 0.05
-    grid = cfg.get_floats("learning", "alpha_grid")
+    assert cfg["s"] == 300
+    assert cfg["nu_max_percentile"] == 95
+    assert cfg["m"] == 150
+    assert cfg["n"] == 12
+    assert cfg["r_frac"] == 0.02
+    assert cfg["big_r_frac"] == 0.05
+    grid = cfg["alpha_grid"]
     assert 0.03 in grid and 0.09 in grid
-    assert cfg.get_float("eval", "cmc_rank_frac") == 0.01  # K = 1% of vertices
-    assert cfg.get_float("eval", "ball_radius_frac") == 0.01
-
-
-def test_config_roundtrip_identity():
-    text = "[spectral]\ns = 40\n[learning]\nridge = 1e-4\n"
-    cfg = parse_config_text(text)
-    again = parse_config_text(cfg.serialize())
-    assert again.values == cfg.values
-    assert parse_config_text(again.serialize()).values == cfg.values
+    assert cfg["cmc_rank_frac"] == 0.01  # K = 1% of vertices
+    assert cfg["ball_radius_frac"] == 0.01
 
 
 def test_config_unknown_key_rejected():
@@ -130,22 +115,26 @@ def test_config_unknown_key_rejected():
         parse_config_text("[spectral]\nbogus = 1\n")
     with pytest.raises(ParseError):
         parse_config_text("[nosection]\ns = 1\n")
+    # a real key under another key's section
+    with pytest.raises(ParseError, match=r"unknown key 'm' in \[spectral\]"):
+        parse_config_text("[spectral]\nm = 5\n")
 
 
 def test_config_override_unique_keys():
     cfg = parse_config_text("")
     cfg.override("s", "55")
-    assert cfg.get_int("spectral", "s") == 55
+    assert cfg["s"] == 55
     with pytest.raises(DataError):
         cfg.override("not_a_key", "1")
 
 
 def test_config_flat_keys_are_unique():
-    seen = set()
-    for entries in DEFAULTS.values():
-        for key in entries:
-            assert key not in seen
-            seen.add(key)
+    # a dict literal keeps the later of two equal keys, so read the source
+    source = Path(specdesc.config.__file__).read_text()
+    [table] = [node.value for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SETTINGS"]
+    keys = [key.value for key in table.keys]
+    assert len(keys) == len(set(keys)) == len(SETTINGS)
 
 
 def test_manifest_roundtrip(mini_corpus):
@@ -502,7 +491,7 @@ def test_cli_spectrum_bytes_equal_in_process_solve(mini_corpus, tmp_path):
     entries = read_manifest(mini_corpus / "corpus" / "manifest.csv")
     written = {path.name.split(".")[0]: path for path in cache.glob("*.spec")}
     assert sorted(written) == sorted(e.shape_id for e in entries)
-    count = parse_config(config).get_int("spectral", "s")
+    count = parse_config(config)["s"]
     for entry in entries:
         mesh_path = mini_corpus / "corpus" / entry.path
         mesh = load_mesh(mesh_path)
@@ -644,14 +633,14 @@ def test_bad_radii(mini_corpus, tmp_path, caplog):
     assert not list(tmp_path.iterdir())
 
 
-def test_every_rule_names_a_config_key():
-    keys = [key for entries in DEFAULTS.values() for key in entries]
-    ruled = [key for rule_keys, _, _ in _RULES for key in rule_keys]
-    assert len(set(ruled)) == len(ruled) and set(ruled) <= set(keys)
-    assert len(set(_INTEGERS)) == len(_INTEGERS) and set(_INTEGERS) <= set(keys)
+def test_defaults_pass_their_own_rules():
+    parse_config_text("").check()
 
 
-@pytest.mark.parametrize("key", _INTEGERS)
+INTEGER_KEYS = [key for key, (_, _, kind, _) in SETTINGS.items() if kind is int]
+
+
+@pytest.mark.parametrize("key", INTEGER_KEYS)
 @pytest.mark.parametrize("value", ["2.5", "1e3", ""])
 def test_integer_setting_must_be_integer(key, value):
     cfg = parse_config_text("")
@@ -694,6 +683,7 @@ DECIMAL_CASES = [
     pytest.param(["describe", "--family", "hks"], "s", "0", id="describe-s"),
     pytest.param(["train"], "m", "3", id="train-m"),
     pytest.param(["train"], "ridge", "-1", id="train-ridge"),
+    pytest.param(["train"], "work_point", "", id="train-work_point-empty"),
     pytest.param(["train"], "alpha", "1.5", id="train-alpha"),
     pytest.param(["train"], "alpha_grid", "0.1,nan", id="train-alpha_grid-nan"),
     pytest.param(["train"], "alpha_grid", "2,3", id="train-alpha_grid-range"),
@@ -724,6 +714,29 @@ def test_bad_setting_is_data_error(mini_pipeline, tmp_path, caplog, command, key
     assert code == 3
     assert names_setting(caplog, key, value)
     # rejected before any solve or output: the cold cache gets no .spec file
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, key, value, kind", [
+    (["train"], "ridge", "1e-6,1e-5", "a number"),
+    (["eval", "--descriptors", "hks={desc}"], "ball_radius_frac", "0.01,0.02", "a number"),
+    (["describe", "--family", "wks"], "wks_sigma", "abc", "a number"),
+    (["describe", "--family", "hks"], "hks_times", "1,x", "a comma list of numbers"),
+], ids=["train-ridge-list", "eval-ball_radius_frac-list", "describe-wks_sigma-word",
+        "describe-hks_times-word"])
+def test_setting_of_wrong_kind_fails_before_any_work(mini_pipeline, tmp_path, caplog,
+                                                     monkeypatch, command, key, value, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rejected setting opens no workspace")
+
+    monkeypatch.setattr("specdesc.cli.Workspace", refuse)
+    command = [arg.format(desc=mini_pipeline / "desc") for arg in command]
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run([*command, "--config", mini_pipeline / "config.cfg", "--out", tmp_path / "out",
+                    "--spectrum-cache", tmp_path / "spectra", f"--{key}", value])
+    assert code == 3
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+        f"{key}={value} must be {kind}"]
     assert not list(tmp_path.iterdir())
 
 
@@ -1023,11 +1036,17 @@ def test_model_with_infinite_nu_max_is_data_error(mini_pipeline, tmp_path, caplo
     assert errors == [f"{model}: malformed model file: nu_max=inf must be positive and finite"]
 
 
-@pytest.mark.parametrize("nu_max", [1e-300, 0.5])
+@pytest.mark.parametrize("nu_max", [1e-300, 0.5, 1.0])
 def test_model_cutoff_below_spectrum_is_data_error(mini_pipeline, tmp_path, caplog, nu_max):
     # below the first positive eigenvalue every geometry vector is the same,
-    # so every learned descriptor would be constant over the shape
+    # so every learned descriptor would be constant over the shape. At 1.0
+    # the first shapes are described before a later one fails, and still no
+    # file is written.
     config = mini_pipeline / "config.cfg"
+    ws = Workspace(parse_config(config))
+    lowest = {e.shape_id: ws.spectrum(e).first_positive() for e in ws.entries}
+    failing = next(shape for shape, value in lowest.items() if value > nu_max)
+    assert (failing == ws.entries[0].shape_id) == (nu_max < 1)
     doc = json.loads((mini_pipeline / "train" / "model.json").read_text())
     doc["basis"]["nu_max"] = nu_max
     model = tmp_path / "model.json"
@@ -1036,13 +1055,9 @@ def test_model_cutoff_below_spectrum_is_data_error(mini_pipeline, tmp_path, capl
         code = run(["describe", "--config", config, "--family", "learned",
                     "--model", model, "--out", tmp_path / "desc"])
     assert code == 3
-    ws = Workspace(parse_config(config))
-    first = ws.entries[0]
-    lowest = ws.spectrum_reaching(first, nu_max).first_positive()
-    assert lowest > nu_max
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-    assert errors == [f"{model}: shape {first.shape_id}: basis cutoff nu_max={nu_max:.6g} "
-                      f"lies below the first positive eigenvalue {lowest:.6g}"]
+    assert errors == [f"{model}: shape {failing}: basis cutoff nu_max={nu_max:.6g} "
+                      f"lies below the first positive eigenvalue {lowest[failing]:.6g}"]
     assert not list((tmp_path / "desc").iterdir())
 
 

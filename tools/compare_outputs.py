@@ -8,8 +8,8 @@ and match, one child process per command, in a temporary directory of its
 own. The default corpus is the benchmark's (``synth --seed 1`` at
 perfbench's ``SCALE``, s = 40); ``--acceptance`` runs the full
 ``CORPUS_CONFIG`` of tests/conftest.py on the default ``synth`` corpus.
-Prints each file whose SHA-256 differs, or that one tree lacks, and exits 1
-on any difference.
+Prints each file whose SHA-256 differs, or that one tree lacks, and the
+line total of each tree's ``specdesc/*.py``; exits 1 on any difference.
 """
 
 import argparse
@@ -59,6 +59,11 @@ def pipeline(src: Path, work: Path, acceptance: bool) -> dict:
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
+def src_lines(src: Path) -> int:
+    """Lines of the package modules under `src`, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "specdesc").glob("*.py"))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_src", type=Path)
@@ -73,6 +78,7 @@ def main() -> int:
         print(f"differs: {name} ({old.get(name, 'missing')[:12]} -> "
               f"{new.get(name, 'missing')[:12]})")
     print(f"{len(old.keys() | new.keys())} files compared, {len(differ)} differ")
+    print(f"specdesc/*.py lines: {src_lines(args.parent_src)} -> {src_lines(args.change_src)}")
     return 1 if differ else 0
 
 
