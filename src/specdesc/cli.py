@@ -78,8 +78,8 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 2, 3, 4
 
 
 class Workspace:
-    """Lazily loads meshes, spectra (with a content-addressed cache),
-    correspondences and symmetry maps listed in the manifest."""
+    """Lazily loads meshes, spectra (one at a time, with a content-addressed
+    cache), correspondences and symmetry maps listed in the manifest."""
 
     def __init__(self, cfg: PipelineConfig, cache_dir: Optional[Path] = None):
         self.cfg = cfg
@@ -88,7 +88,7 @@ class Workspace:
         self.base = manifest_path.parent
         self.cache_dir = Path(cache_dir) if cache_dir else self.base / "spectra"
         self._meshes: dict[str, TriangleMesh] = {}
-        self._spectra: dict[str, Spectrum] = {}  # shape id -> cache entry
+        self._last: tuple[Optional[str], Optional[Spectrum]] = (None, None)  # id, entry
         self._file_hashes: dict[str, str] = {}
         self._by_id = {e.shape_id: e for e in self.entries}
 
@@ -120,8 +120,8 @@ class Workspace:
         the request, solves `_solve_count(count)` pairs into the entry."""
         if count is None:
             count = self.cfg["s"]
-        cached = self._spectra.get(entry.shape_id)
-        if cached is None:
+        shape_id, cached = self._last
+        if shape_id != entry.shape_id:
             cached = self._load_entry(entry)
             if cached is not None:
                 log.info("spectrum cache hit for %s (s=%d)", entry.shape_id, count)
@@ -136,7 +136,7 @@ class Workspace:
         An entry that falls short is solved again once, its count aimed by
         Weyl's law (eigenvalue count grows linearly with frequency)."""
         self.spectrum(entry)
-        spectrum = self._spectra[entry.shape_id]
+        spectrum = self._last[1]
         top = float(spectrum.eigenvalues[-1])
         if top * (1.0 + 1e-12) >= nu_target or len(spectrum) >= spectrum.n_vertices:
             return spectrum
@@ -150,8 +150,10 @@ class Workspace:
         return self.cache_dir / f"{entry.shape_id}.{key}.spec"
 
     def _load_entry(self, entry: ManifestEntry) -> Optional[Spectrum]:
-        """The shape's cache file, memoized; None when it is missing or
-        unusable. A hit parses no mesh."""
+        """The shape's cache file, which replaces the entry held (an earlier
+        shape's is read again); None when it is missing or unusable. A hit
+        parses no mesh."""
+        self._last = (None, None)  # released before this shape's is read
         cache_path = self._cache_path(entry)
         if not cache_path.is_file():
             return None
@@ -161,7 +163,7 @@ class Workspace:
             log.warning("spectrum cache unusable for %s (%s); recomputing",
                         entry.shape_id, exc)
             return None
-        self._spectra[entry.shape_id] = spectrum
+        self._last = (entry.shape_id, spectrum)
         return spectrum
 
     def _solve(self, entry: ManifestEntry, count: int) -> Spectrum:
@@ -172,7 +174,7 @@ class Workspace:
         spectrum = compute_spectrum(op, min(count, mesh.n_vertices))
         make_dir(self.cache_dir)
         save_spectrum(spectrum, self.file_hash(entry), self._cache_path(entry))
-        self._spectra[entry.shape_id] = spectrum
+        self._last = (entry.shape_id, spectrum)
         return spectrum
 
     def geometry_vectors(self, entry: ManifestEntry, basis: FrequencyBasis) -> np.ndarray:
@@ -333,7 +335,8 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     entries = ws.by_split("train", "train_neg")
     train_pairs = _sample_split(ws, entries, "train", "")
     log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
-    stats = estimate_covariances(train_pairs, [ws.geometry_vectors(e, basis) for e in entries],
+    # generators: one shape's vectors at a time beside their stack
+    stats = estimate_covariances(train_pairs, (ws.geometry_vectors(e, basis) for e in entries),
                                  ridge=cfg["ridge"])
     del train_pairs  # the sweep's held-out data takes its place
     n = cfg["n"]
@@ -346,7 +349,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
             cfg["alpha_grid"],
             n,
             _sample_split(ws, entries, "val", ""),
-            [ws.geometry_vectors(e, basis) for e in entries],
+            (ws.geometry_vectors(e, basis) for e in entries),
             mode=cfg["mode"],
             work_point=cfg["work_point"],
         )

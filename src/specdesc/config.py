@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -43,9 +44,9 @@ def _one_of(words):
 # The one settings table: key -> (section, default, kind, (test, rule)). A
 # kind is int, float, None (a number that may be left empty), list (a comma
 # list of numbers) or str. `PipelineConfig.check` reads every value by its
-# kind, then applies the test to each number it holds (NaN fails every test)
-# or, for a tuple of words, asks for one of them. An empty default is derived
-# at run time.
+# kind, then asks each number it holds to be finite and to pass the test or,
+# for a str with a tuple of words, asks for one of them. An empty default is
+# derived at run time.
 SETTINGS = {
     "manifest": ("shapes", "manifest.csv", str, None),
     "s": ("spectral", "300", int, AT_LEAST_1),
@@ -108,21 +109,24 @@ class PipelineConfig:
         return (self.base_dir / self.values[key]).resolve()
 
     def check(self) -> None:
-        """Raise DataError naming the first setting that is not of its kind
-        or breaks its rule, in table order; or both radii unless
-        r_frac < big_r_frac."""
+        """Raise DataError naming the first setting that is not of its kind,
+        holds a number that is not finite or breaks its rule, in table order;
+        or both radii unless r_frac < big_r_frac."""
         for key, raw in self.values.items():
             _, _, kind, rule = SETTINGS[key]
             try:
                 value = _read(kind, raw)
             except ValueError:
                 raise DataError(f"{key}={raw} must be {_KIND_NAMES[kind]}") from None
-            if rule is None:
+            if kind is str:
+                if rule is not None and value not in rule[0]:
+                    raise DataError(f"{key}={raw} {rule[1]}")
                 continue
-            test, text = rule
             numbers = value if kind is list else [] if value is None else [value]
-            if not (value in test if isinstance(test, tuple) else all(map(test, numbers))):
-                raise DataError(f"{key}={raw} {text}")
+            if not all(map(math.isfinite, numbers)):
+                raise DataError(f"{key}={raw} must be finite")
+            if not all(map(rule[0], numbers)):
+                raise DataError(f"{key}={raw} {rule[1]}")
         if not self["r_frac"] < self["big_r_frac"]:
             raise DataError(f"r_frac={self.values['r_frac']} must be below "
                             f"big_r_frac={self.values['big_r_frac']}")

@@ -115,7 +115,8 @@ def cmc(
     max_rank: int,
 ) -> CmcCurve:
     """Rank target vertices by descriptor distance per reference (ties broken
-    by vertex index) and accumulate the first-correct-match ranks."""
+    by vertex index) and accumulate the first-correct-match ranks, counted
+    without a sort."""
     refs = np.atleast_2d(np.asarray(ref_descriptors, dtype=np.float64))
     field = np.atleast_2d(np.asarray(target_field, dtype=np.float64))
     if refs.shape[1] != field.shape[1]:
@@ -126,12 +127,13 @@ def cmc(
     if not 1 <= max_rank <= n_target:
         raise DataError(f"max_rank={max_rank} outside [1, {n_target}]")
     first_hit = np.empty(refs.shape[0], dtype=np.int64)
-    rank_of = np.empty(n_target, dtype=np.int64)
     for i, ref in enumerate(refs):
         dist = np.linalg.norm(field - ref, axis=1)
-        order = np.argsort(dist, kind="stable")
-        rank_of[order] = np.arange(n_target)
-        first_hit[i] = rank_of[ground_truth[i]].min()
+        # the first correct match comes first in (distance, index) order
+        truth = np.asarray(ground_truth[i])
+        d_best = dist[truth].min()
+        best = truth[dist[truth] == d_best].min()
+        first_hit[i] = np.count_nonzero(dist < d_best) + np.count_nonzero(dist[:best] == d_best)
     ranks = np.arange(1, max_rank + 1)
     hit_rate = (first_hit[None, :] < ranks[:, None]).mean(axis=1)
     return CmcCurve(hit_rate=hit_rate, n_refs=refs.shape[0])

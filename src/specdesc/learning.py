@@ -23,7 +23,7 @@ coefficients, in fixed-size blocks of triplets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 import warnings
 
 import numpy as np
@@ -93,13 +93,21 @@ class PairIndices:
             f"{self.shape_ids[k]}:{row - self.offsets[k]}" for k, row in zip(shapes, rows))
 
 
-def _stacked(pairs: PairIndices, per_shape_values) -> np.ndarray:
-    """The split's per-shape (V, m) vectors, aligned with shape_ids, stacked
-    once into the (sum V, m) array that the triplet rows index."""
-    for sid, values, size in zip(pairs.shape_ids, per_shape_values, np.diff(pairs.offsets)):
-        if len(values) != size:
-            raise DataError(f"shape {sid}: {len(values)} vector rows for {size} vertices")
-    return np.concatenate(per_shape_values)
+def _stacked(pairs: PairIndices, per_shape_values: Iterable[np.ndarray]) -> np.ndarray:
+    """The split's per-shape (V, m) vectors, aligned with shape_ids, copied
+    shape by shape into the (sum V, m) array that the triplet rows index; a
+    generator keeps only the shape being copied beside the stack."""
+    arrays, stack = iter(per_shape_values), None
+    for k, sid in enumerate(pairs.shape_ids):
+        if (values := next(arrays, None)) is None:
+            raise DataError(f"{k} per-shape vector arrays for {len(pairs.shape_ids)} shapes")
+        start, stop = pairs.offsets[k], pairs.offsets[k + 1]
+        if len(values) != stop - start:
+            raise DataError(f"shape {sid}: {len(values)} vector rows for {stop - start} vertices")
+        if stack is None:
+            stack = np.empty((pairs.offsets[-1], values.shape[1]))
+        stack[start:stop] = values
+    return stack
 
 
 def _moment(values: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
@@ -256,7 +264,7 @@ class CovarianceStats:
 
 def estimate_covariances(
     pairs: PairIndices,
-    per_shape_values: Sequence[np.ndarray],
+    per_shape_values: Iterable[np.ndarray],
     ridge: float = 1e-6,
 ) -> CovarianceStats:
     """Average outer products of difference vectors; the geometry-vector
@@ -264,10 +272,10 @@ def estimate_covariances(
     gets `ridge * trace/m` added to its diagonal.
 
     Takes sampled triplet rows plus the per-shape (V, m) vectors whose stack
-    they index. The vectors are stacked once; each distinct row, positive
-    pair and negative pair is summed once, weighted by how often the
-    triplets use it, so the memory used is O(sum V * m + m^2) beyond the
-    index arrays.
+    they index (a generator's are never held twice). The vectors are stacked
+    once; each distinct row, positive pair and negative pair is summed once,
+    weighted by how often the triplets use it, so the memory used is
+    O(sum V * m + m^2) beyond the index arrays.
     """
     values = _stacked(pairs, per_shape_values)
     m = values.shape[1]
@@ -358,7 +366,7 @@ def _row_distances(values: np.ndarray, rows):
 
 def pair_distances(
     pairs: PairIndices,
-    per_shape_values: Sequence[np.ndarray],
+    per_shape_values: Iterable[np.ndarray],
     coefficients: Optional[np.ndarray] = None,
 ):
     """Distances of the positive and negative pairs, from sampled triplet
@@ -374,7 +382,7 @@ def sweep_alpha(
     alphas: Sequence[float],
     n: int,
     eval_pairs: PairIndices,
-    eval_values: Sequence[np.ndarray],
+    eval_values: Iterable[np.ndarray],
     mode: str = "sensitivity",
     work_point: float = 0.01,
 ) -> tuple[float, list[AlphaSweepEntry]]:

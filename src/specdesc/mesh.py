@@ -155,12 +155,27 @@ class TriangleMesh:
         if (degree == 0).any():
             bad = int(np.flatnonzero(degree == 0)[0])
             raise MeshValidationError(f"vertex {bad} belongs to no face")
-        from scipy.sparse import csgraph
-        ncomp, _ = csgraph.connected_components(self._edge_graph, directed=False)
-        if ncomp != 1:
+        if (ncomp := _component_count(nv, edges)) != 1:
             raise MeshValidationError(
                 f"mesh has {ncomp} connected components; expected a single one"
             )
+
+
+def _component_count(nv: int, edges: np.ndarray) -> int:
+    """Connected components of the edge graph: each vertex takes the least
+    label of itself and its neighbours, then that label's label, until no
+    label changes; each component then holds one vertex labelled itself."""
+    label = np.arange(nv)
+    i, j = edges[:, 0], edges[:, 1]
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return int((label == np.arange(nv)).sum())
+        label = new
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +333,46 @@ def test_cold_run_solves_each_shape_once(mini_corpus, tmp_path, monkeypatch):
     assert len(list(cache.glob("*.spec"))) == n_shapes
 
 
+def live_spectra(monkeypatch):
+    """Patch the CLI's spectrum loader and solver to count the spectra they
+    made that are still alive; returns the count after each one was made."""
+    import specdesc.cli
+
+    alive, counts = [0], []
+
+    def released():
+        alive[0] -= 1
+
+    def counted(real):
+        def make(*args, **kwargs):
+            spectrum = real(*args, **kwargs)
+            alive[0] += 1
+            counts.append(alive[0])
+            weakref.finalize(spectrum, released)
+            return spectrum
+        return make
+
+    for name in ("load_spectrum", "compute_spectrum"):
+        monkeypatch.setattr(specdesc.cli, name, counted(getattr(specdesc.cli, name)))
+    return counts
+
+
+def test_commands_hold_one_shape_spectrum_at_a_time(mini_corpus, tmp_path, monkeypatch):
+    counts = live_spectra(monkeypatch)
+    common = ["--config", mini_corpus / "config.cfg", "--spectrum-cache", tmp_path / "cache"]
+    n_shapes = len(read_manifest(mini_corpus / "corpus" / "manifest.csv"))
+    assert run(["spectrum", *common]) == 0  # a cold cache: every spectrum is solved
+    assert run(["train", *common, "--out", tmp_path / "train"]) == 0
+    model = tmp_path / "train" / "model.json"
+    for family in ("hks", "learned"):
+        assert run(["describe", *common, "--family", family, "--model", model,
+                    "--out", tmp_path / family]) == 0
+    # the train shapes are read for the basis cutoff and again for their vectors
+    assert len(counts) > 3 * n_shapes
+    # the entry held and, while the next one is made, the caller's last one
+    assert max(counts) <= 2
+
+
 def test_short_cache_entry_grows_once(mini_corpus, tmp_path, monkeypatch):
     cfg = parse_config(mini_corpus / "config.cfg")
     torus = Workspace(cfg, cache_dir=tmp_path).entry("torus")
@@ -515,6 +556,15 @@ def test_warm_describe_loads_no_scipy(mini_pipeline, tmp_path, family):
     assert scipy_modules_after(script) == []
     assert len(list(tmp_path.glob(f"*.{family}.dsc"))) == len(
         read_manifest(mini_pipeline / "corpus" / "manifest.csv"))
+
+
+def test_match_loads_no_scipy(mini_pipeline, tmp_path):
+    argv = ["match", "--config", mini_pipeline / "config.cfg",
+            "--descriptors", f"hks={mini_pipeline / 'desc'}", "--source", "multisphere",
+            "--target", "multisphere_jitter_1", "--out", tmp_path]
+    script = f"import sys, specdesc.cli\nassert specdesc.cli.main({[str(a) for a in argv]!r}) == 0"
+    assert scipy_modules_after(script) == []
+    assert (tmp_path / "matches.csv").is_file()
 
 
 def test_damaged_cache_values_are_recomputed(pipeline_copy, caplog):
@@ -717,13 +767,28 @@ def test_bad_setting_is_data_error(mini_pipeline, tmp_path, caplog, command, key
     assert not list(tmp_path.iterdir())
 
 
+# one setting of each number kind (int, float, None, list), each given a
+# number that is not finite
+NON_FINITE_CASES = [
+    pytest.param(command, key, value, kind, id=f"{command[0]}-{key}-{value}")
+    for command, key, kind in [(["describe", "--family", "hks"], "s", "an integer"),
+                               (["train"], "ridge", "finite"),
+                               (["describe", "--family", "wks"], "wks_sigma", "finite"),
+                               (["describe", "--family", "hks"], "hks_times", "finite")]
+    for value in ("inf", "-inf", "nan")
+]
+
+
 @pytest.mark.parametrize("command, key, value, kind", [
-    (["train"], "ridge", "1e-6,1e-5", "a number"),
-    (["eval", "--descriptors", "hks={desc}"], "ball_radius_frac", "0.01,0.02", "a number"),
-    (["describe", "--family", "wks"], "wks_sigma", "abc", "a number"),
-    (["describe", "--family", "hks"], "hks_times", "1,x", "a comma list of numbers"),
-], ids=["train-ridge-list", "eval-ball_radius_frac-list", "describe-wks_sigma-word",
-        "describe-hks_times-word"])
+    pytest.param(["train"], "ridge", "1e-6,1e-5", "a number", id="train-ridge-list"),
+    pytest.param(["eval", "--descriptors", "hks={desc}"], "ball_radius_frac", "0.01,0.02",
+                 "a number", id="eval-ball_radius_frac-list"),
+    pytest.param(["describe", "--family", "wks"], "wks_sigma", "abc", "a number",
+                 id="describe-wks_sigma-word"),
+    pytest.param(["describe", "--family", "hks"], "hks_times", "1,x", "a comma list of numbers",
+                 id="describe-hks_times-word"),
+    *NON_FINITE_CASES,
+])
 def test_setting_of_wrong_kind_fails_before_any_work(mini_pipeline, tmp_path, caplog,
                                                      monkeypatch, command, key, value, kind):
     def refuse(*args, **kwargs):

@@ -202,6 +202,23 @@ def test_cmc_tie_break_by_vertex_index():
     np.testing.assert_array_equal(curve.hit_rate, [0, 0, 1, 1, 1, 1])
 
 
+def test_cmc_rank_equals_stable_argsort_rank():
+    # few distinct values force ties; ground truths are unsorted index sets
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        n = int(rng.integers(2, 40))
+        field = rng.integers(0, 3, size=(n, 2)).astype(float)
+        ref = rng.integers(0, 3, size=(1, 2)).astype(float)
+        truth = rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False)
+        dist = np.linalg.norm(field - ref, axis=1)
+        rank_of = np.empty(n, dtype=np.int64)
+        rank_of[np.argsort(dist, kind="stable")] = np.arange(n)
+        first = rank_of[truth].min()
+        # with one reference the curve steps from 0 to 1 at the first hit's rank
+        expected = (np.arange(1, n + 1) > first).astype(float)
+        np.testing.assert_array_equal(cmc(ref, field, [truth], max_rank=n).hit_rate, expected)
+
+
 def test_cmc_validation():
     field = np.zeros((6, 2))
     refs = np.zeros((2, 3))

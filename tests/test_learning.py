@@ -441,6 +441,37 @@ def test_wrong_row_count_names_the_shape():
         pair_distances(indices, values)
 
 
+def test_per_shape_generator_gives_bit_equal_results():
+    rng = np.random.default_rng(26)
+    sizes = [40, 55, 70]
+    values = [rng.standard_normal((size, 6)) for size in sizes]
+    indices = random_indices(TRIPLET_CHUNK + 300, sizes, rng)
+    coef = rng.standard_normal((2, 6))
+
+    def generated():
+        return (v.copy() for v in values)
+
+    stats = estimate_covariances(indices, values)
+    again = estimate_covariances(indices, generated())
+    for name in ("cov_pos", "cov_neg", "cov_g"):
+        assert np.array_equal(getattr(again, name), getattr(stats, name))
+    for expected, got in zip(pair_distances(indices, values, coef),
+                             pair_distances(indices, generated(), coef)):
+        assert np.array_equal(got, expected)
+    alphas = [0.0, 0.3, 0.6]
+    listed = sweep_alpha(stats, alphas, 2, indices, values, work_point=0.1)
+    streamed = sweep_alpha(stats, alphas, 2, indices, generated(), work_point=0.1)
+    assert streamed[0] == listed[0]
+    np.testing.assert_array_equal(np.array(streamed[1], float), np.array(listed[1], float))
+
+
+def test_too_few_per_shape_arrays_is_data_error():
+    indices = pair_indices([[0, 7], [12, 4], [5, 20]], [5, 7, 9])
+    values = (np.zeros((size, 2)) for size in (5, 7))
+    with pytest.raises(DataError, match="^2 per-shape vector arrays for 3 shapes$"):
+        pair_distances(indices, values)
+
+
 def test_unused_non_finite_row_leaves_moments_unchanged():
     rng = np.random.default_rng(25)
     values = [rng.standard_normal((size, 5)) for size in (41, 50)]

@@ -6,6 +6,7 @@ import pytest
 from specdesc.errors import DataError, MeshValidationError, ParseError
 from specdesc.mesh import (
     TriangleMesh,
+    _component_count,
     _fps,
     farthest_point_sample,
     geodesic_distance_fields,
@@ -185,8 +186,28 @@ def test_validation_disconnected():
     a = tetrahedron()
     verts = np.vstack([a.vertices, a.vertices + 10.0])
     faces = np.vstack([a.faces, a.faces + 4])
-    with pytest.raises(MeshValidationError, match="components"):
+    with pytest.raises(MeshValidationError,
+                       match="^mesh has 2 connected components; expected a single one$"):
         TriangleMesh(verts, faces)
+
+
+def test_component_count_matches_csgraph():
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    rng = np.random.default_rng(6)
+    graphs = []
+    for _ in range(200):
+        nv = int(rng.integers(1, 60))
+        edges = rng.integers(0, nv, size=(int(rng.integers(0, 90)), 2))
+        graphs.append((nv, edges[edges[:, 0] != edges[:, 1]]))
+    # three tetrahedra whose vertex ids are shuffled among each other
+    perm = rng.permutation(12)
+    graphs.append((12, perm[np.vstack([tetrahedron().edges + 4 * k for k in range(3)])]))
+    for nv, edges in graphs:
+        graph = sparse.coo_matrix((np.ones(len(edges)), tuple(edges.T)), shape=(nv, nv))
+        expected, _ = csgraph.connected_components(graph, directed=False)
+        assert _component_count(nv, edges) == expected
 
 
 def test_validation_isolated_vertex():
