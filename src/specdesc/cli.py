@@ -44,7 +44,6 @@ from .evaluation import (
     cmc,
     distance_maps,
     emit_report,
-    match_ground_truth,
     roc,
     work_points,
 )
@@ -64,7 +63,13 @@ from .learning import (
     solve_tradeoff,
     sweep_alpha,
 )
-from .mesh import TriangleMesh, farthest_point_sample, intrinsic_diameter, load_mesh
+from .mesh import (
+    TriangleMesh,
+    farthest_point_sample,
+    geodesic_balls,
+    intrinsic_diameter,
+    load_mesh,
+)
 from .synth import DEFORMATIONS, SyntheticCorpusSpec, generate_corpus, load_index_map
 
 log = logging.getLogger("specdesc")
@@ -405,66 +410,73 @@ def _parse_family_dirs(specs) -> dict[str, Path]:
 
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
+    """ROC, CMC and distance maps in one pass per family; the report is
+    written once all of them are computed."""
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
     family_dirs = _parse_family_dirs(args.descriptors)
     eval_entries = ws.by_split("eval")
     neg_entries = ws.by_split("eval_neg")
     if not eval_entries:
         raise DataError("manifest has no eval shapes")
+    source, target = _cmc_pair(ws, eval_entries)
     all_entries = eval_entries + neg_entries
-    fields = {
-        family: _load_family_fields(ws, family, directory, all_entries)
-        for family, directory in family_dirs.items()
-    }
+    fields = {family: _load_family_fields(ws, family, directory, all_entries)
+              for family, directory in family_dirs.items()}
     families = list(family_dirs)
-
-    # --- ROC over sampled eval triplets ---------------------------------
     indices = _sample_split(ws, all_entries, "eval", "eval_")
     log.info("eval triplets: %d", len(indices))
+
+    # CMC set-up shared by the families: references sampled on the source in
+    # the FPS family's descriptor space, followed into the target through the
+    # inverted correspondence (it maps the target into the source), and
+    # their ground-truth balls on the target
+    corr = ws.correspondence(target)
+    inverse = -np.ones(ws.mesh(source).n_vertices, dtype=np.int64)
+    inverse[corr[corr >= 0]] = np.flatnonzero(corr >= 0)
+    fps_family = "learned" if "learned" in families else families[0]
+    refs = farthest_point_sample(fields[fps_family][source.shape_id],
+                                 min(cfg["cmc_refs"], ws.mesh(source).n_vertices))
+    refs = refs[inverse[refs] >= 0]
+    if refs.size == 0:
+        raise DataError("no CMC references carry over to the target shape")
+    target_mesh = ws.mesh(target)
+    radius = cfg["ball_radius_frac"] * intrinsic_diameter(target_mesh, cfg["diameter_samples"])
+    [balls] = geodesic_balls(target_mesh, inverse[refs], ws.symmetry(target), (radius,))
+    max_rank = max(1, round(cfg["cmc_rank_frac"] * target_mesh.n_vertices))
+
     work_point = cfg["work_point"]
-    roc_curves = []
-    roc_rows = []
+    map_group = [source, target] + neg_entries[:1]
+    roc_curves, roc_rows, cmc_curves, cmc_rows, maps = [], [], [], [], []
     for family in families:
-        d_pos, d_neg = pair_distances(indices, [fields[family][e.shape_id] for e in all_entries])
-        curve = roc(d_pos, d_neg)
+        shape_fields = fields[family]
+        curve = roc(*pair_distances(indices, [shape_fields[e.shape_id] for e in all_entries]))
         tp_at_fp, fp_at_fn = work_points(curve, work_point)
         tn_at_fn = 1.0 - fp_at_fn
         roc_curves.append(curve)
         roc_rows.append((family, curve.auc, tp_at_fp, tn_at_fn))
         log.info("%s: AUC %.4f TP@FP=%g %.4f TN@FN=%g %.4f",
                  family, curve.auc, work_point, tp_at_fp, work_point, tn_at_fn)
-
-    # --- CMC on the isometric pair ---------------------------------------
-    source_entry, target_entry = _cmc_pair(ws, eval_entries)
-    cmc_curves, cmc_rows, refs = _run_cmc(ws, fields, families, source_entry, target_entry)
-
-    # --- distance maps ----------------------------------------------------
-    maps = []
-    map_group = [source_entry, target_entry] + neg_entries[:1]
-    for family in families:
-        ref_vec = fields[family][source_entry.shape_id][refs[0]]
-        group_fields = [fields[family][e.shape_id] for e in map_group]
-        for values, entry in zip(distance_maps(group_fields, ref_vec), map_group):
-            maps.append((values, ws.mesh(entry)))
+        ref_values = shape_fields[source.shape_id][refs]
+        hits = cmc(ref_values, shape_fields[target.shape_id], balls, max_rank)
+        cmc_curves.append(hits)
+        cmc_rows.append((family, hits.rank1(), max_rank))
+        log.info("cmc %s: rank-1 %.4f (K=%d, %d refs)",
+                 family, hits.rank1(), max_rank, hits.n_refs)
+        group = [shape_fields[e.shape_id] for e in map_group]
+        maps += zip(distance_maps(group, ref_values[0]), map(ws.mesh, map_group))
 
     out = Path(args.out)
-    written = emit_report(
-        out,
-        roc_curves=roc_curves,
-        cmc_curves=cmc_curves,
-        maps=maps,
-        tables=[
-            ("roc_workpoints", ["family", "auc", "tp_at_fp", "tn_at_fn"], roc_rows),
-            ("cmc_rank1", ["family", "rank1_hit_rate", "max_rank"], cmc_rows),
-        ],
-    )
+    written = emit_report(out, roc_curves, cmc_curves, maps, tables=[
+        ("roc_workpoints", ["family", "auc", "tp_at_fp", "tn_at_fn"], roc_rows),
+        ("cmc_rank1", ["family", "rank1_hit_rate", "max_rank"], cmc_rows)])
     print(f"eval: {len(written)} files -> {out} (families: {', '.join(families)})")
     return EXIT_OK
 
 
 def _cmc_pair(ws: Workspace, eval_entries):
     """Pick the null eval shape and its evaluation partner (a mid-strength
-    near-isometry by default, overridable via config)."""
+    near-isometry with a correspondence map by default, overridable via
+    config)."""
     nulls = [e for e in eval_entries if not e.null_id]
     if not nulls:
         raise DataError("eval split has no null shape for the CMC protocol")
@@ -475,6 +487,8 @@ def _cmc_pair(ws: Workspace, eval_entries):
         if target.null_id != source.shape_id:
             raise DataError(f"cmc_target={target_id}: its null shape is "
                             f"{target.null_id or 'unset'}, not the CMC source {source.shape_id}")
+        if not target.corr_path:
+            raise DataError(f"{target_id}: CMC target has no correspondence")
         return source, target
     partners = [e for e in eval_entries if e.null_id == source.shape_id and e.corr_path]
     if not partners:
@@ -482,46 +496,6 @@ def _cmc_pair(ws: Workspace, eval_entries):
     bends = [e for e in partners if "bend" in e.shape_id]
     pool = bends or partners
     return source, pool[len(pool) // 2]
-
-
-def _run_cmc(ws: Workspace, fields, families, source_entry, target_entry):
-    cfg = ws.cfg
-    source_mesh = ws.mesh(source_entry)
-    target_mesh = ws.mesh(target_entry)
-    corr = ws.correspondence(target_entry)
-    if corr is None:
-        raise DataError(f"{target_entry.shape_id}: CMC target has no correspondence")
-    # correspondence points from the deformed target into the null source;
-    # invert it to follow references sampled on the source
-    inverse = -np.ones(source_mesh.n_vertices, dtype=np.int64)
-    valid = corr >= 0
-    inverse[corr[valid]] = np.flatnonzero(valid)
-
-    fps_family = "learned" if "learned" in families else families[0]
-    n_refs = cfg["cmc_refs"]
-    refs = farthest_point_sample(fields[fps_family][source_entry.shape_id],
-                                 min(n_refs, source_mesh.n_vertices))
-    refs = refs[inverse[refs] >= 0]
-    if refs.size == 0:
-        raise DataError("no CMC references carry over to the target shape")
-    radius = cfg["ball_radius_frac"] * intrinsic_diameter(target_mesh, cfg["diameter_samples"])
-    gt = match_ground_truth(
-        target_mesh, inverse[refs], radius, symmetry=ws.symmetry(target_entry)
-    )
-    max_rank = max(1, round(cfg["cmc_rank_frac"] * target_mesh.n_vertices))
-    curves, rows = [], []
-    for family in families:
-        curve = cmc(
-            fields[family][source_entry.shape_id][refs],
-            fields[family][target_entry.shape_id],
-            gt,
-            max_rank,
-        )
-        curves.append(curve)
-        rows.append((family, curve.rank1(), max_rank))
-        log.info("cmc %s: rank-1 %.4f (K=%d, %d refs)",
-                 family, curve.rank1(), max_rank, curve.n_refs)
-    return curves, rows, refs
 
 
 def cmd_match(args, cfg: PipelineConfig) -> int:
@@ -533,16 +507,16 @@ def cmd_match(args, cfg: PipelineConfig) -> int:
     source_values = fields[source.shape_id]
     refs = farthest_point_sample(source_values, min(args.refs, len(source_values)))
     target_values = fields[target.shape_id]
-    out = make_dir(args.out)
     rows = []
     for ref in refs.tolist():
         dist = np.linalg.norm(target_values - source_values[ref], axis=1)
         order = np.argsort(dist, kind="stable")[: args.top]
         rows += ([ref, rank, tv, d] for rank, (tv, d) in
                  enumerate(zip(order.tolist(), dist[order].tolist()), start=1))
-    write_table(out / "matches.csv", ["ref_vertex,rank,target_vertex,distance"], rows)
     maps = distance_maps([target_values], source_values[refs[0]])
-    emit_report(out, maps=[(maps[0], ws.mesh(target))])
+    out = Path(args.out)
+    emit_report(out, maps=[(maps[0], ws.mesh(target))],
+                tables=[("matches", ["ref_vertex", "rank", "target_vertex", "distance"], rows)])
     print(f"match: {len(refs)} references ({family}) -> {out / 'matches.csv'}")
     return EXIT_OK
 

@@ -213,11 +213,16 @@ def read_manifest(path) -> list[ManifestEntry]:
     if not p.is_file():
         raise DataError(f"manifest not found: {p}")
     entries: list[ManifestEntry] = []
-    reader = csv.DictReader(io.StringIO(_utf8_text(p), newline=""))
-    if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != MANIFEST_FIELDS:
+    reader = csv.reader(io.StringIO(_utf8_text(p), newline=""))
+    rows = filter(None, reader)  # a blank line holds no row
+    header = next(rows, None)
+    if header is None or [f.strip() for f in header] != MANIFEST_FIELDS:
         raise ParseError(f"{p}: manifest header must be {','.join(MANIFEST_FIELDS)}")
-    for row in reader:
-        entry = ManifestEntry(**{k: (row[k] or "").strip() for k in MANIFEST_FIELDS})
+    for row in rows:
+        if len(row) != len(MANIFEST_FIELDS):
+            raise ParseError(f"{p}: line {reader.line_num}: {len(row)} fields, "
+                             f"but the header has {len(MANIFEST_FIELDS)}")
+        entry = ManifestEntry(*(value.strip() for value in row))
         if entry.split not in VALID_SPLITS:
             raise ParseError(f"{p}: shape {entry.shape_id}: bad split {entry.split!r}")
         entries.append(entry)

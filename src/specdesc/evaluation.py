@@ -13,7 +13,7 @@ import numpy as np
 
 from .container import make_dir, write_table
 from .errors import DataError
-from .mesh import TriangleMesh, geodesic_balls, save_coff
+from .mesh import TriangleMesh, save_coff
 
 __all__ = [
     "RocCurve",
@@ -21,7 +21,6 @@ __all__ = [
     "roc",
     "work_points",
     "cmc",
-    "match_ground_truth",
     "distance_maps",
     "emit_report",
 ]
@@ -91,38 +90,26 @@ class CmcCurve:
         return float(self.hit_rate[0])
 
 
-def match_ground_truth(
-    target_mesh: TriangleMesh,
-    corr_vertices,
-    radius: float,
-    symmetry: Optional[np.ndarray] = None,
-) -> list[np.ndarray]:
-    """Acceptable target vertices per reference point: the geodesic ball
-    around the corresponding point plus, when a symmetry map exists, the ball
-    around its symmetric image."""
-    [balls] = geodesic_balls(target_mesh, corr_vertices, symmetry, (radius,))
-    sets = [np.flatnonzero(ball) for ball in balls]
-    for i, members in enumerate(sets):
-        if members.size == 0:
-            raise DataError(f"reference {i}: empty ground-truth ball")
-    return sets
-
-
 def cmc(
     ref_descriptors: np.ndarray,
     target_field: np.ndarray,
-    ground_truth: Sequence[np.ndarray],
+    ground_truth: np.ndarray,
     max_rank: int,
 ) -> CmcCurve:
     """Rank target vertices by descriptor distance per reference (ties broken
     by vertex index) and accumulate the first-correct-match ranks, counted
-    without a sort."""
+    without a sort. `ground_truth` holds one bool row of acceptable target
+    vertices per reference, as `mesh.geodesic_balls` returns them."""
     refs = np.atleast_2d(np.asarray(ref_descriptors, dtype=np.float64))
     field = np.atleast_2d(np.asarray(target_field, dtype=np.float64))
+    balls = np.asarray(ground_truth, dtype=bool)
     if refs.shape[1] != field.shape[1]:
         raise DataError("reference and target descriptor dimensions differ")
-    if len(ground_truth) != refs.shape[0]:
-        raise DataError("ground truth size must match the reference count")
+    if balls.shape != (refs.shape[0], field.shape[0]):
+        raise DataError("ground truth must hold one row per reference and a column per vertex")
+    empty = np.flatnonzero(~balls.any(axis=1))
+    if empty.size:
+        raise DataError(f"reference {empty[0]}: empty ground-truth ball")
     n_target = field.shape[0]
     if not 1 <= max_rank <= n_target:
         raise DataError(f"max_rank={max_rank} outside [1, {n_target}]")
@@ -130,9 +117,8 @@ def cmc(
     for i, ref in enumerate(refs):
         dist = np.linalg.norm(field - ref, axis=1)
         # the first correct match comes first in (distance, index) order
-        truth = np.asarray(ground_truth[i])
-        d_best = dist[truth].min()
-        best = truth[dist[truth] == d_best].min()
+        best = int(np.argmin(np.where(balls[i], dist, np.inf)))
+        d_best = dist[best]
         first_hit[i] = np.count_nonzero(dist < d_best) + np.count_nonzero(dist[:best] == d_best)
     ranks = np.arange(1, max_rank + 1)
     hit_rate = (first_hit[None, :] < ranks[:, None]).mean(axis=1)

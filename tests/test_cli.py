@@ -146,6 +146,16 @@ def test_manifest_roundtrip(mini_corpus):
     assert {"train", "val", "train_neg", "val_neg", "eval", "eval_neg"} <= splits
 
 
+def test_manifest_header_names_may_be_padded(tmp_path):
+    # the header check strips each name, so a padded header is accepted and
+    # its rows read like any other
+    path = tmp_path / "manifest.csv"
+    path.write_text("shape_id, path ,class_label,split,null_id,corr_path,sym_path\n"
+                    "a,a.off,c,train,,,\n")
+    [entry] = read_manifest(path)
+    assert (entry.shape_id, entry.path, entry.split) == ("a", "a.off", "train")
+
+
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -968,8 +978,14 @@ def test_eval_report_and_manifest(mini_pipeline):
     manifest = (out / "manifest.txt").read_text().split()
     for name in manifest:
         assert (out / name).exists()
-    assert "roc_workpoints.csv" in manifest
-    assert "cmc_rank1.csv" in manifest
+    # per family a ROC and a CMC curve; per family and map shape (the CMC
+    # source and target, and the first eval_neg shape) a distance map
+    assert manifest == [
+        "roc_000.csv", "roc_000.svg", "roc_001.csv", "roc_001.svg",
+        "cmc_000.csv", "cmc_000.svg", "cmc_001.csv", "cmc_001.svg",
+        *(f"map_{i:03d}.{ext}" for i in range(6) for ext in ("csv", "off")),
+        "roc_workpoints.csv", "cmc_rank1.csv",
+    ]
     workpoints = (out / "roc_workpoints.csv").read_text().splitlines()
     assert workpoints[0] == "family,auc,tp_at_fp,tn_at_fn"
     assert len(workpoints) == 3
@@ -978,13 +994,33 @@ def test_eval_report_and_manifest(mini_pipeline):
 def test_eval_cmc_target_must_map_into_source(mini_pipeline, tmp_path, caplog):
     common = ["eval", "--config", mini_pipeline / "config.cfg",
               "--descriptors", f"hks={mini_pipeline / 'desc'}"]
-    with caplog.at_level(logging.ERROR, logger="specdesc"):
+    with caplog.at_level(logging.INFO, logger="specdesc"):
         code = run([*common, "--out", tmp_path / "torus", "--cmc_target", "torus_jitter_2"])
     assert code == 3
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert errors and errors[-1].startswith("cmc_target=torus_jitter_2: ")
     assert "null shape is torus" in errors[-1] and "multisphere" in errors[-1]
+    # the pair is checked before any descriptor is read or pair sampled
+    assert not [r for r in caplog.records if r.getMessage().startswith("eval triplets")]
+    assert not (tmp_path / "torus").exists()
     assert run([*common, "--out", tmp_path / "ok", "--cmc_target", "multisphere_jitter_2"]) == 0
+
+
+def test_eval_cmc_target_without_correspondence_fails_before_work(pipeline_copy, caplog):
+    manifest = pipeline_copy / "corpus" / "manifest.csv"
+    rows = [line.split(",") for line in manifest.read_text().splitlines()]
+    for row in rows:
+        if row[0] == "multisphere_jitter_2":
+            row[5] = ""  # corr_path
+    manifest.write_text("".join(",".join(row) + "\n" for row in rows))
+    with caplog.at_level(logging.INFO, logger="specdesc"):
+        code = run(["eval", "--config", pipeline_copy / "config.cfg",
+                    "--descriptors", f"hks={pipeline_copy / 'desc'}",
+                    "--out", pipeline_copy / "report", "--cmc_target", "multisphere_jitter_2"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == ["multisphere_jitter_2: CMC target has no correspondence"]
+    assert not [r for r in caplog.records if r.getMessage().startswith("eval triplets")]
 
 
 @pytest.mark.parametrize("option, value", [("--top", "0"), ("--top", "-5"), ("--refs", "0"),
@@ -1076,6 +1112,22 @@ def test_unknown_base_shape_writes_nothing(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("fields", [6, 8], ids=["short", "long"])
+def test_manifest_row_with_wrong_field_count_is_parse_error(pipeline_copy, caplog, fields):
+    # a short row would read its missing fields as empty, and a long row's
+    # extra field would be dropped
+    path = pipeline_copy / "corpus" / "manifest.csv"
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    lines[2] = ",".join((row + ["extra"])[:fields])
+    path.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["spectrum", "--config", pipeline_copy / "config.cfg"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"{path}: line 3: {fields} fields, but the header has 7"]
+
+
 @pytest.mark.parametrize("name", ["config.cfg", "corpus/manifest.csv"])
 def test_non_utf8_config_or_manifest_is_parse_error(pipeline_copy, caplog, name):
     path = pipeline_copy / name
@@ -1138,6 +1190,8 @@ def test_match_command(mini_pipeline):
     assert len(lines) == 1 + 3 * 5
     distances = [float(line.split(",")[3]) for line in lines[1:]]
     assert all(d >= 0.0 for d in distances)
+    manifest = (out / "manifest.txt").read_text().split()
+    assert manifest == ["map_000.csv", "map_000.off", "matches.csv"]
 
 
 def test_usage_error_for_missing_subcommand():

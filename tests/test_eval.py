@@ -11,11 +11,10 @@ from specdesc.evaluation import (
     cmc,
     distance_maps,
     emit_report,
-    match_ground_truth,
     roc,
     work_points,
 )
-from specdesc.mesh import BALL_BLOCK, geodesic_distance_fields
+from specdesc.mesh import BALL_BLOCK, geodesic_balls, geodesic_distance_fields
 from specdesc.synth import icosphere
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def test_rate_at_validation():
 def test_cmc_self_match_injective():
     rng = np.random.default_rng(2)
     field = rng.standard_normal((50, 4))
-    gt = [np.array([i]) for i in range(10)]
+    gt = np.eye(10, 50, dtype=bool)  # reference i matches vertex i alone
     curve = cmc(field[:10], field, gt, max_rank=5)
     assert curve.rank1() == 1.0
     assert (curve.hit_rate == 1.0).all()
@@ -171,7 +170,9 @@ def test_cmc_nondecreasing_and_complete():
     rng = np.random.default_rng(3)
     field = rng.standard_normal((60, 3))
     refs = rng.standard_normal((8, 3))
-    gt = [rng.choice(60, size=4, replace=False) for _ in range(8)]
+    gt = np.zeros((8, 60), dtype=bool)
+    for row in gt:
+        row[rng.choice(60, size=4, replace=False)] = True
     curve = cmc(refs, field, gt, max_rank=60)
     assert (np.diff(curve.hit_rate) >= 0).all()
     assert curve.hit_rate[-1] == 1.0  # ground truth is nonempty
@@ -186,7 +187,9 @@ def test_cmc_constant_field_matches_hypergeometric_chance():
     rng = np.random.default_rng(4)
     field = np.ones((v, 2))
     refs = np.ones((n_refs, 2))
-    gt = [rng.choice(v, size=b, replace=False) for _ in range(n_refs)]
+    gt = np.zeros((n_refs, v), dtype=bool)
+    for row in gt:
+        row[rng.choice(v, size=b, replace=False)] = True
     curve = cmc(refs, field, gt, max_rank=k)
     expected = 1.0 - comb(v - k, b) / comb(v, b)
     spread = 3.0 * np.sqrt(expected * (1 - expected) / n_refs)
@@ -196,14 +199,14 @@ def test_cmc_constant_field_matches_hypergeometric_chance():
 def test_cmc_tie_break_by_vertex_index():
     field = np.zeros((6, 1))
     refs = np.zeros((1, 1))
-    gt = [np.array([2])]
+    gt = np.array([[False, False, True, False, False, False]])
     curve = cmc(refs, field, gt, max_rank=6)
     # all distances tie, ranking is 0,1,2,...: the hit lands at rank 3
     np.testing.assert_array_equal(curve.hit_rate, [0, 0, 1, 1, 1, 1])
 
 
 def test_cmc_rank_equals_stable_argsort_rank():
-    # few distinct values force ties; ground truths are unsorted index sets
+    # few distinct values force ties
     rng = np.random.default_rng(9)
     for _ in range(300):
         n = int(rng.integers(2, 40))
@@ -216,17 +219,21 @@ def test_cmc_rank_equals_stable_argsort_rank():
         first = rank_of[truth].min()
         # with one reference the curve steps from 0 to 1 at the first hit's rank
         expected = (np.arange(1, n + 1) > first).astype(float)
-        np.testing.assert_array_equal(cmc(ref, field, [truth], max_rank=n).hit_rate, expected)
+        ball = np.zeros((1, n), dtype=bool)
+        ball[0, truth] = True
+        np.testing.assert_array_equal(cmc(ref, field, ball, max_rank=n).hit_rate, expected)
 
 
 def test_cmc_validation():
     field = np.zeros((6, 2))
     refs = np.zeros((2, 3))
-    gt = [np.array([0]), np.array([1])]
+    gt = np.eye(2, 6, dtype=bool)
     with pytest.raises(DataError):
         cmc(refs, field, gt, 3)  # dimension mismatch
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="one row per reference"):
         cmc(np.zeros((1, 2)), field, gt, 3)  # ground truth size mismatch
+    with pytest.raises(DataError, match="a column per vertex"):
+        cmc(np.zeros((2, 2)), field, gt[:, :5], 3)  # ground truth over another mesh
     with pytest.raises(DataError):
         cmc(np.zeros((2, 2)), field, gt, 7)  # rank beyond target size
 
@@ -236,30 +243,35 @@ def test_cmc_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_match_ground_truth_balls():
+def test_ground_truth_balls():
     mesh = icosphere(2)
     refs = np.array([0, 5, 40])
-    gt = match_ground_truth(mesh, refs, radius=0.4)
+    [gt] = geodesic_balls(mesh, refs, None, (0.4,))
     for i, ref in enumerate(refs):
         d = geodesic_distance_fields(mesh, [int(ref)])[0]
-        np.testing.assert_array_equal(np.flatnonzero(d <= 0.4), np.sort(gt[i]))
-        assert ref in gt[i]
+        np.testing.assert_array_equal(gt[i], d <= 0.4)
+        assert gt[i, ref]
+    # each reference's own vertex, at distance 0, is a correct first match
+    assert cmc(mesh.vertices[refs], mesh.vertices, gt, max_rank=1).rank1() == 1.0
 
 
-def test_match_ground_truth_includes_symmetric_ball():
+def test_ground_truth_includes_symmetric_ball():
     mesh = icosphere(2)
     antipode = np.array(
         [int(np.argmin(np.linalg.norm(mesh.vertices + v, axis=1)))
          for v in mesh.vertices]
     )
-    gt = match_ground_truth(mesh, np.array([3]), radius=0.3, symmetry=antipode)
+    [gt] = geodesic_balls(mesh, np.array([3]), antipode, (0.3,))
     d_own = geodesic_distance_fields(mesh, [3])[0]
     d_sym = geodesic_distance_fields(mesh, [int(antipode[3])])[0]
-    expected = np.flatnonzero((d_own <= 0.3) | (d_sym <= 0.3))
-    np.testing.assert_array_equal(np.sort(gt[0]), expected)
+    np.testing.assert_array_equal(gt[0], (d_own <= 0.3) | (d_sym <= 0.3))
+    # a reference at the antipode's descriptor is matched at rank 1 through
+    # the symmetric half of the ball
+    ref = mesh.vertices[[antipode[3]]]
+    assert cmc(ref, mesh.vertices, gt, max_rank=1).rank1() == 1.0
 
 
-def test_match_ground_truth_limited_search_matches_full_fields():
+def test_ground_truth_limited_search_matches_full_fields():
     mesh = icosphere(3)
     antipode = np.array(
         [int(np.argmin(np.linalg.norm(mesh.vertices + v, axis=1)))
@@ -270,7 +282,7 @@ def test_match_ground_truth_limited_search_matches_full_fields():
     # a radius that some vertex lies at exactly: the ball is closed
     first = geodesic_distance_fields(mesh, [int(refs[0])])[0]
     radius = float(np.sort(first)[30])
-    gt = match_ground_truth(mesh, refs, radius, symmetry=antipode)
+    [gt] = geodesic_balls(mesh, refs, antipode, (radius,))
 
     # reference: unlimited Dijkstra fields of every center
     own = geodesic_distance_fields(mesh, refs) <= radius
@@ -278,18 +290,18 @@ def test_match_ground_truth_limited_search_matches_full_fields():
     assert (mirrors == -1).any() and (mirrors >= 0).any()
     mirrored = np.zeros_like(own)
     mirrored[mirrors >= 0] = geodesic_distance_fields(mesh, mirrors[mirrors >= 0]) <= radius
-    assert len(gt) == len(refs)
-    for i in range(len(refs)):
-        np.testing.assert_array_equal(gt[i], np.flatnonzero(own[i] | mirrored[i]))
-    assert np.isin(np.flatnonzero(first == radius), gt[0]).all()
+    np.testing.assert_array_equal(gt, own | mirrored)
+    assert gt[0, first == radius].all()
 
 
-def test_match_ground_truth_unmapped_center_is_empty_ball():
+def test_ground_truth_unmapped_center_is_empty_ball():
     mesh = icosphere(2)
     refs = np.arange(BALL_BLOCK + 3)
     refs[BALL_BLOCK + 1] = -1
+    [gt] = geodesic_balls(mesh, refs, None, (0.3,))
+    assert not gt[BALL_BLOCK + 1].any() and gt[BALL_BLOCK + 2].any()
     with pytest.raises(DataError, match=f"reference {BALL_BLOCK + 1}: empty"):
-        match_ground_truth(mesh, refs, 0.3)
+        cmc(mesh.vertices[:len(refs)], mesh.vertices, gt, max_rank=1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ and match, one child process per command, in a temporary directory of its
 own. The default corpus is the benchmark's (``synth --seed 1`` at
 perfbench's ``SCALE``, s = 40); ``--acceptance`` runs the full
 ``CORPUS_CONFIG`` of tests/conftest.py on the default ``synth`` corpus.
-Prints each file whose SHA-256 differs, or that one tree lacks, and the
-line total of each tree's ``specdesc/*.py``; exits 1 on any difference.
+Prints each file whose SHA-256 differs, or that one tree lacks, each
+command's wall time and peak RSS in both trees (from ``os.wait4``, as
+perfbench measures them), and the line total of each tree's
+``specdesc/*.py``; exits 1 on any file difference.
 """
 
 import argparse
@@ -19,6 +21,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,9 +30,10 @@ bench = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # data
 _spec.loader.exec_module(bench)
 
 
-def pipeline(src: Path, work: Path, acceptance: bool) -> dict:
+def pipeline(src: Path, work: Path, acceptance: bool) -> tuple[dict, list]:
     """Run the pipeline with the specdesc of `src` in `work`; return the
-    SHA-256 of every file written there, by relative path."""
+    SHA-256 of every file written there, by relative path, and one
+    (command, wall seconds, peak RSS MB) row per command."""
     config = work / "config.cfg"
     text = bench.corpus_config()
     config.write_text(text if acceptance else bench.scaled_config(text, bench.SCALE.overrides))
@@ -50,13 +54,23 @@ def pipeline(src: Path, work: Path, acceptance: bool) -> dict:
     steps.append(["match", *base, "--descriptors", f"learned={work / 'desc_sens'}",
                   "--source", source, "--target", target, "--out", work / "match"])
     env = dict(os.environ, PYTHONPATH=str(src))
-    for step in steps:
-        done = subprocess.run([sys.executable, *bench.UNTRACED, *map(str, step)], env=env,
-                              capture_output=True, text=True)
-        if done.returncode:
-            sys.exit(f"{src}: {step[0]} exited {done.returncode}\n{done.stderr[-2000:]}")
-    return {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(work.rglob("*")) if p.is_file()}
+    usage = []
+    for i, step in enumerate(steps, start=1):
+        with tempfile.TemporaryFile() as err:
+            started = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, *bench.UNTRACED, *map(str, step)], env=env,
+                                    stdout=subprocess.DEVNULL, stderr=err)
+            _, status, rusage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - started
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode:
+                err.seek(0)
+                sys.exit(f"{src}: {step[0]} exited {proc.returncode}\n"
+                         f"{err.read().decode(errors='replace')[-2000:]}")
+        usage.append((f"{i:02d} {step[0]}", wall, rusage.ru_maxrss / 1024.0))
+    digests = {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(work.rglob("*")) if p.is_file()}
+    return digests, usage
 
 
 def src_lines(src: Path) -> int:
@@ -71,13 +85,17 @@ def main() -> int:
     parser.add_argument("--acceptance", action="store_true", help="full CORPUS_CONFIG corpus")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-        old = pipeline(args.parent_src.resolve(), Path(a), args.acceptance)
-        new = pipeline(args.change_src.resolve(), Path(b), args.acceptance)
+        old, old_usage = pipeline(args.parent_src.resolve(), Path(a), args.acceptance)
+        new, new_usage = pipeline(args.change_src.resolve(), Path(b), args.acceptance)
     differ = [name for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
     for name in differ:
         print(f"differs: {name} ({old.get(name, 'missing')[:12]} -> "
               f"{new.get(name, 'missing')[:12]})")
     print(f"{len(old.keys() | new.keys())} files compared, {len(differ)} differ")
+    print(f"{'command':<12} {'parent wall, peak RSS':>24} {'change wall, peak RSS':>24}")
+    for (name, old_wall, old_rss), (_, new_wall, new_rss) in zip(old_usage, new_usage):
+        print(f"{name:<12} {old_wall:>10.2f} s {old_rss:>8.1f} MB "
+              f"{new_wall:>10.2f} s {new_rss:>8.1f} MB")
     print(f"specdesc/*.py lines: {src_lines(args.parent_src)} -> {src_lines(args.change_src)}")
     return 1 if differ else 0
 
