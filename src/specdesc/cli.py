@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ManifestEntry, PipelineConfig, parse_config, read_manifest
-from .container import make_dir, write_table
+from .container import make_dir, read_file, write_table
 from .descriptors import (
     DESCRIPTOR_FAMILIES,
     DescriptorField,
@@ -113,10 +113,8 @@ class Workspace:
 
     def file_hash(self, entry: ManifestEntry) -> str:
         if entry.shape_id not in self._file_hashes:
-            path = self.base / entry.path
-            if not path.is_file():
-                raise DataError(f"mesh file not found: {path}")
-            self._file_hashes[entry.shape_id] = hashlib.sha256(path.read_bytes()).hexdigest()
+            raw = read_file(self.base / entry.path, "mesh")
+            self._file_hashes[entry.shape_id] = hashlib.sha256(raw).hexdigest()
         return self._file_hashes[entry.shape_id]
 
     def spectrum(self, entry: ManifestEntry, count: Optional[int] = None) -> Spectrum:
@@ -174,7 +172,7 @@ class Workspace:
     def _solve(self, entry: ManifestEntry, count: int) -> Spectrum:
         """Solve `count` pairs (at most one per vertex) and make them the
         shape's cache entry, replacing its file."""
-        mesh = self.mesh(entry)
+        mesh = load_mesh(self.base / entry.path)  # not kept: one mesh in memory at a time
         op = assemble_fem(mesh, mass_mode=self.cfg["mass_mode"])
         spectrum = compute_spectrum(op, min(count, mesh.n_vertices))
         make_dir(self.cache_dir)
@@ -379,8 +377,6 @@ def _load_family_fields(ws: Workspace, family: str, directory: Path,
     first = None  # path and column count of the family's first file
     for entry in entries:
         path = directory / f"{entry.shape_id}.{family}.dsc"
-        if not path.is_file():
-            raise DataError(f"missing descriptor file: {path}")
         field = load_descriptor_binary(path)
         if field.family != family:
             raise DataError(f"{path}: holds {field.family!r} descriptors, not {family!r}")

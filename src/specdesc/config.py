@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .container import read_text, write_file
 from .errors import DataError, ParseError
 
 __all__ = [
@@ -162,18 +163,9 @@ def parse_config_text(text: str, base_dir: Path = Path(".")) -> PipelineConfig:
     return PipelineConfig(values=values, base_dir=Path(base_dir))
 
 
-def _utf8_text(p: Path) -> str:
-    try:
-        return p.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{p}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-
-
 def parse_config(path) -> PipelineConfig:
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"config file not found: {p}")
-    text = _utf8_text(p)
+    text = read_text(p, "config")
     try:
         return parse_config_text(text, base_dir=p.parent)
     except ParseError as exc:
@@ -210,10 +202,8 @@ class ManifestEntry:
 
 def read_manifest(path) -> list[ManifestEntry]:
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"manifest not found: {p}")
     entries: list[ManifestEntry] = []
-    reader = csv.reader(io.StringIO(_utf8_text(p), newline=""))
+    reader = csv.reader(io.StringIO(read_text(p, "manifest"), newline=""))
     rows = filter(None, reader)  # a blank line holds no row
     header = next(rows, None)
     if header is None or [f.strip() for f in header] != MANIFEST_FIELDS:
@@ -235,10 +225,8 @@ def read_manifest(path) -> list[ManifestEntry]:
 
 
 def write_manifest(entries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_FIELDS)
-        for e in entries:
-            writer.writerow(
-                [e.shape_id, e.path, e.class_label, e.split, e.null_id, e.corr_path, e.sym_path]
-            )
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([MANIFEST_FIELDS] + [
+        [e.shape_id, e.path, e.class_label, e.split, e.null_id, e.corr_path, e.sym_path]
+        for e in entries])
+    write_file(path, [text.getvalue()])

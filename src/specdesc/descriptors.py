@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import Container, write_table
+from .container import Container, read_text, write_file, write_table
 from .errors import DataError
 from .laplacian import Spectrum
 
@@ -280,16 +280,14 @@ def save_response_model(model: ResponseModel, path) -> None:
         "n": model.n,
         "coefficients": [[float(v) for v in row] for row in model.coefficients],
     }
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_file(path, [json.dumps(doc, indent=1, sort_keys=True), "\n"])
 
 
 def load_response_model(path) -> ResponseModel:
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"response model not found: {p}")
     try:
-        doc = json.loads(p.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(read_text(p, "model"))
+    except json.JSONDecodeError as exc:
         raise DataError(f"{p}: not a valid model file: {exc}") from exc
     try:
         if doc["format_version"] != _MODEL_VERSION:
@@ -314,7 +312,7 @@ _DESC = Container(b"SDDESC01", "<IIB", "descriptor")
 
 def save_descriptor_binary(field: DescriptorField, path) -> None:
     fam = field.family.encode()
-    Path(path).write_bytes(_DESC.pack((len(field), field.dim, len(fam)), fam, field.values))
+    _DESC.write(path, (len(field), field.dim, len(fam)), fam, field.values)
 
 
 def load_descriptor_binary(path) -> DescriptorField:

@@ -202,43 +202,40 @@ def emit_report(
     and table; returns the manifest, which is also written to manifest.txt.
     Deterministic: identical inputs produce byte-identical CSV files."""
     out = make_dir(out_dir)
-    try:
-        written: list[str] = []
-        for i, curve in enumerate(roc_curves):
-            name = f"roc_{i:03d}"
-            rows = zip(curve.thresholds.tolist(), curve.fp_rate.tolist(), curve.tp_rate.tolist())
-            write_table(out / f"{name}.csv", ["threshold,fp_rate,tp_rate"], rows)
-            # two work-point zooms: the low false positive region and the
-            # low false negative (high true positive) region
-            _svg_plot(out / f"{name}.svg", 640, [
-                (curve.fp_rate, curve.tp_rate, (0.0, 0.1), (0.0, 1.0), (30, 20, 270, 270),
-                 "low FP zoom (FP in [0, 0.1])"),
-                (curve.fp_rate, curve.tp_rate, (0.0, 1.0), (0.9, 1.0), (340, 20, 270, 270),
-                 "low FN zoom (TP in [0.9, 1])"),
-            ])
-            written += [f"{name}.csv", f"{name}.svg"]
-        for i, curve in enumerate(cmc_curves):
-            name = f"cmc_{i:03d}"
-            write_table(out / f"{name}.csv", ["rank,hit_rate"],
-                        enumerate(curve.hit_rate.tolist(), start=1))
-            ranks = np.arange(1, len(curve.hit_rate) + 1)
-            _svg_plot(out / f"{name}.svg", 360, [
-                (ranks, curve.hit_rate, (1, max(int(ranks[-1]), 2)), (0.0, 1.0),
-                 (40, 20, 290, 270), "hit rate vs rank"),
-            ])
-            written += [f"{name}.csv", f"{name}.svg"]
-        for i, (values, mesh) in enumerate(maps):
-            name = f"map_{i:03d}"
-            values = np.asarray(values, dtype=np.float64)
-            write_table(out / f"{name}.csv", ["vertex,value"], enumerate(values.tolist()))
-            written.append(f"{name}.csv")
-            if mesh is not None:
-                save_coff(mesh, _colormap(values), out / f"{name}.off")
-                written.append(f"{name}.off")
-        for name, header, rows in tables:
-            write_table(out / f"{name}.csv", [",".join(header)], rows)
-            written.append(f"{name}.csv")
-        write_table(out / "manifest.txt", written or [""])
-        return written
-    except OSError as exc:
-        raise DataError(f"cannot write report to {out}: {exc}") from exc
+    written: list[str] = []
+    for i, curve in enumerate(roc_curves):
+        name = f"roc_{i:03d}"
+        rows = zip(curve.thresholds.tolist(), curve.fp_rate.tolist(), curve.tp_rate.tolist())
+        write_table(out / f"{name}.csv", ["threshold,fp_rate,tp_rate"], rows)
+        # two work-point zooms: the low false positive region and the
+        # low false negative (high true positive) region
+        _svg_plot(out / f"{name}.svg", 640, [
+            (curve.fp_rate, curve.tp_rate, (0.0, 0.1), (0.0, 1.0), (30, 20, 270, 270),
+             "low FP zoom (FP in [0, 0.1])"),
+            (curve.fp_rate, curve.tp_rate, (0.0, 1.0), (0.9, 1.0), (340, 20, 270, 270),
+             "low FN zoom (TP in [0.9, 1])"),
+        ])
+        written += [f"{name}.csv", f"{name}.svg"]
+    for i, curve in enumerate(cmc_curves):
+        name = f"cmc_{i:03d}"
+        write_table(out / f"{name}.csv", ["rank,hit_rate"],
+                    enumerate(curve.hit_rate.tolist(), start=1))
+        ranks = np.arange(1, len(curve.hit_rate) + 1)
+        _svg_plot(out / f"{name}.svg", 360, [
+            (ranks, curve.hit_rate, (1, max(int(ranks[-1]), 2)), (0.0, 1.0),
+             (40, 20, 290, 270), "hit rate vs rank"),
+        ])
+        written += [f"{name}.csv", f"{name}.svg"]
+    for i, (values, mesh) in enumerate(maps):
+        name = f"map_{i:03d}"
+        values = np.asarray(values, dtype=np.float64)
+        write_table(out / f"{name}.csv", ["vertex,value"], enumerate(values.tolist()))
+        written.append(f"{name}.csv")
+        if mesh is not None:
+            save_coff(mesh, _colormap(values), out / f"{name}.off")
+            written.append(f"{name}.off")
+    for name, header, rows in tables:
+        write_table(out / f"{name}.csv", [",".join(header)], rows)
+        written.append(f"{name}.csv")
+    write_table(out / "manifest.txt", written or [""])
+    return written

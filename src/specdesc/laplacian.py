@@ -20,11 +20,8 @@ a shorter spectrum out of a longer one (:meth:`Spectrum.prefix`).
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -318,22 +315,7 @@ def save_spectrum(spectrum: Spectrum, mesh_hash: str, path) -> None:
     if len(digest) != 32:
         raise DataError("mesh_hash must be a sha256 hex digest")
     header = (*spectrum.eigenfunctions.shape, MASS_MODES.index(spectrum.mass_mode), digest)
-    blob = _CACHE.pack(header, spectrum.eigenvalues, spectrum.eigenfunctions)
-    # a temp file of this writer's own, so concurrent writers of one entry
-    # never move each other's half-written bytes into place; mkstemp makes it
-    # 0600, so give it the mode a plain open() would, for shared cache dirs
-    path = Path(path)
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
+    _CACHE.write(path, header, spectrum.eigenvalues, spectrum.eigenfunctions)
 
 
 def load_spectrum(path, mesh_hash: str) -> Spectrum:

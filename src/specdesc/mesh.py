@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .container import write_table
+from .container import read_text, write_table
 from .errors import DataError, MeshValidationError, ParseError
 
 if TYPE_CHECKING:
@@ -286,17 +286,11 @@ def load_mesh(path) -> TriangleMesh:
     (naming the offending element) for structurally invalid meshes.
     """
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"mesh file not found: {p}")
     fmt = p.suffix.lstrip(".").lower()
     readers = {"off": _read_off, "obj": _read_obj}
     if fmt not in readers:
         raise ParseError(f"{p}: unsupported mesh format {fmt!r}")
-    try:
-        text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{p}: mesh file is not UTF-8 text") from exc
-    verts, faces = readers[fmt](p, text)
+    verts, faces = readers[fmt](p, read_text(p, "mesh"))
     try:
         return TriangleMesh(verts, faces)
     except MeshValidationError as exc:

@@ -19,13 +19,12 @@ emitted as the symmetry map.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ManifestEntry, write_manifest
-from .container import make_dir, write_table
+from .container import make_dir, read_text, write_table
 from .errors import DataError, MeshValidationError
 from .mesh import TriangleMesh, geodesic_balls, intrinsic_diameter, save_off
 
@@ -495,10 +494,7 @@ def load_index_map(path, tag: str, n_source: int, n_target: int) -> np.ndarray:
     `n_target` vertices, as an int64 array: one entry per source vertex,
     each -1 or a target vertex."""
     name = _INDEX_MAP_NAMES[tag]
-    try:
-        tokens = Path(path).read_text(encoding="utf-8").split()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: cannot read {name} file ({type(exc).__name__})") from exc
+    tokens = read_text(path, name).split()
     if len(tokens) < 2 or tokens[0] != tag:
         raise DataError(f"{path}: not a {name} file")
     try:

@@ -18,6 +18,7 @@ import pytest
 import specdesc
 from specdesc.cli import Workspace, _solve_count, main
 from specdesc.config import SETTINGS, parse_config, parse_config_text, read_manifest
+from specdesc.container import write_table
 from specdesc.descriptors import (
     DESCRIPTOR_FAMILIES,
     DescriptorField,
@@ -213,8 +214,10 @@ def test_index_map_truncated(tmp_path, tag):
         with pytest.raises(DataError, match=f"{path.name}: .* non-integer"):
             load_index_map(path, tag, 2, 2)
     path.write_bytes(f"{tag} 1\n\xe9\n".encode("latin-1"))
-    with pytest.raises(DataError, match=f"{path.name}: cannot read"):
+    with pytest.raises(ParseError) as caught:
         load_index_map(path, tag, 1, 1)
+    at = len(f"{tag} 1\n")
+    assert str(caught.value) == f"{path}: not UTF-8 text (invalid continuation byte at byte {at})"
 
 
 def test_full_deformation_taxonomy(tmp_path):
@@ -616,7 +619,8 @@ def test_warm_describe_missing_mesh_is_data_error(pipeline_copy, caplog):
         code = run(["describe", "--config", pipeline_copy / "config.cfg",
                     "--family", "hks", "--out", pipeline_copy / "out"])
     assert code == 3
-    assert any(f"mesh file not found: {mesh}" in r.getMessage() for r in caplog.records)
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"{mesh}: cannot read mesh file: No such file or directory"]
 
 
 def test_describe_dimension_defaults(mini_pipeline):
@@ -870,7 +874,11 @@ def test_eval_missing_descriptor_file(mini_pipeline, caplog):
                     "--descriptors", "hks=/nonexistent/dir",
                     "--out", mini_pipeline / "r"])
     assert code == 3
-    assert any("missing descriptor file" in r.message for r in caplog.records)
+    first = next(e for e in read_manifest(mini_pipeline / "corpus" / "manifest.csv")
+                 if e.split == "eval")
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"/nonexistent/dir/{first.shape_id}.hks.dsc: cannot read descriptor "
+                      "file: No such file or directory"]
 
 
 def _rewrite_index_map(path, tag, edit):
@@ -1091,6 +1099,89 @@ def test_synth_out_that_is_a_file_is_data_error(tmp_path, caplog):
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert errors == [f"{taken}: cannot create directory: File exists"]
     assert taken.read_text() == "a file\n"
+
+
+# argv of each command, with {out} its output directory and {config} and
+# {desc} the mini pipeline's; then the output file made a directory, under
+# {out}, where None is the first shape's spectrum cache entry
+DIRECTORY_AS_OUTPUT = {
+    "synth": (["--out", "{out}", "--strengths", "1", "--deformations", "jitter"], "torus.off"),
+    "spectrum": (["--config", "{config}", "--spectrum-cache", "{out}"], None),
+    "describe": (["--config", "{config}", "--family", "hks", "--out", "{out}"],
+                 "{first}.hks.csv"),
+    "train": (["--config", "{config}", "--out", "{out}"], "model.json"),
+    "eval": (["--config", "{config}", "--descriptors", "hks={desc}", "--out", "{out}"],
+             "roc_000.csv"),
+    "match": (["--config", "{config}", "--descriptors", "hks={desc}", "--source", "multisphere",
+               "--target", "multisphere_jitter_1", "--out", "{out}"], "matches.csv"),
+}
+
+
+@pytest.mark.parametrize("command", list(DIRECTORY_AS_OUTPUT))
+def test_output_file_that_is_a_directory_is_data_error(mini_pipeline, tmp_path, caplog,
+                                                       command):
+    argv, name = DIRECTORY_AS_OUTPUT[command]
+    config, out = mini_pipeline / "config.cfg", tmp_path / "out"
+    ws = Workspace(parse_config(config), cache_dir=out)
+    if name is None:
+        taken = ws._cache_path(ws.entries[0])
+    else:
+        taken = out / name.format(first=ws.entries[0].shape_id)
+    taken.mkdir(parents=True)
+    args = [a.format(out=out, config=config, desc=mini_pipeline / "desc") for a in argv]
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run([command, *args])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"{taken}: cannot write: Is a directory"]
+    assert taken.is_dir() and not any(taken.iterdir())
+    assert not list(out.rglob("*.tmp"))
+
+
+# the file made a directory, under the pipeline copy; the kind of file the
+# error names; the command that reads it, after "--config CONFIG" unless
+# it names its own
+DIRECTORY_AS_INPUT = {
+    "config": ("other.cfg", "config", ["spectrum", "--config", "{path}"]),
+    "manifest": ("corpus/manifest.csv", "manifest", ["spectrum"]),
+    "mesh": ("corpus/torus.off", "mesh", ["spectrum"]),
+    "index_map": ("corpus/torus.sym", "symmetry",
+                  ["eval", "--descriptors", "hks={root}/desc", "--out", "{root}/report"]),
+    "model": ("model.json", "model",
+              ["describe", "--family", "learned", "--model", "{path}", "--out", "{root}/out"]),
+    "descriptor": ("desc/torus.hks.dsc", "descriptor",
+                   ["eval", "--descriptors", "hks={root}/desc", "--out", "{root}/report"]),
+}
+
+
+@pytest.mark.parametrize("case", list(DIRECTORY_AS_INPUT))
+def test_input_file_that_is_a_directory_is_data_error(pipeline_copy, caplog, case):
+    name, kind, argv = DIRECTORY_AS_INPUT[case]
+    path = pipeline_copy / name
+    path.unlink(missing_ok=True)
+    path.mkdir()
+    args = [a.format(path=path, root=pipeline_copy) for a in argv]
+    if "--config" not in args:
+        args[1:1] = ["--config", str(pipeline_copy / "config.cfg")]
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(args)
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"{path}: cannot read {kind} file: Is a directory"]
+
+
+def test_failed_write_leaves_the_old_file(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table(path, ["old"], [[1, 2.5]])
+
+    def rows():
+        yield [3, 4.5]
+        raise RuntimeError("halfway")
+
+    with pytest.raises(RuntimeError, match="^halfway$"):
+        write_table(path, ["new"], rows())
+    assert path.read_bytes() == b"old\n1,2.5\n"
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
 
 @pytest.mark.parametrize("option, value", [

@@ -19,8 +19,16 @@ from specdesc.laplacian import (
     load_spectrum,
     save_spectrum,
 )
-from specdesc.descriptors import shape_dna_field
-from specdesc.mesh import TriangleMesh
+from specdesc.descriptors import (
+    DescriptorField,
+    FrequencyBasis,
+    ResponseModel,
+    save_descriptor_binary,
+    save_response_model,
+    shape_dna_field,
+)
+from specdesc.evaluation import emit_report
+from specdesc.mesh import TriangleMesh, save_off
 from specdesc.synth import grid_mesh, icosphere
 
 SPHERE_CLUSTERS = np.array([0.0] + [2.0] * 3 + [6.0] * 5 + [12.0] * 7)
@@ -407,14 +415,23 @@ def test_interleaved_cache_writers_leave_a_loadable_entry(tmp_path, ico4_spectru
     assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
 
-def test_cache_entry_mode_follows_umask(tmp_path, ico4_spectrum):
-    path = tmp_path / "sphere.spec"
+def test_cache_entry_mode_follows_umask(tmp_path, ico4, ico4_spectrum):
+    # every file is written through one temp file, which mkstemp makes 0600
+    model = ResponseModel(basis=FrequencyBasis(nu_max=10.0, m=4), coefficients=np.eye(4)[:2])
     old = os.umask(0o022)
     try:
-        save_spectrum(ico4_spectrum, hashlib.sha256(b"sphere mesh file").hexdigest(), path)
+        save_spectrum(ico4_spectrum, hashlib.sha256(b"sphere mesh file").hexdigest(),
+                      tmp_path / "sphere.spec")
+        save_descriptor_binary(DescriptorField(ico4_spectrum.eigenfunctions[:, :3], "hks"),
+                               tmp_path / "sphere.hks.dsc")
+        save_response_model(model, tmp_path / "model.json")
+        emit_report(tmp_path / "report", tables=[("table", ["a"], [[1]])])
+        save_off(ico4, tmp_path / "sphere.off")
     finally:
         os.umask(old)
-    assert path.stat().st_mode & 0o777 == 0o644
+    written = ["sphere.spec", "sphere.hks.dsc", "model.json", "report/table.csv", "sphere.off"]
+    modes = {name: oct((tmp_path / name).stat().st_mode & 0o777) for name in written}
+    assert modes == dict.fromkeys(written, "0o644")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -5,7 +5,9 @@
 
 Each ``src`` directory runs synth, spectrum, train x2, describe x5, eval x2
 and match, one child process per command, in a temporary directory of its
-own. The default corpus is the benchmark's (``synth --seed 1`` at
+own. The two trees run step by step, and the tree that runs a step first
+alternates from step to step, so their times are taken under the same
+conditions. The default corpus is the benchmark's (``synth --seed 1`` at
 perfbench's ``SCALE``, s = 40); ``--acceptance`` runs the full
 ``CORPUS_CONFIG`` of tests/conftest.py on the default ``synth`` corpus.
 Prints each file whose SHA-256 differs, or that one tree lacks, each
@@ -30,10 +32,9 @@ bench = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # data
 _spec.loader.exec_module(bench)
 
 
-def pipeline(src: Path, work: Path, acceptance: bool) -> tuple[dict, list]:
-    """Run the pipeline with the specdesc of `src` in `work`; return the
-    SHA-256 of every file written there, by relative path, and one
-    (command, wall seconds, peak RSS MB) row per command."""
+def pipeline(work: Path, acceptance: bool) -> list[list]:
+    """Write the config into `work` and return the pipeline's commands, each
+    an argv that writes under `work`."""
     config = work / "config.cfg"
     text = bench.corpus_config()
     config.write_text(text if acceptance else bench.scaled_config(text, bench.SCALE.overrides))
@@ -53,24 +54,31 @@ def pipeline(src: Path, work: Path, acceptance: bool) -> tuple[dict, list]:
     source, target = bench.MATCH
     steps.append(["match", *base, "--descriptors", f"learned={work / 'desc_sens'}",
                   "--source", source, "--target", target, "--out", work / "match"])
+    return steps
+
+
+def run_step(src: Path, step: list) -> tuple[float, float]:
+    """Run one command with the specdesc of `src` in a child process; its
+    wall seconds and peak RSS MB. A failing command ends the comparison."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    usage = []
-    for i, step in enumerate(steps, start=1):
-        with tempfile.TemporaryFile() as err:
-            started = time.perf_counter()
-            proc = subprocess.Popen([sys.executable, *bench.UNTRACED, *map(str, step)], env=env,
-                                    stdout=subprocess.DEVNULL, stderr=err)
-            _, status, rusage = os.wait4(proc.pid, 0)
-            wall = time.perf_counter() - started
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            if proc.returncode:
-                err.seek(0)
-                sys.exit(f"{src}: {step[0]} exited {proc.returncode}\n"
-                         f"{err.read().decode(errors='replace')[-2000:]}")
-        usage.append((f"{i:02d} {step[0]}", wall, rusage.ru_maxrss / 1024.0))
-    digests = {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(work.rglob("*")) if p.is_file()}
-    return digests, usage
+    with tempfile.TemporaryFile() as err:
+        started = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *bench.UNTRACED, *map(str, step)], env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, rusage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - started
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            err.seek(0)
+            sys.exit(f"{src}: {step[0]} exited {code}\n"
+                     f"{err.read().decode(errors='replace')[-2000:]}")
+    return wall, rusage.ru_maxrss / 1024.0
+
+
+def digests(work: Path) -> dict:
+    """The SHA-256 of every file written under `work`, by relative path."""
+    return {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(work.rglob("*")) if p.is_file()}
 
 
 def src_lines(src: Path) -> int:
@@ -85,8 +93,16 @@ def main() -> int:
     parser.add_argument("--acceptance", action="store_true", help="full CORPUS_CONFIG corpus")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as a, tempfile.TemporaryDirectory() as b:
-        old, old_usage = pipeline(args.parent_src.resolve(), Path(a), args.acceptance)
-        new, new_usage = pipeline(args.change_src.resolve(), Path(b), args.acceptance)
+        trees = [(args.parent_src.resolve(), Path(a)), (args.change_src.resolve(), Path(b))]
+        plans = [pipeline(work, args.acceptance) for _, work in trees]
+        usage = ([], [])
+        # step by step, the tree that runs first alternating, so neither
+        # tree's times always follow the other's run of the same command
+        for i, steps in enumerate(zip(*plans)):
+            for t in ((0, 1) if i % 2 == 0 else (1, 0)):
+                usage[t].append((f"{i + 1:02d} {steps[t][0]}", *run_step(trees[t][0], steps[t])))
+        old, new = digests(Path(a)), digests(Path(b))
+    old_usage, new_usage = usage
     differ = [name for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
     for name in differ:
         print(f"differs: {name} ({old.get(name, 'missing')[:12]} -> "
