@@ -406,8 +406,10 @@ def _parse_family_dirs(specs) -> dict[str, Path]:
 
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
-    """ROC, CMC and distance maps in one pass per family; the report is
-    written once all of them are computed."""
+    """ROC, CMC and distance maps one family at a time. Every input is
+    checked before the first file is written, so a bad one leaves no report;
+    then each family's fields are read, its report files written as they are
+    made, and its fields dropped before the next family's are read."""
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
     family_dirs = _parse_family_dirs(args.descriptors)
     eval_entries = ws.by_split("eval")
@@ -416,53 +418,71 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         raise DataError("manifest has no eval shapes")
     source, target = _cmc_pair(ws, eval_entries)
     all_entries = eval_entries + neg_entries
-    fields = {family: _load_family_fields(ws, family, directory, all_entries)
-              for family, directory in family_dirs.items()}
     families = list(family_dirs)
+    fps_family = "learned" if "learned" in families else families[0]
+    n_refs = min(cfg["cmc_refs"], ws.mesh(source).n_vertices)
+    refs = None
+
+    def checked(family):
+        """The family's fields, checked; the CMC references are sampled on
+        the source in the FPS family's descriptor space as it passes."""
+        nonlocal refs
+        fields = _load_family_fields(ws, family, family_dirs[family], all_entries)
+        if family == fps_family:
+            refs = farthest_point_sample(fields[source.shape_id], n_refs)
+        return fields
+
+    # every family is checked before the first write, the last one first, so
+    # the first family's fields are the ones held for its own pass
+    for family in families[:0:-1]:
+        checked(family)
+    held = [checked(families[0])]
     indices = _sample_split(ws, all_entries, "eval", "eval_")
     log.info("eval triplets: %d", len(indices))
 
-    # CMC set-up shared by the families: references sampled on the source in
-    # the FPS family's descriptor space, followed into the target through the
-    # inverted correspondence (it maps the target into the source), and
-    # their ground-truth balls on the target
+    # CMC set-up shared by the families: the references followed into the
+    # target through the inverted correspondence (it maps the target into
+    # the source), and their ground-truth balls on the target
     corr = ws.correspondence(target)
     inverse = -np.ones(ws.mesh(source).n_vertices, dtype=np.int64)
     inverse[corr[corr >= 0]] = np.flatnonzero(corr >= 0)
-    fps_family = "learned" if "learned" in families else families[0]
-    refs = farthest_point_sample(fields[fps_family][source.shape_id],
-                                 min(cfg["cmc_refs"], ws.mesh(source).n_vertices))
     refs = refs[inverse[refs] >= 0]
     if refs.size == 0:
         raise DataError("no CMC references carry over to the target shape")
     target_mesh = ws.mesh(target)
     radius = cfg["ball_radius_frac"] * intrinsic_diameter(target_mesh, cfg["diameter_samples"])
+    # no ball is empty: each centre lies in its own closed ball
     [balls] = geodesic_balls(target_mesh, inverse[refs], ws.symmetry(target), (radius,))
     max_rank = max(1, round(cfg["cmc_rank_frac"] * target_mesh.n_vertices))
 
     work_point = cfg["work_point"]
     map_group = [source, target] + neg_entries[:1]
-    roc_curves, roc_rows, cmc_curves, cmc_rows, maps = [], [], [], [], []
-    for family in families:
-        shape_fields = fields[family]
-        curve = roc(*pair_distances(indices, [shape_fields[e.shape_id] for e in all_entries]))
+    roc_rows, cmc_rows = [], []
+
+    def family_artefacts(family):
+        """The family's ROC curve, CMC curve and distance maps, each yielded
+        as soon as it is made; its fields go with this generator."""
+        fields = held.pop() if held else _load_family_fields(
+            ws, family, family_dirs[family], all_entries)
+        curve = roc(*pair_distances(indices, [fields[e.shape_id] for e in all_entries]))
         tp_at_fp, fp_at_fn = work_points(curve, work_point)
         tn_at_fn = 1.0 - fp_at_fn
-        roc_curves.append(curve)
         roc_rows.append((family, curve.auc, tp_at_fp, tn_at_fn))
         log.info("%s: AUC %.4f TP@FP=%g %.4f TN@FN=%g %.4f",
                  family, curve.auc, work_point, tp_at_fp, work_point, tn_at_fn)
-        ref_values = shape_fields[source.shape_id][refs]
-        hits = cmc(ref_values, shape_fields[target.shape_id], balls, max_rank)
-        cmc_curves.append(hits)
+        yield curve
+        ref_values = fields[source.shape_id][refs]
+        hits = cmc(ref_values, fields[target.shape_id], balls, max_rank)
         cmc_rows.append((family, hits.rank1(), max_rank))
         log.info("cmc %s: rank-1 %.4f (K=%d, %d refs)",
                  family, hits.rank1(), max_rank, hits.n_refs)
-        group = [shape_fields[e.shape_id] for e in map_group]
-        maps += zip(distance_maps(group, ref_values[0]), map(ws.mesh, map_group))
+        yield hits
+        group = [fields[e.shape_id] for e in map_group]
+        yield from zip(distance_maps(group, ref_values[0]), map(ws.mesh, map_group))
 
     out = Path(args.out)
-    written = emit_report(out, roc_curves, cmc_curves, maps, tables=[
+    artefacts = (item for family in families for item in family_artefacts(family))
+    written = emit_report(out, artefacts, tables=[
         ("roc_workpoints", ["family", "auc", "tp_at_fp", "tn_at_fn"], roc_rows),
         ("cmc_rank1", ["family", "rank1_hit_rate", "max_rank"], cmc_rows)])
     print(f"eval: {len(written)} files -> {out} (families: {', '.join(families)})")
@@ -511,7 +531,7 @@ def cmd_match(args, cfg: PipelineConfig) -> int:
                  enumerate(zip(order.tolist(), dist[order].tolist()), start=1))
     maps = distance_maps([target_values], source_values[refs[0]])
     out = Path(args.out)
-    emit_report(out, maps=[(maps[0], ws.mesh(target))],
+    emit_report(out, [(maps[0], ws.mesh(target))],
                 tables=[("matches", ["ref_vertex", "rank", "target_vertex", "distance"], rows)])
     print(f"match: {len(refs)} references ({family}) -> {out / 'matches.csv'}")
     return EXIT_OK

@@ -1,13 +1,13 @@
 """Evaluation protocols: ROC with work-point readouts, CMC hit rates against
 geodesic-ball ground truth, normalized descriptor distance maps, and report
-emission (CSV always, self-contained SVG plots best-effort, color-mapped OFF
-for per-vertex fields)."""
+emission, artefact by artefact (CSV always, self-contained SVG plots,
+color-mapped OFF for per-vertex fields)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -165,19 +165,44 @@ def _colormap(values: np.ndarray) -> np.ndarray:
     return np.column_stack([np.interp(t, stops, channels[:, c]) for c in range(3)])
 
 
+def _thinned(px: np.ndarray, py: np.ndarray, box) -> np.ndarray:
+    """Indices, in order, of the pixel-coordinate points a line clipped to
+    the (x0, y0, w, h) box draws alike: the points inside the box, plus the
+    neighbour on each side of every run of them, so the line still leaves
+    the box; and of each run of those in one pixel column, only its first,
+    last, lowest and highest point."""
+    x0, y0, w, h = box
+    inside = (px >= x0) & (px <= x0 + w) & (py >= y0) & (py <= y0 + h)
+    near = inside.copy()
+    near[1:] |= inside[:-1]
+    near[:-1] |= inside[1:]
+    idx = np.flatnonzero(near)
+    if idx.size == 0:
+        return idx
+    column = np.floor(px[idx])
+    starts = np.flatnonzero(np.r_[True, (np.diff(column) != 0) | (np.diff(idx) != 1)])
+    ends = np.r_[starts[1:], idx.size] - 1
+    # sorted by height within each run, a run keeps its own positions
+    run = np.repeat(np.arange(starts.size), ends - starts + 1)
+    by_height = np.lexsort((py[idx], run))
+    return idx[np.unique(np.r_[starts, ends, by_height[starts], by_height[ends]])]
+
+
 def _svg_plot(path: Path, width: int, panels) -> None:
     """A `width` x 320 SVG with one framed line plot per (xs, ys, x_range,
-    y_range, box, title) panel, its line clipped to the box."""
+    y_range, box, title) panel, its line clipped to the box and holding
+    only the points `_thinned` keeps."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="320" '
         f'viewBox="0 0 {width} 320">'
     ]
     for xs, ys, (xa, xb), (ya, yb), (x0, y0, w, h), title in panels:
         clip = f"clip{x0}x{y0}"
-        # the pixel coordinate arrays die with the join, before the line is built
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(
-            x0 + (np.asarray(xs) - xa) / (xb - xa) * w,
-            y0 + h - (np.asarray(ys) - ya) / (yb - ya) * h))
+        px = x0 + (np.asarray(xs) - xa) / (xb - xa) * w
+        py = y0 + h - (np.asarray(ys) - ya) / (yb - ya) * h
+        keep = _thinned(px, py, (x0, y0, w, h))
+        px, py = px[keep], py[keep]
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
         parts += [
             f'<rect x="{x0}" y="{y0}" width="{w}" height="{h}" fill="white" stroke="black"/>',
             f'<clipPath id="{clip}"><rect x="{x0}" y="{y0}" width="{w}" '
@@ -191,51 +216,88 @@ def _svg_plot(path: Path, width: int, panels) -> None:
     write_table(path, parts)
 
 
+# rows of a ROC CSV converted to Python scalars per chunk, not per column
+ROW_CHUNK = 4096
+
+
+def _write_roc(out: Path, i: int, curve: RocCurve) -> list[str]:
+    name = f"roc_{i:03d}"
+    columns = (curve.thresholds, curve.fp_rate, curve.tp_rate)
+    rows = (row for start in range(0, len(curve.thresholds), ROW_CHUNK)
+            for row in zip(*(c[start:start + ROW_CHUNK].tolist() for c in columns)))
+    write_table(out / f"{name}.csv", ["threshold,fp_rate,tp_rate"], rows)
+    # two work-point zooms: the low false positive region and the
+    # low false negative (high true positive) region
+    _svg_plot(out / f"{name}.svg", 640, [
+        (curve.fp_rate, curve.tp_rate, (0.0, 0.1), (0.0, 1.0), (30, 20, 270, 270),
+         "low FP zoom (FP in [0, 0.1])"),
+        (curve.fp_rate, curve.tp_rate, (0.0, 1.0), (0.9, 1.0), (340, 20, 270, 270),
+         "low FN zoom (TP in [0.9, 1])"),
+    ])
+    return [f"{name}.csv", f"{name}.svg"]
+
+
+def _write_cmc(out: Path, i: int, curve: CmcCurve) -> list[str]:
+    name = f"cmc_{i:03d}"
+    write_table(out / f"{name}.csv", ["rank,hit_rate"],
+                enumerate(curve.hit_rate.tolist(), start=1))
+    ranks = np.arange(1, len(curve.hit_rate) + 1)
+    _svg_plot(out / f"{name}.svg", 360, [
+        (ranks, curve.hit_rate, (1, max(int(ranks[-1]), 2)), (0.0, 1.0),
+         (40, 20, 290, 270), "hit rate vs rank"),
+    ])
+    return [f"{name}.csv", f"{name}.svg"]
+
+
+def _write_map(out: Path, i: int, item: tuple[np.ndarray, Optional[TriangleMesh]]) -> list[str]:
+    name = f"map_{i:03d}"
+    values, mesh = item
+    values = np.asarray(values, dtype=np.float64)
+    write_table(out / f"{name}.csv", ["vertex,value"], enumerate(values.tolist()))
+    if mesh is None:
+        return [f"{name}.csv"]
+    save_coff(mesh, _colormap(values), out / f"{name}.off")
+    return [f"{name}.csv", f"{name}.off"]
+
+
+# the manifest lists the ROC files, then the CMC files, then the maps
+_WRITERS = {RocCurve: _write_roc, CmcCurve: _write_cmc, tuple: _write_map}
+
+
 def emit_report(
     out_dir,
-    roc_curves: Sequence[RocCurve] = (),
-    cmc_curves: Sequence[CmcCurve] = (),
-    maps: Sequence[tuple[np.ndarray, Optional[TriangleMesh]]] = (),
+    artefacts: Iterable = (),
     tables: Sequence[tuple[str, Sequence[str], Sequence[Sequence]]] = (),
 ) -> list[str]:
-    """Write CSVs (and SVG plots / vertex-colored OFFs) for every curve, map
-    and table; returns the manifest, which is also written to manifest.txt.
-    Deterministic: identical inputs produce byte-identical CSV files."""
+    """Write each artefact as it arrives: a RocCurve as roc_NNN.csv/.svg, a
+    CmcCurve as cmc_NNN.csv/.svg, a (values, mesh or None) distance map as
+    map_NNN.csv and, with a mesh, a vertex-colored map_NNN.off. Then write
+    each (name, header, rows) table, whose rows may be filled while the
+    artefacts are made, and manifest.txt. Returns the manifest: the files of
+    each kind in the order of `_WRITERS`, then the tables. An error raised
+    by the artefacts or a writer removes the files of every artefact and
+    table already written, then is raised again. Deterministic: identical
+    inputs produce byte-identical CSV files."""
+    fresh = not Path(out_dir).exists()
     out = make_dir(out_dir)
+    made = {kind: [] for kind in _WRITERS}  # per kind, each artefact's file names
     written: list[str] = []
-    for i, curve in enumerate(roc_curves):
-        name = f"roc_{i:03d}"
-        rows = zip(curve.thresholds.tolist(), curve.fp_rate.tolist(), curve.tp_rate.tolist())
-        write_table(out / f"{name}.csv", ["threshold,fp_rate,tp_rate"], rows)
-        # two work-point zooms: the low false positive region and the
-        # low false negative (high true positive) region
-        _svg_plot(out / f"{name}.svg", 640, [
-            (curve.fp_rate, curve.tp_rate, (0.0, 0.1), (0.0, 1.0), (30, 20, 270, 270),
-             "low FP zoom (FP in [0, 0.1])"),
-            (curve.fp_rate, curve.tp_rate, (0.0, 1.0), (0.9, 1.0), (340, 20, 270, 270),
-             "low FN zoom (TP in [0.9, 1])"),
-        ])
-        written += [f"{name}.csv", f"{name}.svg"]
-    for i, curve in enumerate(cmc_curves):
-        name = f"cmc_{i:03d}"
-        write_table(out / f"{name}.csv", ["rank,hit_rate"],
-                    enumerate(curve.hit_rate.tolist(), start=1))
-        ranks = np.arange(1, len(curve.hit_rate) + 1)
-        _svg_plot(out / f"{name}.svg", 360, [
-            (ranks, curve.hit_rate, (1, max(int(ranks[-1]), 2)), (0.0, 1.0),
-             (40, 20, 290, 270), "hit rate vs rank"),
-        ])
-        written += [f"{name}.csv", f"{name}.svg"]
-    for i, (values, mesh) in enumerate(maps):
-        name = f"map_{i:03d}"
-        values = np.asarray(values, dtype=np.float64)
-        write_table(out / f"{name}.csv", ["vertex,value"], enumerate(values.tolist()))
-        written.append(f"{name}.csv")
-        if mesh is not None:
-            save_coff(mesh, _colormap(values), out / f"{name}.off")
-            written.append(f"{name}.off")
-    for name, header, rows in tables:
-        write_table(out / f"{name}.csv", [",".join(header)], rows)
-        written.append(f"{name}.csv")
-    write_table(out / "manifest.txt", written or [""])
+    try:
+        for item in artefacts:
+            kind = next(k for k in _WRITERS if isinstance(item, k))
+            made[kind].append(_WRITERS[kind](out, len(made[kind]), item))
+        written = [name for per_item in made.values() for files in per_item for name in files]
+        for name, header, rows in tables:
+            write_table(out / f"{name}.csv", [",".join(header)], rows)
+            written.append(f"{name}.csv")
+        write_table(out / "manifest.txt", written or [""])
+    except BaseException:
+        # an error while the artefacts are made or written leaves no report:
+        # the files written so far go, and the directory if this call made it
+        for name in {*written, *(name for per_item in made.values()
+                                 for files in per_item for name in files)}:
+            (out / name).unlink(missing_ok=True)
+        if fresh and not any(out.iterdir()):
+            out.rmdir()
+        raise
     return written

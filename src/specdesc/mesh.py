@@ -38,8 +38,10 @@ __all__ = [
 DEGENERATE_AREA_FACTOR = 1e-12
 
 # centres whose ball searches run in one Dijkstra call; each call holds a
-# (2 * BALL_BLOCK, V) float64 array (2.4 MB at V = 2,354)
-BALL_BLOCK = 64
+# dense (2 * BALL_BLOCK, V) float64 array however small the balls are
+# (0.6 MB at V = 2,354), and the balls are OR-ed row by row, so the block
+# size changes the peak memory, not the balls
+BALL_BLOCK = 16
 
 
 class TriangleMesh:

@@ -999,6 +999,77 @@ def test_eval_report_and_manifest(mini_pipeline):
     assert len(workpoints) == 3
 
 
+def test_eval_bad_last_family_leaves_no_report(pipeline_copy, caplog):
+    # every family's files are checked before the first report file is written
+    path = pipeline_copy / "desc" / "torus.wks.dsc"
+    field = load_descriptor_binary(path)
+    save_descriptor_binary(DescriptorField(field.values[:-1], field.family), path)
+    out = pipeline_copy / "report"
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["eval", "--config", pipeline_copy / "config.cfg",
+                    "--descriptors", f"hks={pipeline_copy / 'desc'}",
+                    f"wks={pipeline_copy / 'desc'}", "--out", out])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"{path}: {len(field) - 1} rows for a mesh with {len(field)} vertices"]
+    assert not out.exists()
+
+
+def test_eval_failure_in_last_family_leaves_no_report(pipeline_copy, caplog):
+    # finite values that pass the checks, but whose pair distances overflow:
+    # the first family's files are written by then, and go again
+    path = pipeline_copy / "desc" / "torus.wks.dsc"
+    field = load_descriptor_binary(path)
+    save_descriptor_binary(DescriptorField(np.full_like(field.values, 1e200), field.family), path)
+    out = pipeline_copy / "report"
+    with caplog.at_level(logging.ERROR, logger="specdesc"), np.errstate(over="ignore"):
+        code = run(["eval", "--config", pipeline_copy / "config.cfg",
+                    "--descriptors", f"hks={pipeline_copy / 'desc'}",
+                    f"wks={pipeline_copy / 'desc'}", "--out", out])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and "finite" in errors[0]
+    assert not out.exists()
+
+
+def test_eval_empty_cmc_ball_leaves_no_report(mini_pipeline, tmp_path, caplog, monkeypatch):
+    # a centre always lies in its own ball, so the empty one is made here;
+    # cmc rejects it in the first family's pass, after its ROC files exist
+    real = specdesc.cli.geodesic_balls
+
+    def one_empty(*args):
+        balls = real(*args)
+        balls[0][1] = False
+        return balls
+
+    monkeypatch.setattr(specdesc.cli, "geodesic_balls", one_empty)
+    out = tmp_path / "report"
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["eval", "--config", mini_pipeline / "config.cfg",
+                    "--descriptors", f"hks={mini_pipeline / 'desc'}", "--out", out])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == ["reference 1: empty ground-truth ball"]
+    assert not out.exists()
+
+
+def test_eval_holds_one_family_fields_at_a_time(mini_pipeline, tmp_path, monkeypatch):
+    real = specdesc.cli._load_family_fields
+    loaded = []  # weak references to every field array handed out so far
+
+    def spy(*args):
+        assert all(ref() is None for ref in loaded), "an earlier family's fields are alive"
+        fields = real(*args)
+        loaded.extend(weakref.ref(values) for values in fields.values())
+        return fields
+
+    monkeypatch.setattr(specdesc.cli, "_load_family_fields", spy)
+    desc = mini_pipeline / "desc"
+    assert run(["eval", "--config", mini_pipeline / "config.cfg", "--descriptors",
+                f"hks={desc}", f"wks={desc}", f"learned={desc}", "--out", tmp_path / "r"]) == 0
+    assert loaded
+
+
 def test_eval_cmc_target_must_map_into_source(mini_pipeline, tmp_path, caplog):
     common = ["eval", "--config", mini_pipeline / "config.cfg",
               "--descriptors", f"hks={mini_pipeline / 'desc'}"]

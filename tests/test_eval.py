@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specdesc.errors import DataError
+from specdesc import evaluation
 from specdesc.evaluation import (
     CmcCurve,
     cmc,
@@ -355,24 +356,113 @@ def test_emit_report_empty_manifest(tmp_path):
 
 def test_emit_report_one_roc_curve(tmp_path):
     curve = roc([1.0, 3.0], [2.0, 4.0])
-    written = emit_report(tmp_path / "report", roc_curves=[curve])
+    written = emit_report(tmp_path / "report", [curve])
     assert written == ["roc_000.csv", "roc_000.svg"]
     csv_lines = (tmp_path / "report" / "roc_000.csv").read_text().splitlines()
     assert len(csv_lines) - 1 == len(curve.fp_rate)
     svg = (tmp_path / "report" / "roc_000.svg").read_text()
-    first_polyline = svg.split('points="')[1].split('"')[0]
-    assert len(first_polyline.split()) == len(curve.fp_rate)
+    # (fp, tp) = (0, 0), (0, .5), (.5, .5), (.5, 1), (1, 1): each zoom keeps
+    # its points in the box and one neighbour outside it
+    polylines = [part.split('"')[0] for part in svg.split('points="')[1:]]
+    assert polylines == ["30.00,290.00 30.00,155.00 1380.00,155.00",
+                         "475.00,1370.00 475.00,20.00 610.00,20.00"]
     manifest = (tmp_path / "report" / "manifest.txt").read_text().split()
     assert manifest == written
+
+
+def test_emit_report_writes_each_artefact_as_it_arrives(tmp_path):
+    out = tmp_path / "report"
+    curves = [roc([1.0, 3.0], [2.0, 4.0]), roc([1.0, 2.0], [1.5, 4.0])]
+    hits = CmcCurve(hit_rate=np.array([0.5, 1.0]), n_refs=2)
+
+    def artefacts():
+        for i, curve in enumerate(curves):
+            yield curve
+            assert (out / f"roc_{i:03d}.svg").exists() and not (out / "manifest.txt").exists()
+            yield hits
+            yield np.linspace(0, 1, 4), None
+
+    written = emit_report(out, artefacts(), tables=[("t", ["a"], [[1]])])
+    # the manifest lists every ROC file, then the CMC files, maps and tables
+    assert written == ["roc_000.csv", "roc_000.svg", "roc_001.csv", "roc_001.svg",
+                       "cmc_000.csv", "cmc_000.svg", "cmc_001.csv", "cmc_001.svg",
+                       "map_000.csv", "map_001.csv", "t.csv"]
+    assert (out / "manifest.txt").read_text().split() == written
+
+
+def test_emit_report_error_removes_what_it_wrote(tmp_path):
+    def failing():
+        yield roc([1.0, 3.0], [2.0, 4.0])
+        raise DataError("later artefact")
+
+    fresh = tmp_path / "fresh"
+    with pytest.raises(DataError, match="later artefact"):
+        emit_report(fresh, failing(), tables=[("t", ["a"], [[1]])])
+    assert not fresh.exists()
+    # in a directory that was there, only the files of this report go
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("x")
+    with pytest.raises(DataError):
+        emit_report(kept, failing())
+    assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
+
+def test_roc_csv_written_in_chunks_keeps_every_row(tmp_path):
+    rng = np.random.default_rng(0)
+    curve = roc(rng.normal(size=evaluation.ROW_CHUNK), rng.normal(1.0, size=evaluation.ROW_CHUNK))
+    assert len(curve.thresholds) > evaluation.ROW_CHUNK + 1
+    emit_report(tmp_path, [curve])
+    rows = zip(curve.thresholds.tolist(), curve.fp_rate.tolist(), curve.tp_rate.tolist())
+    expected = "threshold,fp_rate,tp_rate\n" + "".join(f"{t},{f},{p}\n" for t, f, p in rows)
+    assert (tmp_path / "roc_000.csv").read_text() == expected
+
+
+ROC_PANELS = [((0.0, 0.1), (0.0, 1.0), (30, 20, 270, 270)),
+              ((0.0, 1.0), (0.9, 1.0), (340, 20, 270, 270))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 10)), min_size=1, max_size=400),
+       monotone=st.booleans(), panel=st.sampled_from(ROC_PANELS))
+@example(steps=[(0, 5), (0, 0), (0, 10), (0, 5), (3, 5)], monotone=False, panel=ROC_PANELS[0])
+def test_roc_svg_keeps_every_pixel_column_extreme(steps, monotone, panel):
+    dx, dy = np.array(steps, dtype=np.float64).T
+    if monotone:  # non-decreasing from (0, 0) in whole-count steps, as roc makes curves
+        fp, tp = np.r_[0, dx.cumsum()] / max(dx.sum(), 1), np.r_[0, dy.cumsum()] / max(dy.sum(), 1)
+    else:
+        # heights that move both ways, so a pixel column's extremes need not
+        # be its ends; half the steps stay in their column
+        fp, tp = 0.2 * (dx // 2).cumsum() / max((dx // 2).sum(), 1), dy / 10
+    (xa, xb), (ya, yb), (x0, y0, w, h) = panel
+    px = x0 + (fp - xa) / (xb - xa) * w
+    py = y0 + h - (tp - ya) / (yb - ya) * h
+    kept = evaluation._thinned(px, py, (x0, y0, w, h))
+    assert (np.diff(kept) > 0).all() and (kept.size == 0 or 0 <= kept[0] <= kept[-1] < fp.size)
+    inside = (px >= x0) & (px <= x0 + w) & (py >= y0) & (py <= y0 + h)
+    near = inside | np.r_[False, inside[:-1]] | np.r_[inside[1:], False]
+    # everything kept is in the box or next to a point in it, and on a
+    # monotone curve every such neighbour is kept
+    assert near[kept].all()
+    if monotone:
+        assert set(np.flatnonzero(near & ~inside)) <= set(kept.tolist())
+    column = np.floor(px)
+    for i in np.flatnonzero(inside):
+        a = b = i  # the run of near points in i's pixel column
+        while a > 0 and near[a - 1] and column[a - 1] == column[i]:
+            a -= 1
+        while b + 1 < fp.size and near[b + 1] and column[b + 1] == column[i]:
+            b += 1
+        in_run = kept[(kept >= a) & (kept <= b)]
+        assert a in in_run and b in in_run and in_run.size <= 4
+        assert py[in_run].min() == py[a:b + 1].min() and py[in_run].max() == py[a:b + 1].max()
 
 
 def test_emit_report_deterministic_bytes(tmp_path):
     curve = roc(np.linspace(0, 1, 50), np.linspace(0.5, 2, 60))
     cmc_curve = CmcCurve(hit_rate=np.linspace(0.2, 1.0, 10), n_refs=25)
     kwargs = dict(
-        roc_curves=[curve],
-        cmc_curves=[cmc_curve],
-        maps=[(np.linspace(0, 1, 8), None)],
+        artefacts=[curve, cmc_curve, (np.linspace(0, 1, 8), None)],
         tables=[("workpoints", ["family", "value"], [("hks", 0.25)])],
     )
     emit_report(tmp_path / "a", **kwargs)
@@ -385,7 +475,7 @@ def test_emit_report_deterministic_bytes(tmp_path):
 def test_emit_report_vertex_colored_mesh(tmp_path):
     mesh = icosphere(0)
     values = np.linspace(0.0, 1.0, mesh.n_vertices)
-    written = emit_report(tmp_path / "report", maps=[(values, mesh)])
+    written = emit_report(tmp_path / "report", [(values, mesh)])
     assert "map_000.off" in written
     head = (tmp_path / "report" / "map_000.off").read_text().splitlines()[0]
     assert head == "COFF"

@@ -10,10 +10,10 @@ alternates from step to step, so their times are taken under the same
 conditions. The default corpus is the benchmark's (``synth --seed 1`` at
 perfbench's ``SCALE``, s = 40); ``--acceptance`` runs the full
 ``CORPUS_CONFIG`` of tests/conftest.py on the default ``synth`` corpus.
-Prints each file whose SHA-256 differs, or that one tree lacks, each
-command's wall time and peak RSS in both trees (from ``os.wait4``, as
-perfbench measures them), and the line total of each tree's
-``specdesc/*.py``; exits 1 on any file difference.
+Prints each file whose SHA-256 differs, or that one tree lacks, with its
+byte size in both trees; each command's wall time and peak RSS in both
+trees (from ``os.wait4``, as perfbench measures them); and the line total
+of each tree's ``specdesc/*.py``. Exits 1 on any file difference.
 """
 
 import argparse
@@ -76,8 +76,10 @@ def run_step(src: Path, step: list) -> tuple[float, float]:
 
 
 def digests(work: Path) -> dict:
-    """The SHA-256 of every file written under `work`, by relative path."""
-    return {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
+    """The SHA-256 and byte size of every file written under `work`, by
+    relative path."""
+    return {str(p.relative_to(work)): (hashlib.sha256(p.read_bytes()).hexdigest(),
+                                       p.stat().st_size)
             for p in sorted(work.rglob("*")) if p.is_file()}
 
 
@@ -104,9 +106,10 @@ def main() -> int:
         old, new = digests(Path(a)), digests(Path(b))
     old_usage, new_usage = usage
     differ = [name for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+    missing = ("missing", "-")
     for name in differ:
-        print(f"differs: {name} ({old.get(name, 'missing')[:12]} -> "
-              f"{new.get(name, 'missing')[:12]})")
+        (old_sha, old_size), (new_sha, new_size) = old.get(name, missing), new.get(name, missing)
+        print(f"differs: {name} {old_size} → {new_size} B ({old_sha[:12]} -> {new_sha[:12]})")
     print(f"{len(old.keys() | new.keys())} files compared, {len(differ)} differ")
     print(f"{'command':<12} {'parent wall, peak RSS':>24} {'change wall, peak RSS':>24}")
     for (name, old_wall, old_rss), (_, new_wall, new_rss) in zip(old_usage, new_usage):
