@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ManifestEntry, PipelineConfig, parse_config, read_manifest
-from .container import make_dir, read_file, write_table
+from .container import output_dir, read_file, write_table
 from .descriptors import (
     DESCRIPTOR_FAMILIES,
     DescriptorField,
@@ -175,8 +175,8 @@ class Workspace:
         mesh = load_mesh(self.base / entry.path)  # not kept: one mesh in memory at a time
         op = assemble_fem(mesh, mass_mode=self.cfg["mass_mode"])
         spectrum = compute_spectrum(op, min(count, mesh.n_vertices))
-        make_dir(self.cache_dir)
-        save_spectrum(spectrum, self.file_hash(entry), self._cache_path(entry))
+        with output_dir(self.cache_dir) as stage:
+            save_spectrum(spectrum, self.file_hash(entry), stage / self._cache_path(entry).name)
         self._last = (entry.shape_id, spectrum)
         return spectrum
 
@@ -310,16 +310,13 @@ def cmd_describe(args, cfg: PipelineConfig) -> int:
         if not args.model:
             raise DataError("--model is required for the learned family")
         model = load_response_model(args.model)
-    out = make_dir(args.out)
-    # every shape is described before any file is written, so a failure
-    # leaves no partial result in `out`
-    fields = [_describe_field(ws, entry, args.family, model, args.model)
-              for entry in ws.entries]
-    for entry, field in zip(ws.entries, fields):
-        save_descriptor_binary(field, out / f"{entry.shape_id}.{args.family}.dsc")
-        save_descriptor_csv(field, out / f"{entry.shape_id}.{args.family}.csv")
-        log.info("described %s (%s, n=%d)", entry.shape_id, args.family, field.dim)
-    print(f"describe: {len(ws.entries)} shapes -> {out}")
+    with output_dir(args.out) as stage:
+        for entry in ws.entries:
+            field = _describe_field(ws, entry, args.family, model, args.model)
+            save_descriptor_binary(field, stage / f"{entry.shape_id}.{args.family}.dsc")
+            save_descriptor_csv(field, stage / f"{entry.shape_id}.{args.family}.csv")
+            log.info("described %s (%s, n=%d)", entry.shape_id, args.family, field.dim)
+    print(f"describe: {len(ws.entries)} shapes -> {args.out}")
     return EXIT_OK
 
 
@@ -333,39 +330,39 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     """Sweep the alpha grid on the held-out split unless the config pins
     alpha (`--alpha ""` unpins it), then solve once at the chosen alpha."""
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
-    out = make_dir(args.out)
-    basis = _training_basis(ws)
-    entries = ws.by_split("train", "train_neg")
-    train_pairs = _sample_split(ws, entries, "train", "")
-    log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
-    # generators: one shape's vectors at a time beside their stack
-    stats = estimate_covariances(train_pairs, (ws.geometry_vectors(e, basis) for e in entries),
-                                 ridge=cfg["ridge"])
-    del train_pairs  # the sweep's held-out data takes its place
-    n = cfg["n"]
-    table = []
-    best_alpha = cfg["alpha"]
-    if best_alpha is None:
-        entries = ws.by_split("val", "val_neg")
-        best_alpha, table = sweep_alpha(
-            stats,
-            cfg["alpha_grid"],
-            n,
-            _sample_split(ws, entries, "val", ""),
-            (ws.geometry_vectors(e, basis) for e in entries),
-            mode=cfg["mode"],
-            work_point=cfg["work_point"],
-        )
-        log.info("alpha sweep selected %.4g (%s mode)", best_alpha, cfg["mode"])
-    coef, lam = solve_tradeoff(stats, best_alpha, n)
-    model = ResponseModel(basis=basis, coefficients=coef)
-    if model.n < n:
-        log.warning("only %d of %d descriptor dimensions are feasible", model.n, n)
-    save_response_model(model, out / "model.json")
-    write_table(out / "training_report.csv",
-                [_REPORT_NOTE, "alpha,fn_at_fixed_fp,fp_at_fixed_fn,achieved_n"], table)
+    with output_dir(args.out) as stage:
+        basis = _training_basis(ws)
+        entries = ws.by_split("train", "train_neg")
+        train_pairs = _sample_split(ws, entries, "train", "")
+        log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
+        # generators: one shape's vectors at a time beside their stack
+        stats = estimate_covariances(train_pairs, (ws.geometry_vectors(e, basis) for e in entries),
+                                     ridge=cfg["ridge"])
+        del train_pairs  # the sweep's held-out data takes its place
+        n = cfg["n"]
+        table = []
+        best_alpha = cfg["alpha"]
+        if best_alpha is None:
+            entries = ws.by_split("val", "val_neg")
+            best_alpha, table = sweep_alpha(
+                stats,
+                cfg["alpha_grid"],
+                n,
+                _sample_split(ws, entries, "val", ""),
+                (ws.geometry_vectors(e, basis) for e in entries),
+                mode=cfg["mode"],
+                work_point=cfg["work_point"],
+            )
+            log.info("alpha sweep selected %.4g (%s mode)", best_alpha, cfg["mode"])
+        coef, lam = solve_tradeoff(stats, best_alpha, n)
+        model = ResponseModel(basis=basis, coefficients=coef)
+        if model.n < n:
+            log.warning("only %d of %d descriptor dimensions are feasible", model.n, n)
+        save_response_model(model, stage / "model.json")
+        write_table(stage / "training_report.csv",
+                    [_REPORT_NOTE, "alpha,fn_at_fixed_fp,fp_at_fixed_fn,achieved_n"], table)
     print(f"train: alpha={best_alpha:.4g} achieved_n={model.n} "
-          f"objective={float(lam.sum()):.6g} -> {out / 'model.json'}")
+          f"objective={float(lam.sum()):.6g} -> {Path(args.out) / 'model.json'}")
     return EXIT_OK
 
 
@@ -406,10 +403,10 @@ def _parse_family_dirs(specs) -> dict[str, Path]:
 
 
 def cmd_eval(args, cfg: PipelineConfig) -> int:
-    """ROC, CMC and distance maps one family at a time. Every input is
-    checked before the first file is written, so a bad one leaves no report;
-    then each family's fields are read, its report files written as they are
-    made, and its fields dropped before the next family's are read."""
+    """ROC, CMC and distance maps one family at a time: each family's fields
+    are read, its report files staged as they are made, and its fields
+    dropped before the next family's are read. The report is committed whole
+    once every family has passed, so a bad input leaves `--out` as it was."""
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
     family_dirs = _parse_family_dirs(args.descriptors)
     eval_entries = ws.by_split("eval")
@@ -419,24 +416,12 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     source, target = _cmc_pair(ws, eval_entries)
     all_entries = eval_entries + neg_entries
     families = list(family_dirs)
+    # CMC references: farthest points of the source in the descriptor space
+    # of the learned family, else the first family
     fps_family = "learned" if "learned" in families else families[0]
     n_refs = min(cfg["cmc_refs"], ws.mesh(source).n_vertices)
-    refs = None
-
-    def checked(family):
-        """The family's fields, checked; the CMC references are sampled on
-        the source in the FPS family's descriptor space as it passes."""
-        nonlocal refs
-        fields = _load_family_fields(ws, family, family_dirs[family], all_entries)
-        if family == fps_family:
-            refs = farthest_point_sample(fields[source.shape_id], n_refs)
-        return fields
-
-    # every family is checked before the first write, the last one first, so
-    # the first family's fields are the ones held for its own pass
-    for family in families[:0:-1]:
-        checked(family)
-    held = [checked(families[0])]
+    refs = farthest_point_sample(_load_family_fields(
+        ws, fps_family, family_dirs[fps_family], [source])[source.shape_id], n_refs)
     indices = _sample_split(ws, all_entries, "eval", "eval_")
     log.info("eval triplets: %d", len(indices))
 
@@ -462,9 +447,11 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     def family_artefacts(family):
         """The family's ROC curve, CMC curve and distance maps, each yielded
         as soon as it is made; its fields go with this generator."""
-        fields = held.pop() if held else _load_family_fields(
-            ws, family, family_dirs[family], all_entries)
-        curve = roc(*pair_distances(indices, [fields[e.shape_id] for e in all_entries]))
+        fields = _load_family_fields(ws, family, family_dirs[family], all_entries)
+        try:
+            curve = roc(*pair_distances(indices, [fields[e.shape_id] for e in all_entries]))
+        except DataError as exc:
+            raise DataError(f"{family_dirs[family]}: {family} descriptors: {exc}") from exc
         tp_at_fp, fp_at_fn = work_points(curve, work_point)
         tn_at_fn = 1.0 - fp_at_fn
         roc_rows.append((family, curve.auc, tp_at_fp, tn_at_fn))

@@ -1,12 +1,14 @@
-"""The one file layer: every file the pipeline reads or writes goes through
-`read_file` (or `read_text`) and `write_file`, which name the file in any
-failure and replace a file whole or not at all; also the binary container of
-the spectrum cache and descriptor files, text tables and output directories."""
+"""The one file layer: every file the pipeline reads goes through `read_file`
+(or `read_text`), and every file it writes through `write_file` into the
+staging directory of an `output_dir`, which commits a command's files whole;
+also the binary container of the spectrum cache and descriptor files, and
+text tables."""
 
 import itertools
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,25 +34,47 @@ def read_text(path, what: str) -> str:
 
 
 def write_file(path, chunks, mode: str = "w") -> None:
-    """Write the str chunks (mode "w") or bytes-like chunks ("wb") to a temp
-    file of this writer's own beside `path`, then move it into place, so no
-    reader or concurrent writer sees half-written bytes. mkstemp makes the
-    temp file 0600; it gets the mode a plain open() would give."""
-    path = Path(path)
-    umask = os.umask(0)
-    os.umask(umask)
+    """Write the str chunks (mode "w") or bytes-like chunks ("wb") to `path`."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
-                os.fchmod(fd, 0o666 & ~umask)
-                fh.writelines(chunks)
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise DataError(f"{path}: cannot write: {exc.strerror}") from exc
+
+
+@contextmanager
+def output_dir(path):
+    """Yield a staging directory, made inside `path` (and `path` with its
+    parents), for a command's files. When the block ends cleanly, each
+    staged file replaces its namesake in `path` by an atomic rename, so no
+    reader or concurrent writer sees half-written bytes; a name taken by a
+    directory in `path` fails before any file moves. Either way the files
+    left staged and the staging directory go, and `path` too when this
+    call made it and it is left empty."""
+    out = Path(path)
+    made = not out.is_dir()
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".staging.", dir=out))
+    except OSError as exc:
+        raise DataError(f"{out}: cannot create directory: {exc.strerror}") from exc
+    try:
+        yield stage
+        names = sorted(os.listdir(stage))
+        taken = [out / name for name in names if (out / name).is_dir()]
+        if taken:
+            raise DataError(f"{taken[0]}: cannot write: Is a directory")
+        for name in names:
+            try:
+                os.replace(stage / name, out / name)
+            except OSError as exc:
+                raise DataError(f"{out / name}: cannot write: {exc.strerror}") from exc
+    finally:
+        for name in os.listdir(stage):
+            os.unlink(stage / name)
+        os.rmdir(stage)
+        if made and not any(out.iterdir()):
+            out.rmdir()
 
 
 class Container:
@@ -82,17 +106,6 @@ class Container:
         if not np.isfinite(values).all():
             raise DataError(f"{path}: {self.what} file holds non-finite values")
         return values
-
-
-def make_dir(path) -> Path:
-    """`path` as a directory, made with its parents when missing; a path
-    that cannot be one, such as an existing file, is a DataError naming it."""
-    p = Path(path)
-    try:
-        p.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"{p}: cannot create directory: {exc.strerror}") from exc
-    return p
 
 
 def write_table(path, head, rows=(), sep: str = ",") -> None:

@@ -11,7 +11,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .container import make_dir, write_table
+from .container import output_dir, write_table
 from .errors import DataError
 from .mesh import TriangleMesh, save_coff
 
@@ -274,30 +274,18 @@ def emit_report(
     map_NNN.csv and, with a mesh, a vertex-colored map_NNN.off. Then write
     each (name, header, rows) table, whose rows may be filled while the
     artefacts are made, and manifest.txt. Returns the manifest: the files of
-    each kind in the order of `_WRITERS`, then the tables. An error raised
-    by the artefacts or a writer removes the files of every artefact and
-    table already written, then is raised again. Deterministic: identical
-    inputs produce byte-identical CSV files."""
-    fresh = not Path(out_dir).exists()
-    out = make_dir(out_dir)
+    each kind in the order of `_WRITERS`, then the tables. The files are
+    staged in an `output_dir`, so an error raised by the artefacts or a
+    writer leaves `out_dir` as it was. Deterministic: identical inputs
+    produce byte-identical CSV files."""
     made = {kind: [] for kind in _WRITERS}  # per kind, each artefact's file names
-    written: list[str] = []
-    try:
+    with output_dir(out_dir) as stage:
         for item in artefacts:
             kind = next(k for k in _WRITERS if isinstance(item, k))
-            made[kind].append(_WRITERS[kind](out, len(made[kind]), item))
+            made[kind].append(_WRITERS[kind](stage, len(made[kind]), item))
         written = [name for per_item in made.values() for files in per_item for name in files]
         for name, header, rows in tables:
-            write_table(out / f"{name}.csv", [",".join(header)], rows)
+            write_table(stage / f"{name}.csv", [",".join(header)], rows)
             written.append(f"{name}.csv")
-        write_table(out / "manifest.txt", written or [""])
-    except BaseException:
-        # an error while the artefacts are made or written leaves no report:
-        # the files written so far go, and the directory if this call made it
-        for name in {*written, *(name for per_item in made.values()
-                                 for files in per_item for name in files)}:
-            (out / name).unlink(missing_ok=True)
-        if fresh and not any(out.iterdir()):
-            out.rmdir()
-        raise
+        write_table(stage / "manifest.txt", written or [""])
     return written

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ManifestEntry, write_manifest
-from .container import make_dir, read_text, write_table
+from .container import output_dir, read_text, write_table
 from .errors import DataError, MeshValidationError
 from .mesh import TriangleMesh, geodesic_balls, intrinsic_diameter, save_off
 
@@ -557,65 +557,65 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
         raise DataError(f"strengths={spec.strengths} must be at least 1")
     if spec.rng_seed < 0:
         raise DataError(f"seed={spec.rng_seed} must be non-negative")
-    out = make_dir(out_dir)
     entries: list[ManifestEntry] = []
-    for base_idx, base_name in enumerate(spec.base_shapes):
-        split, deforms, strengths, build = _BASES[base_name]
-        shape = build()
-        if isinstance(shape, RevolutionShape):
-            base, base_sym = shape.mesh(), shape.symmetry()
-        else:
-            base, base_sym = shape
-        save_off(base, out / f"{base_name}.off")
-        sym_path = ""
-        if base_sym is not None:
-            sym_path = f"{base_name}.sym"
-            save_index_map(base_sym, out / sym_path, "sym")
-        entries.append(
-            ManifestEntry(
-                shape_id=base_name,
-                path=f"{base_name}.off",
-                class_label=base_name,
-                split=split,
-                sym_path=sym_path,
+    with output_dir(out_dir) as stage:
+        for base_idx, base_name in enumerate(spec.base_shapes):
+            split, deforms, strengths, build = _BASES[base_name]
+            shape = build()
+            if isinstance(shape, RevolutionShape):
+                base, base_sym = shape.mesh(), shape.symmetry()
+            else:
+                base, base_sym = shape
+            save_off(base, stage / f"{base_name}.off")
+            sym_path = ""
+            if base_sym is not None:
+                sym_path = f"{base_name}.sym"
+                save_index_map(base_sym, stage / sym_path, "sym")
+            entries.append(
+                ManifestEntry(
+                    shape_id=base_name,
+                    path=f"{base_name}.off",
+                    class_label=base_name,
+                    split=split,
+                    sym_path=sym_path,
+                )
             )
-        )
-        deforms = spec.deformations if deforms is None else deforms
-        strengths = range(1, spec.strengths + 1) if strengths is None else strengths
-        if not deforms:
-            continue
-        diameter = intrinsic_diameter(base, DIAMETER_SAMPLES)
-        for di, kind in enumerate(deforms):
-            for strength in strengths:
-                seed_seq = np.random.SeedSequence(
-                    entropy=spec.rng_seed,
-                    spawn_key=(base_idx, di, strength),
-                )
-                dmesh, corr, sym = _deform(shape, base, base_sym, kind, strength, seed_seq,
-                                           diameter)
-                shape_id = f"{base_name}_{kind}_{strength}"
-                save_off(dmesh, out / f"{shape_id}.off")
-                save_index_map(corr, out / f"{shape_id}.corr", "corr")
-                dsym_path = ""
-                if sym is not None:
-                    dsym_path = f"{shape_id}.sym"
-                    save_index_map(sym, out / dsym_path, "sym")
-                if split == "train":
-                    # odd strengths train, even strengths are held out for
-                    # the alpha sweep; shape ids never cross the split
-                    dsplit = "train" if strength % 2 == 1 else "val"
-                else:
-                    dsplit = split
-                entries.append(
-                    ManifestEntry(
-                        shape_id=shape_id,
-                        path=f"{shape_id}.off",
-                        class_label=base_name,
-                        split=dsplit,
-                        null_id=base_name,
-                        corr_path=f"{shape_id}.corr",
-                        sym_path=dsym_path,
+            deforms = spec.deformations if deforms is None else deforms
+            strengths = range(1, spec.strengths + 1) if strengths is None else strengths
+            if not deforms:
+                continue
+            diameter = intrinsic_diameter(base, DIAMETER_SAMPLES)
+            for di, kind in enumerate(deforms):
+                for strength in strengths:
+                    seed_seq = np.random.SeedSequence(
+                        entropy=spec.rng_seed,
+                        spawn_key=(base_idx, di, strength),
                     )
-                )
-    write_manifest(entries, out / "manifest.csv")
+                    dmesh, corr, sym = _deform(shape, base, base_sym, kind, strength, seed_seq,
+                                               diameter)
+                    shape_id = f"{base_name}_{kind}_{strength}"
+                    save_off(dmesh, stage / f"{shape_id}.off")
+                    save_index_map(corr, stage / f"{shape_id}.corr", "corr")
+                    dsym_path = ""
+                    if sym is not None:
+                        dsym_path = f"{shape_id}.sym"
+                        save_index_map(sym, stage / dsym_path, "sym")
+                    if split == "train":
+                        # odd strengths train, even strengths are held out for
+                        # the alpha sweep; shape ids never cross the split
+                        dsplit = "train" if strength % 2 == 1 else "val"
+                    else:
+                        dsplit = split
+                    entries.append(
+                        ManifestEntry(
+                            shape_id=shape_id,
+                            path=f"{shape_id}.off",
+                            class_label=base_name,
+                            split=dsplit,
+                            null_id=base_name,
+                            corr_path=f"{shape_id}.corr",
+                            sym_path=dsym_path,
+                        )
+                    )
+        write_manifest(entries, stage / "manifest.csv")
     return entries

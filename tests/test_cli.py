@@ -18,7 +18,7 @@ import pytest
 import specdesc
 from specdesc.cli import Workspace, _solve_count, main
 from specdesc.config import SETTINGS, parse_config, parse_config_text, read_manifest
-from specdesc.container import write_table
+from specdesc.container import output_dir, write_table
 from specdesc.descriptors import (
     DESCRIPTOR_FAMILIES,
     DescriptorField,
@@ -1000,7 +1000,8 @@ def test_eval_report_and_manifest(mini_pipeline):
 
 
 def test_eval_bad_last_family_leaves_no_report(pipeline_copy, caplog):
-    # every family's files are checked before the first report file is written
+    # the last family's pass rejects the file, and the staged report of the
+    # families before it is never committed
     path = pipeline_copy / "desc" / "torus.wks.dsc"
     field = load_descriptor_binary(path)
     save_descriptor_binary(DescriptorField(field.values[:-1], field.family), path)
@@ -1015,21 +1016,41 @@ def test_eval_bad_last_family_leaves_no_report(pipeline_copy, caplog):
     assert not out.exists()
 
 
-def test_eval_failure_in_last_family_leaves_no_report(pipeline_copy, caplog):
-    # finite values that pass the checks, but whose pair distances overflow:
-    # the first family's files are written by then, and go again
-    path = pipeline_copy / "desc" / "torus.wks.dsc"
+def _overflowing_last_family(root):
+    """Make every value of the last family's torus.wks.dsc under `root` 1e200:
+    finite values that pass the checks, but whose pair distances overflow."""
+    path = root / "desc" / "torus.wks.dsc"
     field = load_descriptor_binary(path)
     save_descriptor_binary(DescriptorField(np.full_like(field.values, 1e200), field.family), path)
-    out = pipeline_copy / "report"
+
+
+def _eval_hks_wks(root, caplog):
+    """Exit code and ERROR lines of an eval of hks then wks into root/report."""
+    caplog.clear()
     with caplog.at_level(logging.ERROR, logger="specdesc"), np.errstate(over="ignore"):
-        code = run(["eval", "--config", pipeline_copy / "config.cfg",
-                    "--descriptors", f"hks={pipeline_copy / 'desc'}",
-                    f"wks={pipeline_copy / 'desc'}", "--out", out])
+        code = run(["eval", "--config", root / "config.cfg",
+                    "--descriptors", f"hks={root / 'desc'}", f"wks={root / 'desc'}",
+                    "--out", root / "report"])
+    return code, [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+
+
+def test_eval_failure_in_last_family_leaves_no_report(pipeline_copy, caplog):
+    # the first family's files are staged by then, and go again
+    _overflowing_last_family(pipeline_copy)
+    code, errors = _eval_hks_wks(pipeline_copy, caplog)
     assert code == 3
-    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-    assert len(errors) == 1 and "finite" in errors[0]
-    assert not out.exists()
+    assert errors == [f"{pipeline_copy / 'desc'}: wks descriptors: distances must be finite"]
+    assert not (pipeline_copy / "report").exists()
+
+
+def test_failed_eval_rerun_leaves_the_old_report(pipeline_copy, caplog):
+    out = pipeline_copy / "report"
+    assert _eval_hks_wks(pipeline_copy, caplog) == (0, [])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "manifest.txt" in before and len(before) > 20
+    _overflowing_last_family(pipeline_copy)
+    assert _eval_hks_wks(pipeline_copy, caplog)[0] == 3
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_eval_empty_cmc_ball_leaves_no_report(mini_pipeline, tmp_path, caplog, monkeypatch):
@@ -1205,8 +1226,41 @@ def test_output_file_that_is_a_directory_is_data_error(mini_pipeline, tmp_path, 
     assert code == 3
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert errors == [f"{taken}: cannot write: Is a directory"]
-    assert taken.is_dir() and not any(taken.iterdir())
-    assert not list(out.rglob("*.tmp"))
+    # nothing else is left in `out`: no file of this run and no staging directory
+    assert list(out.rglob("*")) == [taken]
+
+
+def test_every_pipeline_write_is_staged(tmp_path, monkeypatch):
+    # one output rule: every command writes its files into the staging
+    # directory of an output_dir, and each commit removes its staging directory
+    written = []
+    real = specdesc.container.write_file
+
+    def spy(path, *args):
+        written.append(Path(path))
+        real(path, *args)
+
+    for module in (specdesc.container, specdesc.config, specdesc.descriptors):
+        monkeypatch.setattr(module, "write_file", spy)
+    generate_corpus(SyntheticCorpusSpec(base_shapes=MINI_SHAPES, deformations=("jitter",),
+                                        strengths=2), tmp_path / "corpus")
+    config = tmp_path / "config.cfg"
+    config.write_text(MINI_CONFIG.format(manifest="corpus/manifest.csv"))
+    desc = tmp_path / "desc"
+    for argv in (["spectrum"],
+                 ["train", "--out", tmp_path / "train"],
+                 ["describe", "--family", "hks", "--out", desc],
+                 ["describe", "--family", "learned", "--model", tmp_path / "train" / "model.json",
+                  "--out", desc],
+                 ["eval", "--descriptors", f"hks={desc}", f"learned={desc}",
+                  "--out", tmp_path / "report"],
+                 ["match", "--descriptors", f"hks={desc}", "--source", "multisphere",
+                  "--target", "multisphere_jitter_1", "--out", tmp_path / "match"]):
+        assert run([argv[0], "--config", config, *argv[1:]]) == 0
+    suffixes = {p.suffix for p in written}
+    assert {".off", ".corr", ".sym", ".spec", ".json", ".dsc", ".csv", ".svg"} <= suffixes
+    assert [p for p in written if not p.parent.name.startswith(".staging.")] == []
+    assert not list(tmp_path.rglob(".staging.*"))
 
 
 # the file made a directory, under the pipeline copy; the kind of file the
@@ -1249,10 +1303,10 @@ def test_failed_write_leaves_the_old_file(tmp_path):
         yield [3, 4.5]
         raise RuntimeError("halfway")
 
-    with pytest.raises(RuntimeError, match="^halfway$"):
-        write_table(path, ["new"], rows())
+    with pytest.raises(RuntimeError, match="^halfway$"), output_dir(tmp_path) as stage:
+        write_table(stage / path.name, ["new"], rows())
     assert path.read_bytes() == b"old\n1,2.5\n"
-    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+    assert list(tmp_path.iterdir()) == [path]  # no staging directory left behind
 
 
 @pytest.mark.parametrize("option, value", [
@@ -1319,8 +1373,8 @@ def test_model_with_infinite_nu_max_is_data_error(mini_pipeline, tmp_path, caplo
 def test_model_cutoff_below_spectrum_is_data_error(mini_pipeline, tmp_path, caplog, nu_max):
     # below the first positive eigenvalue every geometry vector is the same,
     # so every learned descriptor would be constant over the shape. At 1.0
-    # the first shapes are described before a later one fails, and still no
-    # file is written.
+    # the first shapes are described before a later one fails, and still
+    # `--out` is not made.
     config = mini_pipeline / "config.cfg"
     ws = Workspace(parse_config(config))
     lowest = {e.shape_id: ws.spectrum(e).first_positive() for e in ws.entries}
@@ -1337,7 +1391,7 @@ def test_model_cutoff_below_spectrum_is_data_error(mini_pipeline, tmp_path, capl
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert errors == [f"{model}: shape {failing}: basis cutoff nu_max={nu_max:.6g} "
                       f"lies below the first positive eigenvalue {lowest[failing]:.6g}"]
-    assert not list((tmp_path / "desc").iterdir())
+    assert not (tmp_path / "desc").exists()
 
 
 def test_match_command(mini_pipeline):

@@ -378,7 +378,9 @@ def test_emit_report_writes_each_artefact_as_it_arrives(tmp_path):
     def artefacts():
         for i, curve in enumerate(curves):
             yield curve
-            assert (out / f"roc_{i:03d}.svg").exists() and not (out / "manifest.txt").exists()
+            # staged before the next artefact is made; `out` gains it at commit
+            [stage] = out.iterdir()
+            assert stage.name.startswith(".staging.") and (stage / f"roc_{i:03d}.svg").exists()
             yield hits
             yield np.linspace(0, 1, 4), None
 
@@ -388,6 +390,7 @@ def test_emit_report_writes_each_artefact_as_it_arrives(tmp_path):
                        "cmc_000.csv", "cmc_000.svg", "cmc_001.csv", "cmc_001.svg",
                        "map_000.csv", "map_001.csv", "t.csv"]
     assert (out / "manifest.txt").read_text().split() == written
+    assert sorted(p.name for p in out.iterdir()) == sorted([*written, "manifest.txt"])
 
 
 def test_emit_report_error_removes_what_it_wrote(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from specdesc.container import output_dir
 from specdesc.errors import DataError
 from specdesc.laplacian import (
     CLUSTER_REL_GAP,
@@ -391,32 +392,26 @@ def test_spectrum_cache_truncated(tmp_path, ico4_spectrum):
         load_spectrum(path, mesh_hash)
 
 
-def test_interleaved_cache_writers_leave_a_loadable_entry(tmp_path, ico4_spectrum,
-                                                         monkeypatch):
+def test_interleaved_cache_writers_leave_a_loadable_entry(tmp_path, ico4_spectrum):
     path = tmp_path / "sphere.spec"
     mesh_hash = hashlib.sha256(b"sphere mesh file").hexdigest()
     short = ico4_spectrum.prefix(20)
-    real_replace = os.replace
-    seen = []
-
-    def other_writer_first(src, dst):
-        # a second writer of the same entry runs between this writer's write
-        # and its rename
-        monkeypatch.setattr(os, "replace", real_replace)
-        save_spectrum(short, mesh_hash, path)
-        seen.append(load_spectrum(path, mesh_hash))
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", other_writer_first)
-    save_spectrum(ico4_spectrum, mesh_hash, path)
-    np.testing.assert_array_equal(seen[0].eigenfunctions, short.eigenfunctions)
+    with output_dir(tmp_path) as stage:
+        save_spectrum(ico4_spectrum, mesh_hash, stage / path.name)
+        # a second writer of the same entry commits between this writer's
+        # staging and its commit
+        with output_dir(tmp_path) as other:
+            save_spectrum(short, mesh_hash, other / path.name)
+        seen = load_spectrum(path, mesh_hash)
+        np.testing.assert_array_equal(seen.eigenfunctions, short.eigenfunctions)
     final = load_spectrum(path, mesh_hash)
     np.testing.assert_array_equal(final.eigenfunctions, ico4_spectrum.eigenfunctions)
-    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+    assert list(tmp_path.iterdir()) == [path]  # no staging directory left behind
 
 
 def test_cache_entry_mode_follows_umask(tmp_path, ico4, ico4_spectrum):
-    # every file is written through one temp file, which mkstemp makes 0600
+    # a file gets the mode a plain open() gives, also when an output_dir
+    # stages it in a directory that mkdtemp makes 0700
     model = ResponseModel(basis=FrequencyBasis(nu_max=10.0, m=4), coefficients=np.eye(4)[:2])
     old = os.umask(0o022)
     try:

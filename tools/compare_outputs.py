@@ -10,10 +10,10 @@ alternates from step to step, so their times are taken under the same
 conditions. The default corpus is the benchmark's (``synth --seed 1`` at
 perfbench's ``SCALE``, s = 40); ``--acceptance`` runs the full
 ``CORPUS_CONFIG`` of tests/conftest.py on the default ``synth`` corpus.
-Prints each file whose SHA-256 differs, or that one tree lacks, with its
-byte size in both trees; each command's wall time and peak RSS in both
-trees (from ``os.wait4``, as perfbench measures them); and the line total
-of each tree's ``specdesc/*.py``. Exits 1 on any file difference.
+Prints each file whose SHA-256 differs, or each file or directory that one
+tree lacks, with its byte size in both trees; each command's wall time and
+peak RSS in both trees (from ``os.wait4``, as perfbench measures them); and
+the line total of each tree's ``specdesc/*.py``. Exits 1 on any file difference.
 """
 
 import argparse
@@ -76,11 +76,12 @@ def run_step(src: Path, step: list) -> tuple[float, float]:
 
 
 def digests(work: Path) -> dict:
-    """The SHA-256 and byte size of every file written under `work`, by
-    relative path."""
+    """The SHA-256 and byte size of every file written under `work`, and a
+    "directory" mark for every directory, so one that a single tree leaves
+    behind (such as an empty staging directory) differs; by relative path."""
     return {str(p.relative_to(work)): (hashlib.sha256(p.read_bytes()).hexdigest(),
-                                       p.stat().st_size)
-            for p in sorted(work.rglob("*")) if p.is_file()}
+                                       p.stat().st_size) if p.is_file() else ("directory", "-")
+            for p in sorted(work.rglob("*"))}
 
 
 def src_lines(src: Path) -> int:
