@@ -46,8 +46,9 @@ def write_file(path, chunks, mode: str = "w") -> None:
 def output_dir(path):
     """Yield a staging directory, made inside `path` (and `path` with its
     parents), for a command's files. When the block ends cleanly, each
-    staged file replaces its namesake in `path` by an atomic rename, so no
-    reader or concurrent writer sees half-written bytes; a name taken by a
+    staged file replaces its namesake in `path` by an atomic rename, the
+    manifest last, so no reader or concurrent writer sees half-written bytes
+    and a manifest never lists a file that is not in place; a name taken by a
     directory in `path` fails before any file moves. Either way the files
     left staged and the staging directory go, and `path` too when this
     call made it and it is left empty."""
@@ -60,7 +61,7 @@ def output_dir(path):
         raise DataError(f"{out}: cannot create directory: {exc.strerror}") from exc
     try:
         yield stage
-        names = sorted(os.listdir(stage))
+        names = sorted(os.listdir(stage), key=lambda n: (n.startswith("manifest."), n))
         taken = [out / name for name in names if (out / name).is_dir()]
         if taken:
             raise DataError(f"{taken[0]}: cannot write: Is a directory")

@@ -1226,7 +1226,9 @@ def test_output_file_that_is_a_directory_is_data_error(mini_pipeline, tmp_path, 
     assert code == 3
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert errors == [f"{taken}: cannot write: Is a directory"]
-    # nothing else is left in `out`: no file of this run and no staging directory
+    # the taken directory is left as it was, and nothing else is left in `out`:
+    # no file of this run and no staging directory
+    assert taken.is_dir() and not any(taken.iterdir())
     assert list(out.rglob("*")) == [taken]
 
 
@@ -1307,6 +1309,28 @@ def test_failed_write_leaves_the_old_file(tmp_path):
         write_table(stage / path.name, ["new"], rows())
     assert path.read_bytes() == b"old\n1,2.5\n"
     assert list(tmp_path.iterdir()) == [path]  # no staging directory left behind
+
+
+def test_commit_stopped_part_way_leaves_the_old_manifest(tmp_path, monkeypatch):
+    # the manifest is committed after every other file, so a rename that fails
+    # part-way leaves the old manifest, not one that lists files not in place
+    write_table(tmp_path / "manifest.txt", ["file"], [["a.csv"]])
+    replace, moved = os.replace, []
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "z.csv":
+            raise PermissionError(13, "Permission denied")
+        moved.append(Path(dst).name)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(DataError, match="z.csv: cannot write: Permission denied$"), \
+            output_dir(tmp_path) as stage:
+        for name in ("a.csv", "manifest.txt", "z.csv"):
+            write_table(stage / name, ["new"], [[name]])
+    assert moved == ["a.csv"]
+    assert (tmp_path / "manifest.txt").read_bytes() == b"file\na.csv\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "manifest.txt"]
 
 
 @pytest.mark.parametrize("option, value", [
