@@ -46,6 +46,9 @@ from .evaluation import (
     emit_report,
     roc,
     work_points,
+    write_cmc,
+    write_map,
+    write_roc,
 )
 from .laplacian import (
     Spectrum,
@@ -172,7 +175,9 @@ class Workspace:
     def _solve(self, entry: ManifestEntry, count: int) -> Spectrum:
         """Solve `count` pairs (at most one per vertex) and make them the
         shape's cache entry, replacing its file."""
-        mesh = load_mesh(self.base / entry.path)  # not kept: one mesh in memory at a time
+        mesh = self._meshes.get(entry.shape_id)
+        if mesh is None:  # parsed, not kept: one mesh in memory at a time
+            mesh = load_mesh(self.base / entry.path)
         op = assemble_fem(mesh, mass_mode=self.cfg["mass_mode"])
         spectrum = compute_spectrum(op, min(count, mesh.n_vertices))
         with output_dir(self.cache_dir) as stage:
@@ -226,6 +231,7 @@ def _training_basis(ws: Workspace) -> FrequencyBasis:
         raise DataError("manifest has no train shapes")
     tops = []
     for entry in entries:
+        ws.mesh(entry)  # held for the pair sampler, so a cold solve parses it once
         spectrum = ws.spectrum(entry)
         tops.append(float(spectrum.eigenvalues[min(count, len(spectrum)) - 1]))
     nu_max = float(np.percentile(tops, cfg["nu_max_percentile"]))
@@ -443,10 +449,10 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
     work_point = cfg["work_point"]
     map_group = [source, target] + neg_entries[:1]
     roc_rows, cmc_rows = [], []
+    roc_files, cmc_files, map_files = [], [], []
 
-    def family_artefacts(family):
-        """The family's ROC curve, CMC curve and distance maps, each yielded
-        as soon as it is made; its fields go with this generator."""
+    def report_family(stage, i, family):
+        """Stage the family's ROC, CMC and map files; its fields go on return."""
         fields = _load_family_fields(ws, family, family_dirs[family], all_entries)
         try:
             curve = roc(*pair_distances(indices, [fields[e.shape_id] for e in all_entries]))
@@ -457,21 +463,24 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         roc_rows.append((family, curve.auc, tp_at_fp, tn_at_fn))
         log.info("%s: AUC %.4f TP@FP=%g %.4f TN@FN=%g %.4f",
                  family, curve.auc, work_point, tp_at_fp, work_point, tn_at_fn)
-        yield curve
+        roc_files.extend(write_roc(stage, i, curve))
         ref_values = fields[source.shape_id][refs]
         hits = cmc(ref_values, fields[target.shape_id], balls, max_rank)
         cmc_rows.append((family, hits.rank1(), max_rank))
         log.info("cmc %s: rank-1 %.4f (K=%d, %d refs)",
                  family, hits.rank1(), max_rank, hits.n_refs)
-        yield hits
-        group = [fields[e.shape_id] for e in map_group]
-        yield from zip(distance_maps(group, ref_values[0]), map(ws.mesh, map_group))
+        cmc_files.extend(write_cmc(stage, i, hits))
+        maps = distance_maps([fields[e.shape_id] for e in map_group], ref_values[0])
+        for j, (values, entry) in enumerate(zip(maps, map_group), i * len(map_group)):
+            map_files.extend(write_map(stage, j, values, ws.mesh(entry)))
 
     out = Path(args.out)
-    artefacts = (item for family in families for item in family_artefacts(family))
-    written = emit_report(out, artefacts, tables=[
-        ("roc_workpoints", ["family", "auc", "tp_at_fp", "tn_at_fn"], roc_rows),
-        ("cmc_rank1", ["family", "rank1_hit_rate", "max_rank"], cmc_rows)])
+    with output_dir(out) as stage:
+        for i, family in enumerate(families):
+            report_family(stage, i, family)
+        written = emit_report(stage, roc_files + cmc_files + map_files, tables=[
+            ("roc_workpoints", ["family", "auc", "tp_at_fp", "tn_at_fn"], roc_rows),
+            ("cmc_rank1", ["family", "rank1_hit_rate", "max_rank"], cmc_rows)])
     print(f"eval: {len(written)} files -> {out} (families: {', '.join(families)})")
     return EXIT_OK
 
@@ -516,10 +525,11 @@ def cmd_match(args, cfg: PipelineConfig) -> int:
         order = np.argsort(dist, kind="stable")[: args.top]
         rows += ([ref, rank, tv, d] for rank, (tv, d) in
                  enumerate(zip(order.tolist(), dist[order].tolist()), start=1))
-    maps = distance_maps([target_values], source_values[refs[0]])
+    [values] = distance_maps([target_values], source_values[refs[0]])
     out = Path(args.out)
-    emit_report(out, [(maps[0], ws.mesh(target))],
-                tables=[("matches", ["ref_vertex", "rank", "target_vertex", "distance"], rows)])
+    with output_dir(out) as stage:
+        emit_report(stage, write_map(stage, 0, values, ws.mesh(target)),
+                    tables=[("matches", ["ref_vertex", "rank", "target_vertex", "distance"], rows)])
     print(f"match: {len(refs)} references ({family}) -> {out / 'matches.csv'}")
     return EXIT_OK
 

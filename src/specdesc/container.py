@@ -5,7 +5,9 @@ also the binary container of the spectrum cache and descriptor files, and
 text tables."""
 
 import itertools
+import logging
 import os
+import shutil
 import struct
 import tempfile
 from contextlib import contextmanager
@@ -14,6 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParseError
+
+log = logging.getLogger("specdesc")
 
 
 def read_file(path, what: str) -> bytes:
@@ -42,21 +46,41 @@ def write_file(path, chunks, mode: str = "w") -> None:
         raise DataError(f"{path}: cannot write: {exc.strerror}") from exc
 
 
+def _remove_stale_stages(out: Path, prefix: str) -> None:
+    """Remove each PREFIX.PID.* staging directory in `out` whose process no
+    longer runs, logging a removal that fails; leave every other one."""
+    for stage in out.glob(prefix + "*"):
+        pid, *suffix = stage.name[len(prefix):].split(".")
+        try:
+            if len(suffix) == 1 and pid.isdecimal():
+                os.kill(int(pid), 0)
+        except ProcessLookupError:  # no process has this pid
+            try:
+                shutil.rmtree(stage)
+            except OSError as exc:
+                log.warning("%s: cannot remove stale staging directory: %s", stage, exc.strerror)
+        except (OverflowError, OSError):  # not a pid, or another user's process
+            pass
+
+
 @contextmanager
 def output_dir(path):
-    """Yield a staging directory, made inside `path` (and `path` with its
-    parents), for a command's files. When the block ends cleanly, each
-    staged file replaces its namesake in `path` by an atomic rename, the
-    manifest last, so no reader or concurrent writer sees half-written bytes
-    and a manifest never lists a file that is not in place; a name taken by a
-    directory in `path` fails before any file moves. Either way the files
-    left staged and the staging directory go, and `path` too when this
-    call made it and it is left empty."""
+    """Yield a staging directory, named after this host and process, made
+    inside `path` (and `path` with its parents), for a command's files. When
+    the block ends cleanly, each staged file replaces its namesake in `path`
+    by an atomic rename, the manifest last, so no reader or concurrent writer
+    sees half-written bytes and a manifest never lists a file that is not in
+    place; a name taken by a directory in `path` fails before any file moves.
+    Either way the files left staged and the staging directory go, and
+    `path` too when this call made it and it is left empty. On entry, the
+    staging directories that processes of this host left when they died go."""
     out = Path(path)
     made = not out.is_dir()
+    prefix = f".staging.{os.uname().nodename}."
     try:
         out.mkdir(parents=True, exist_ok=True)
-        stage = Path(tempfile.mkdtemp(prefix=".staging.", dir=out))
+        _remove_stale_stages(out, prefix)
+        stage = Path(tempfile.mkdtemp(prefix=f"{prefix}{os.getpid()}.", dir=out))
     except OSError as exc:
         raise DataError(f"{out}: cannot create directory: {exc.strerror}") from exc
     try:
@@ -71,9 +95,7 @@ def output_dir(path):
             except OSError as exc:
                 raise DataError(f"{out / name}: cannot write: {exc.strerror}") from exc
     finally:
-        for name in os.listdir(stage):
-            os.unlink(stage / name)
-        os.rmdir(stage)
+        shutil.rmtree(stage)
         if made and not any(out.iterdir()):
             out.rmdir()
 

@@ -1,17 +1,17 @@
 """Evaluation protocols: ROC with work-point readouts, CMC hit rates against
 geodesic-ball ground truth, normalized descriptor distance maps, and report
-emission, artefact by artefact (CSV always, self-contained SVG plots,
-color-mapped OFF for per-vertex fields)."""
+files (CSV always, self-contained SVG plots, color-mapped OFF for per-vertex
+fields)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .container import output_dir, write_table
+from .container import write_table
 from .errors import DataError
 from .mesh import TriangleMesh, save_coff
 
@@ -22,6 +22,9 @@ __all__ = [
     "work_points",
     "cmc",
     "distance_maps",
+    "write_roc",
+    "write_cmc",
+    "write_map",
     "emit_report",
 ]
 
@@ -220,7 +223,8 @@ def _svg_plot(path: Path, width: int, panels) -> None:
 ROW_CHUNK = 4096
 
 
-def _write_roc(out: Path, i: int, curve: RocCurve) -> list[str]:
+def write_roc(out: Path, i: int, curve: RocCurve) -> list[str]:
+    """Write roc_NNN.csv and roc_NNN.svg into `out`; returns their names."""
     name = f"roc_{i:03d}"
     columns = (curve.thresholds, curve.fp_rate, curve.tp_rate)
     rows = (row for start in range(0, len(curve.thresholds), ROW_CHUNK)
@@ -237,7 +241,8 @@ def _write_roc(out: Path, i: int, curve: RocCurve) -> list[str]:
     return [f"{name}.csv", f"{name}.svg"]
 
 
-def _write_cmc(out: Path, i: int, curve: CmcCurve) -> list[str]:
+def write_cmc(out: Path, i: int, curve: CmcCurve) -> list[str]:
+    """Write cmc_NNN.csv and cmc_NNN.svg into `out`; returns their names."""
     name = f"cmc_{i:03d}"
     write_table(out / f"{name}.csv", ["rank,hit_rate"],
                 enumerate(curve.hit_rate.tolist(), start=1))
@@ -249,43 +254,27 @@ def _write_cmc(out: Path, i: int, curve: CmcCurve) -> list[str]:
     return [f"{name}.csv", f"{name}.svg"]
 
 
-def _write_map(out: Path, i: int, item: tuple[np.ndarray, Optional[TriangleMesh]]) -> list[str]:
+def write_map(out: Path, i: int, values: np.ndarray, mesh: TriangleMesh) -> list[str]:
+    """Write map_NNN.csv and the `values`-colored map_NNN.off into `out`;
+    returns their names."""
     name = f"map_{i:03d}"
-    values, mesh = item
-    values = np.asarray(values, dtype=np.float64)
     write_table(out / f"{name}.csv", ["vertex,value"], enumerate(values.tolist()))
-    if mesh is None:
-        return [f"{name}.csv"]
     save_coff(mesh, _colormap(values), out / f"{name}.off")
     return [f"{name}.csv", f"{name}.off"]
 
 
-# the manifest lists the ROC files, then the CMC files, then the maps
-_WRITERS = {RocCurve: _write_roc, CmcCurve: _write_cmc, tuple: _write_map}
-
-
 def emit_report(
     out_dir,
-    artefacts: Iterable = (),
+    files: Sequence[str] = (),
     tables: Sequence[tuple[str, Sequence[str], Sequence[Sequence]]] = (),
 ) -> list[str]:
-    """Write each artefact as it arrives: a RocCurve as roc_NNN.csv/.svg, a
-    CmcCurve as cmc_NNN.csv/.svg, a (values, mesh or None) distance map as
-    map_NNN.csv and, with a mesh, a vertex-colored map_NNN.off. Then write
-    each (name, header, rows) table, whose rows may be filled while the
-    artefacts are made, and manifest.txt. Returns the manifest: the files of
-    each kind in the order of `_WRITERS`, then the tables. The files are
-    staged in an `output_dir`, so an error raised by the artefacts or a
-    writer leaves `out_dir` as it was. Deterministic: identical inputs
-    produce byte-identical CSV files."""
-    made = {kind: [] for kind in _WRITERS}  # per kind, each artefact's file names
-    with output_dir(out_dir) as stage:
-        for item in artefacts:
-            kind = next(k for k in _WRITERS if isinstance(item, k))
-            made[kind].append(_WRITERS[kind](stage, len(made[kind]), item))
-        written = [name for per_item in made.values() for files in per_item for name in files]
-        for name, header, rows in tables:
-            write_table(stage / f"{name}.csv", [",".join(header)], rows)
-            written.append(f"{name}.csv")
-        write_table(stage / "manifest.txt", written or [""])
+    """Write each (name, header, rows) table as name.csv into `out_dir`, then
+    manifest.txt: the report `files` the writers above put there (ROC files,
+    then CMC files, then maps), then the tables. Returns the manifest.
+    Deterministic: identical inputs produce byte-identical files."""
+    out, written = Path(out_dir), list(files)
+    for name, header, rows in tables:
+        write_table(out / f"{name}.csv", [",".join(header)], rows)
+        written.append(f"{name}.csv")
+    write_table(out / "manifest.txt", written or [""])
     return written

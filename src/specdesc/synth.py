@@ -127,14 +127,11 @@ def grid_mesh(nx: int, ny: Optional[int] = None, width: float = 1.0,
                                               ids[1:, :-1]))
 
 
-def torus(n_u: int = 40, n_v: int = 24, major: float = 1.0, minor: float = 0.3,
-          bumps: bool = True) -> TriangleMesh:
+def torus(n_u: int = 40, n_v: int = 24, major: float = 1.0, minor: float = 0.3) -> TriangleMesh:
     u = np.arange(n_u) * (2.0 * np.pi / n_u)
     v = np.arange(n_v) * (2.0 * np.pi / n_v)
     uu, vv = np.meshgrid(u, v, indexing="ij")
-    r = np.full_like(uu, minor)
-    if bumps:
-        r = minor * (1.0 + 0.10 * np.cos(3.0 * uu) + 0.06 * np.cos(2.0 * vv))
+    r = minor * (1.0 + 0.10 * np.cos(3.0 * uu) + 0.06 * np.cos(2.0 * vv))
     x = (major + r * np.cos(vv)) * np.cos(uu)
     y = (major + r * np.cos(vv)) * np.sin(uu)
     z = r * np.sin(vv)
@@ -246,7 +243,7 @@ def _uniform_arclength_levels(r_of, n_rows):
 
 
 def capsule(n_seg: int = 36, n_rows: int = 39, length: float = 2.1,
-            radius: float = 0.55, bumps: bool = True) -> RevolutionShape:
+            radius: float = 0.55) -> RevolutionShape:
     """Cylinder with hemispherical caps; one bendable joint at mid-height."""
     half = length / 2.0
     z0, z1 = -half - radius, half + radius
@@ -263,14 +260,13 @@ def capsule(n_seg: int = 36, n_rows: int = 39, length: float = 2.1,
         return r
 
     levels = _uniform_arclength_levels(r_of_level, n_rows)
-    harmonics = ((3, 0.09), (4, 0.055)) if bumps else ()
     return RevolutionShape(
         zs=z0 + (z1 - z0) * levels,
         radii=r_of_level(levels),
         n_seg=n_seg,
         z_bottom=z0,
         z_top=z1,
-        harmonics=harmonics,
+        harmonics=((3, 0.09), (4, 0.055)),
         joints=(0.0,),
     )
 
@@ -278,7 +274,7 @@ def capsule(n_seg: int = 36, n_rows: int = 39, length: float = 2.1,
 def multi_sphere(n_seg: int = 36, n_rows: int = 43,
                  lobe_radii: Sequence[float] = (0.72, 0.5, 0.72),
                  spacings: Sequence[float] = (1.0, 1.3), neck: float = 0.2,
-                 bumps: bool = True, window_skew: float = 0.0) -> RevolutionShape:
+                 window_skew: float = 0.0) -> RevolutionShape:
     """Chain of spherical lobes joined by narrow necks (articulated blob).
 
     The default has two identical end lobes separated by necks of different
@@ -307,14 +303,13 @@ def multi_sphere(n_seg: int = 36, n_rows: int = 43,
         za, zb = centers[i], centers[i + 1]
         ra, rb = lobe_radii[i], lobe_radii[i + 1]
         joints.append(0.5 * (za + zb) + (ra**2 - rb**2) / (2.0 * (zb - za)))
-    harmonics = ((3, 0.08), (4, 0.05)) if bumps else ()
     return RevolutionShape(
         zs=z0 + (z1 - z0) * levels,
         radii=r_of_level(levels),
         n_seg=n_seg,
         z_bottom=z0,
         z_top=z1,
-        harmonics=harmonics,
+        harmonics=((3, 0.08), (4, 0.05)),
         joints=tuple(joints),
         window_skew=window_skew,
     )

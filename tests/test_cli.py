@@ -346,6 +346,26 @@ def test_cold_run_solves_each_shape_once(mini_corpus, tmp_path, monkeypatch):
     assert len(list(cache.glob("*.spec"))) == n_shapes
 
 
+def test_cold_train_parses_each_mesh_once(mini_corpus, tmp_path, monkeypatch):
+    # a cold solve takes the mesh the workspace holds for the pair sampler
+    # instead of parsing it again
+    parsed = []
+    real = specdesc.cli.load_mesh
+
+    def counted(path):
+        parsed.append(Path(path).name)
+        return real(path)
+
+    monkeypatch.setattr(specdesc.cli, "load_mesh", counted)
+    solves = counted_solves(monkeypatch)
+    assert run(["train", "--config", mini_corpus / "config.cfg", "--spectrum-cache",
+                tmp_path / "cache", "--out", tmp_path / "train"]) == 0
+    used = [e.path for e in read_manifest(mini_corpus / "corpus" / "manifest.csv")
+            if e.split in ("train", "train_neg", "val", "val_neg")]
+    assert sorted(parsed) == sorted(used)
+    assert len(solves) == len(used)
+
+
 def live_spectra(monkeypatch):
     """Patch the CLI's spectrum loader and solver to count the spectra they
     made that are still alive; returns the count after each one was made."""
@@ -1091,6 +1111,37 @@ def test_eval_holds_one_family_fields_at_a_time(mini_pipeline, tmp_path, monkeyp
     assert loaded
 
 
+def test_eval_stages_each_family_before_reading_the_next(mini_pipeline, tmp_path,
+                                                       monkeypatch):
+    # family k's files are staged before family k+1's first descriptor file
+    # is read; each file is read once, besides the CMC source's file of the
+    # family that gives the references
+    out = tmp_path / "report"
+    reads = []  # (family, names staged) per descriptor file read
+    real = specdesc.cli.load_descriptor_binary
+
+    def spy(path):
+        staged = sorted(p.name for stage in out.glob(".staging.*") for p in stage.iterdir())
+        reads.append((Path(path).name.split(".")[-2], staged))
+        return real(path)
+
+    monkeypatch.setattr(specdesc.cli, "load_descriptor_binary", spy)
+    families = ["learned", "hks", "wks"]
+    desc = mini_pipeline / "desc"
+    assert run(["eval", "--config", mini_pipeline / "config.cfg", "--descriptors",
+                *(f"{family}={desc}" for family in families), "--out", out]) == 0
+    entries = read_manifest(mini_pipeline / "corpus" / "manifest.csv")
+    n_eval = sum(e.split in ("eval", "eval_neg") for e in entries)
+    assert len(reads) == len(families) * n_eval + 1
+    assert reads[0] == ("learned", [])  # the CMC references, before any report file
+    for k, family in enumerate(families[1:], start=1):
+        first = next(staged for name, staged in reads if name == family)
+        assert first == sorted([f"{kind}_{i:03d}.{ext}" for i in range(k)
+                                for kind in ("roc", "cmc") for ext in ("csv", "svg")]
+                               + [f"map_{j:03d}.{ext}" for j in range(3 * k)
+                                  for ext in ("csv", "off")])
+
+
 def test_eval_cmc_target_must_map_into_source(mini_pipeline, tmp_path, caplog):
     common = ["eval", "--config", mini_pipeline / "config.cfg",
               "--descriptors", f"hks={mini_pipeline / 'desc'}"]
@@ -1331,6 +1382,42 @@ def test_commit_stopped_part_way_leaves_the_old_manifest(tmp_path, monkeypatch):
     assert moved == ["a.csv"]
     assert (tmp_path / "manifest.txt").read_bytes() == b"file\na.csv\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "manifest.txt"]
+
+
+def test_output_dir_removes_only_stale_staging_directories(tmp_path, monkeypatch, caplog):
+    # a staging directory goes only when it names this host and a process
+    # that no longer runs; a live writer's, another host's and an unnamed one stay
+    host = os.uname().nodename
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait()
+    dead = tmp_path / f".staging.{host}.{child.pid}.abcd1234"
+    kept = [tmp_path / f".staging.{host}.{os.getpid()}.abcd1234",
+            tmp_path / f".staging.other{host}.{child.pid}.abcd1234",
+            tmp_path / f".staging.{host}.7.{child.pid}.abcd1234",
+            tmp_path / ".staging.abcd1234"]
+    for stage in [dead, *kept]:
+        stage.mkdir()
+        write_table(stage / "a.csv", ["old"])
+    with output_dir(tmp_path) as stage:
+        assert stage.name.startswith(f".staging.{host}.{os.getpid()}.")
+        write_table(stage / "a.csv", ["new"])
+    assert sorted(tmp_path.iterdir()) == sorted([tmp_path / "a.csv", *kept])
+
+    # a removal that fails is logged, and the output is still committed
+    real = shutil.rmtree
+
+    def refuse(path):
+        if Path(path) == dead:
+            raise PermissionError(13, "Permission denied")
+        real(path)
+
+    dead.mkdir()
+    monkeypatch.setattr(specdesc.container.shutil, "rmtree", refuse)
+    with caplog.at_level(logging.WARNING, logger="specdesc"), output_dir(tmp_path) as stage:
+        write_table(stage / "b.csv", ["new"])
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{dead}: cannot remove stale staging directory: Permission denied"]
+    assert (tmp_path / "b.csv").exists() and dead.is_dir()
 
 
 @pytest.mark.parametrize("option, value", [

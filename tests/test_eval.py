@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specdesc.container import output_dir
 from specdesc.errors import DataError
 from specdesc import evaluation
 from specdesc.evaluation import (
@@ -14,6 +15,9 @@ from specdesc.evaluation import (
     emit_report,
     roc,
     work_points,
+    write_cmc,
+    write_map,
+    write_roc,
 )
 from specdesc.mesh import BALL_BLOCK, geodesic_balls, geodesic_distance_fields
 from specdesc.synth import icosphere
@@ -349,65 +353,65 @@ def test_distance_map_dimension_check():
 
 
 def test_emit_report_empty_manifest(tmp_path):
-    written = emit_report(tmp_path / "report")
+    with output_dir(tmp_path / "report") as stage:
+        written = emit_report(stage)
     assert written == []
     assert (tmp_path / "report" / "manifest.txt").exists()
 
 
 def test_emit_report_one_roc_curve(tmp_path):
     curve = roc([1.0, 3.0], [2.0, 4.0])
-    written = emit_report(tmp_path / "report", [curve])
+    written = emit_report(tmp_path, write_roc(tmp_path, 0, curve))
     assert written == ["roc_000.csv", "roc_000.svg"]
-    csv_lines = (tmp_path / "report" / "roc_000.csv").read_text().splitlines()
+    csv_lines = (tmp_path / "roc_000.csv").read_text().splitlines()
     assert len(csv_lines) - 1 == len(curve.fp_rate)
-    svg = (tmp_path / "report" / "roc_000.svg").read_text()
+    svg = (tmp_path / "roc_000.svg").read_text()
     # (fp, tp) = (0, 0), (0, .5), (.5, .5), (.5, 1), (1, 1): each zoom keeps
     # its points in the box and one neighbour outside it
     polylines = [part.split('"')[0] for part in svg.split('points="')[1:]]
     assert polylines == ["30.00,290.00 30.00,155.00 1380.00,155.00",
                          "475.00,1370.00 475.00,20.00 610.00,20.00"]
-    manifest = (tmp_path / "report" / "manifest.txt").read_text().split()
+    manifest = (tmp_path / "manifest.txt").read_text().split()
     assert manifest == written
 
 
 def test_emit_report_writes_each_artefact_as_it_arrives(tmp_path):
-    out = tmp_path / "report"
     curves = [roc([1.0, 3.0], [2.0, 4.0]), roc([1.0, 2.0], [1.5, 4.0])]
     hits = CmcCurve(hit_rate=np.array([0.5, 1.0]), n_refs=2)
-
-    def artefacts():
-        for i, curve in enumerate(curves):
-            yield curve
-            # staged before the next artefact is made; `out` gains it at commit
-            [stage] = out.iterdir()
-            assert stage.name.startswith(".staging.") and (stage / f"roc_{i:03d}.svg").exists()
-            yield hits
-            yield np.linspace(0, 1, 4), None
-
-    written = emit_report(out, artefacts(), tables=[("t", ["a"], [[1]])])
+    mesh = icosphere(0)
+    roc_files, cmc_files, map_files = [], [], []
+    for i, curve in enumerate(curves):
+        # each writer's files are in place when it returns
+        roc_files += write_roc(tmp_path, i, curve)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [*roc_files, *cmc_files, *map_files])
+        cmc_files += write_cmc(tmp_path, i, hits)
+        map_files += write_map(tmp_path, i, np.linspace(0, 1, mesh.n_vertices), mesh)
+    written = emit_report(tmp_path, roc_files + cmc_files + map_files, tables=[("t", ["a"], [[1]])])
     # the manifest lists every ROC file, then the CMC files, maps and tables
     assert written == ["roc_000.csv", "roc_000.svg", "roc_001.csv", "roc_001.svg",
                        "cmc_000.csv", "cmc_000.svg", "cmc_001.csv", "cmc_001.svg",
-                       "map_000.csv", "map_001.csv", "t.csv"]
-    assert (out / "manifest.txt").read_text().split() == written
-    assert sorted(p.name for p in out.iterdir()) == sorted([*written, "manifest.txt"])
+                       "map_000.csv", "map_000.off", "map_001.csv", "map_001.off", "t.csv"]
+    assert (tmp_path / "manifest.txt").read_text().split() == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*written, "manifest.txt"])
 
 
 def test_emit_report_error_removes_what_it_wrote(tmp_path):
-    def failing():
-        yield roc([1.0, 3.0], [2.0, 4.0])
-        raise DataError("later artefact")
+    def failing(out):
+        with output_dir(out) as stage:
+            write_roc(stage, 0, roc([1.0, 3.0], [2.0, 4.0]))
+            raise DataError("later artefact")
 
     fresh = tmp_path / "fresh"
     with pytest.raises(DataError, match="later artefact"):
-        emit_report(fresh, failing(), tables=[("t", ["a"], [[1]])])
+        failing(fresh)
     assert not fresh.exists()
     # in a directory that was there, only the files of this report go
     kept = tmp_path / "kept"
     kept.mkdir()
     (kept / "notes.txt").write_text("x")
     with pytest.raises(DataError):
-        emit_report(kept, failing())
+        failing(kept)
     assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
 
@@ -415,7 +419,7 @@ def test_roc_csv_written_in_chunks_keeps_every_row(tmp_path):
     rng = np.random.default_rng(0)
     curve = roc(rng.normal(size=evaluation.ROW_CHUNK), rng.normal(1.0, size=evaluation.ROW_CHUNK))
     assert len(curve.thresholds) > evaluation.ROW_CHUNK + 1
-    emit_report(tmp_path, [curve])
+    write_roc(tmp_path, 0, curve)
     rows = zip(curve.thresholds.tolist(), curve.fp_rate.tolist(), curve.tp_rate.tolist())
     expected = "threshold,fp_rate,tp_rate\n" + "".join(f"{t},{f},{p}\n" for t, f, p in rows)
     assert (tmp_path / "roc_000.csv").read_text() == expected
@@ -464,21 +468,21 @@ def test_roc_svg_keeps_every_pixel_column_extreme(steps, monotone, panel):
 def test_emit_report_deterministic_bytes(tmp_path):
     curve = roc(np.linspace(0, 1, 50), np.linspace(0.5, 2, 60))
     cmc_curve = CmcCurve(hit_rate=np.linspace(0.2, 1.0, 10), n_refs=25)
-    kwargs = dict(
-        artefacts=[curve, cmc_curve, (np.linspace(0, 1, 8), None)],
-        tables=[("workpoints", ["family", "value"], [("hks", 0.25)])],
-    )
-    emit_report(tmp_path / "a", **kwargs)
-    emit_report(tmp_path / "b", **kwargs)
-    for name in ["roc_000.csv", "cmc_000.csv", "map_000.csv", "workpoints.csv",
-                 "manifest.txt"]:
+    mesh = icosphere(0)
+    for out in (tmp_path / "a", tmp_path / "b"):
+        with output_dir(out) as stage:
+            files = [*write_roc(stage, 0, curve), *write_cmc(stage, 0, cmc_curve),
+                     *write_map(stage, 0, np.linspace(0, 1, mesh.n_vertices), mesh)]
+            emit_report(stage, files, tables=[("workpoints", ["family", "value"], [("hks", 0.25)])])
+    for name in ["roc_000.csv", "roc_000.svg", "cmc_000.csv", "cmc_000.svg", "map_000.csv",
+                 "map_000.off", "workpoints.csv", "manifest.txt"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_emit_report_vertex_colored_mesh(tmp_path):
     mesh = icosphere(0)
     values = np.linspace(0.0, 1.0, mesh.n_vertices)
-    written = emit_report(tmp_path / "report", [(values, mesh)])
-    assert "map_000.off" in written
-    head = (tmp_path / "report" / "map_000.off").read_text().splitlines()[0]
+    written = emit_report(tmp_path, write_map(tmp_path, 0, values, mesh))
+    assert written == ["map_000.csv", "map_000.off"]
+    head = (tmp_path / "map_000.off").read_text().splitlines()[0]
     assert head == "COFF"

@@ -420,7 +420,8 @@ def test_cache_entry_mode_follows_umask(tmp_path, ico4, ico4_spectrum):
         save_descriptor_binary(DescriptorField(ico4_spectrum.eigenfunctions[:, :3], "hks"),
                                tmp_path / "sphere.hks.dsc")
         save_response_model(model, tmp_path / "model.json")
-        emit_report(tmp_path / "report", tables=[("table", ["a"], [[1]])])
+        with output_dir(tmp_path / "report") as stage:
+            emit_report(stage, tables=[("table", ["a"], [[1]])])
         save_off(ico4, tmp_path / "sphere.off")
     finally:
         os.umask(old)
