@@ -143,6 +143,7 @@ def parse_config_text(text: str, base_dir: Path = Path(".")) -> PipelineConfig:
     values = {key: row[1] for key, row in SETTINGS.items()}
     sections = {row[0] for row in SETTINGS.values()}
     section: Optional[str] = None
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -159,7 +160,9 @@ def parse_config_text(text: str, base_dir: Path = Path(".")) -> PipelineConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if SETTINGS.get(key, ("",))[0] != section:
             raise ParseError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        values[key] = value
+        if key in set_on:
+            raise ParseError(f"line {lineno}: key {key!r} already set on line {set_on[key]}")
+        values[key], set_on[key] = value, lineno
     return PipelineConfig(values=values, base_dir=Path(base_dir))
 
 

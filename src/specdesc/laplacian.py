@@ -174,31 +174,29 @@ class Spectrum:
         return float(pos[0])
 
 
-def _deterministic_start(n: int) -> np.ndarray:
-    return np.random.default_rng(0).standard_normal(n)
-
-
-def _lumped_standard_form(op: FemOperator):
-    """D^-1/2 and the symmetrized sparse D^-1/2·K·D^-1/2 of a lumped-mass
-    operator: its eigenvectors ψ give the pencil's φ = D^-1/2·ψ with the same
-    eigenvalues (Vallet & Lévy 2008, *Manifold Harmonics*)."""
+def _problem(op: FemOperator):
+    """(matrix, mass or None, scale or None) of the eigenproblem both solvers
+    run. Lumped mass D gives the standard symmetric D^-1/2·K·D^-1/2, whose
+    eigenvectors ψ give the pencil's φ = D^-1/2·ψ with the same eigenvalues
+    (Vallet & Lévy 2008, *Manifold Harmonics*); consistent mass keeps the
+    pencil (K, M)."""
+    if op.mass_mode != "lumped":
+        return op.stiffness, op.mass, None
     from scipy import sparse
     inv_sqrt = 1.0 / np.sqrt(op.mass.diagonal())
     stiff = op.stiffness.tocoo()
     scaled = inv_sqrt[stiff.row] * stiff.data * inv_sqrt[stiff.col]
     sym = sparse.csr_matrix((scaled, (stiff.row, stiff.col)), shape=stiff.shape)
-    return inv_sqrt, 0.5 * (sym + sym.T)
+    return 0.5 * (sym + sym.T), None, inv_sqrt
 
 
 def _dense_pairs(op: FemOperator, k: int):
     """The k smallest pairs from a dense solve that computes only those."""
     from scipy.linalg import eigh
-    wanted = [0, k - 1]
-    if op.mass_mode == "lumped":
-        inv_sqrt, sym = _lumped_standard_form(op)
-        vals, vecs = eigh(sym.toarray(), subset_by_index=wanted)
-        return vals, inv_sqrt[:, None] * vecs
-    return eigh(op.stiffness.toarray(), op.mass.toarray(), subset_by_index=wanted)
+    matrix, mass, scale = _problem(op)
+    vals, vecs = eigh(matrix.toarray(), None if mass is None else mass.toarray(),
+                      subset_by_index=[0, k - 1])
+    return vals, vecs if scale is None else scale[:, None] * vecs
 
 
 def _arpack_pairs(op: FemOperator, k: int):
@@ -208,19 +206,15 @@ def _arpack_pairs(op: FemOperator, k: int):
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
     n = op.n_vertices
     sigma = -1e-8 * op.stiffness.diagonal().sum() / n
-    if op.mass_mode == "lumped":
-        inv_sqrt, matrix = _lumped_standard_form(op)
-        mass = None
-    else:
-        inv_sqrt, matrix, mass = None, op.stiffness, op.mass.tocsc()
+    matrix, mass, scale = _problem(op)
     try:
         vals, funcs = eigsh(
             matrix.tocsc(),
             k=k,
-            M=mass,
+            M=None if mass is None else mass.tocsc(),
             sigma=sigma,
             which="LM",
-            v0=_deterministic_start(n),
+            v0=np.random.default_rng(0).standard_normal(n),
         )
     except ArpackNoConvergence as exc:
         raise NumericalError(
@@ -229,8 +223,8 @@ def _arpack_pairs(op: FemOperator, k: int):
         ) from exc
     except ArpackError as exc:
         raise NumericalError(f"eigensolver failed: {exc}") from exc
-    if inv_sqrt is not None:
-        funcs = inv_sqrt[:, None] * funcs
+    if scale is not None:
+        funcs = scale[:, None] * funcs
     order = np.argsort(vals, kind="stable")
     return vals[order], funcs[:, order]
 
@@ -327,6 +321,8 @@ def load_spectrum(path, mesh_hash: str) -> Spectrum:
         raise DataError(f"{path}: cached spectrum belongs to a different mesh")
     if mode_idx >= len(MASS_MODES):
         raise DataError(f"{path}: unknown mass mode tag {mode_idx}")
+    if not 1 <= s <= nv:
+        raise DataError(f"{path}: cached spectrum holds {s} pairs for {nv} vertices")
     flat = _CACHE.floats(raw, _CACHE.size, s + nv * s, path)
     if (np.diff(flat[:s]) < 0).any():
         raise DataError(f"{path}: cached eigenvalues are not in ascending order")

@@ -127,7 +127,9 @@ def grid_mesh(nx: int, ny: Optional[int] = None, width: float = 1.0,
                                               ids[1:, :-1]))
 
 
-def torus(n_u: int = 40, n_v: int = 24, major: float = 1.0, minor: float = 0.3) -> TriangleMesh:
+def torus(n_u: int = 40, n_v: int = 24, major: float = 1.0,
+          minor: float = 0.3) -> tuple[TriangleMesh, np.ndarray]:
+    """Modulated torus and its reflection (u, v) -> (-u, -v) as an index map."""
     u = np.arange(n_u) * (2.0 * np.pi / n_u)
     v = np.arange(n_v) * (2.0 * np.pi / n_v)
     uu, vv = np.meshgrid(u, v, indexing="ij")
@@ -136,15 +138,10 @@ def torus(n_u: int = 40, n_v: int = 24, major: float = 1.0, minor: float = 0.3) 
     y = (major + r * np.cos(vv)) * np.sin(uu)
     z = r * np.sin(vv)
     vertices = np.column_stack([x.ravel(), y.ravel(), z.ravel()])
-    g = np.pad(np.arange(n_u * n_v).reshape(n_u, n_v), ((0, 1), (0, 1)), mode="wrap")
-    return TriangleMesh(vertices, _quad_faces(g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]))
-
-
-def torus_symmetry(n_u: int = 40, n_v: int = 24) -> np.ndarray:
-    """Reflection (u, v) -> (-u, -v) as a vertex index map."""
-    i = np.arange(n_u)[:, None]
-    j = np.arange(n_v)[None, :]
-    return (((-i) % n_u) * n_v + ((-j) % n_v)).ravel()
+    ids = np.arange(n_u * n_v).reshape(n_u, n_v)
+    g = np.pad(ids, ((0, 1), (0, 1)), mode="wrap")
+    mesh = TriangleMesh(vertices, _quad_faces(g[:-1, :-1], g[1:, :-1], g[1:, 1:], g[:-1, 1:]))
+    return mesh, ids[-np.arange(n_u) % n_u][:, -np.arange(n_v) % n_v].ravel()
 
 
 def flat_annulus(n_r: int = 12, n_theta: int = 48, r_inner: float = 0.5,
@@ -231,44 +228,32 @@ class RevolutionShape:
         return coarse, np.concatenate([[0], ids[1::2, ::2].ravel(), [ids.size + 1]])
 
 
-def _uniform_arclength_levels(r_of, n_rows):
-    """Profile parameters t in (0, 1) of `n_rows` rows spaced uniformly along
-    the arc length of the curve (t, r_of(t))."""
+def _revolution(r_of_z, z0: float, z1: float, n_rows: int, **fields) -> RevolutionShape:
+    """Surface of revolution of the profile r_of_z(z) with poles at `z0` and
+    `z1` and `n_rows` rows; `fields` are its other RevolutionShape fields.
+
+    Rows are spaced uniformly along the arc length of (t, r_of_z), where
+    t = (z - z0) / (z1 - z0) is the normalized height, not along that of
+    (z, r_of_z), so the pole caps of the corpus shapes get about 3x more rows
+    per unit length than their sides."""
     t = np.linspace(0.0, 1.0, 4096)
-    ds = np.hypot(np.diff(t), np.diff(r_of(t)))
+    ds = np.hypot(np.diff(t), np.diff(r_of_z(z0 + (z1 - z0) * t)))
     s = np.concatenate([[0.0], np.cumsum(ds)])
     s /= s[-1]
-    targets = np.arange(1, n_rows + 1) / (n_rows + 1)
-    return np.interp(targets, s, t)
+    zs = z0 + (z1 - z0) * np.interp(np.arange(1, n_rows + 1) / (n_rows + 1), s, t)
+    return RevolutionShape(zs=zs, radii=r_of_z(zs), z_bottom=z0, z_top=z1, **fields)
 
 
 def capsule(n_seg: int = 36, n_rows: int = 39, length: float = 2.1,
             radius: float = 0.55) -> RevolutionShape:
     """Cylinder with hemispherical caps; one bendable joint at mid-height."""
     half = length / 2.0
-    z0, z1 = -half - radius, half + radius
 
-    def r_of_level(t):
-        z = z0 + (z1 - z0) * np.asarray(t)
-        r = np.empty_like(z)
-        lo, hi = -half, half
-        r[:] = radius
-        below = z < lo
-        above = z > hi
-        r[below] = np.sqrt(np.maximum(radius**2 - (z[below] - lo) ** 2, 0.0))
-        r[above] = np.sqrt(np.maximum(radius**2 - (z[above] - hi) ** 2, 0.0))
-        return r
+    def r_of_z(z):
+        return np.sqrt(np.maximum(radius**2 - np.maximum(np.abs(z) - half, 0.0) ** 2, 0.0))
 
-    levels = _uniform_arclength_levels(r_of_level, n_rows)
-    return RevolutionShape(
-        zs=z0 + (z1 - z0) * levels,
-        radii=r_of_level(levels),
-        n_seg=n_seg,
-        z_bottom=z0,
-        z_top=z1,
-        harmonics=((3, 0.09), (4, 0.055)),
-        joints=(0.0,),
-    )
+    return _revolution(r_of_z, -half - radius, half + radius, n_rows, n_seg=n_seg,
+                       harmonics=((3, 0.09), (4, 0.055)), joints=(0.0,))
 
 
 def multi_sphere(n_seg: int = 36, n_rows: int = 43,
@@ -285,34 +270,20 @@ def multi_sphere(n_seg: int = 36, n_rows: int = 43,
     centers = np.concatenate([[0.0], np.cumsum(np.asarray(spacings, dtype=np.float64))])
     if len(centers) != len(lobe_radii):
         raise DataError("need one spacing per consecutive lobe pair")
-    z0 = centers[0] - lobe_radii[0]
-    z1 = centers[-1] + lobe_radii[-1]
 
-    def r_of_level(t):
-        z = z0 + (z1 - z0) * np.asarray(t)
+    def r_of_z(z):
         vals = lobe_radii[None, :] ** 2 - (z[:, None] - centers[None, :]) ** 2
         best = vals.max(axis=1)
         inside = (z > centers[0]) & (z < centers[-1])
         best[inside] = np.maximum(best[inside], neck**2)
         return np.sqrt(np.maximum(best, 0.0))
 
-    levels = _uniform_arclength_levels(r_of_level, n_rows)
     # joints at the neck waists between consecutive lobes
-    joints = []
-    for i in range(len(lobe_radii) - 1):
-        za, zb = centers[i], centers[i + 1]
-        ra, rb = lobe_radii[i], lobe_radii[i + 1]
-        joints.append(0.5 * (za + zb) + (ra**2 - rb**2) / (2.0 * (zb - za)))
-    return RevolutionShape(
-        zs=z0 + (z1 - z0) * levels,
-        radii=r_of_level(levels),
-        n_seg=n_seg,
-        z_bottom=z0,
-        z_top=z1,
-        harmonics=((3, 0.08), (4, 0.05)),
-        joints=tuple(joints),
-        window_skew=window_skew,
-    )
+    za, zb, ra, rb = centers[:-1], centers[1:], lobe_radii[:-1], lobe_radii[1:]
+    joints = 0.5 * (za + zb) + (ra**2 - rb**2) / (2.0 * (zb - za))
+    return _revolution(r_of_z, centers[0] - lobe_radii[0], centers[-1] + lobe_radii[-1],
+                       n_rows, n_seg=n_seg, harmonics=((3, 0.08), (4, 0.05)),
+                       joints=tuple(joints.tolist()), window_skew=window_skew)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +437,7 @@ _BASES = {
     # descriptors are not scale invariant and the filter bank is shared
     "multisphere": ("eval", None, None, lambda: multi_sphere(
         n_seg=48, n_rows=49, lobe_radii=(0.65, 0.45, 0.65), spacings=(0.9, 1.17), neck=0.18)),
-    "torus": ("eval_neg", ("jitter",), (2, 4), lambda: (torus(), torus_symmetry())),
+    "torus": ("eval_neg", ("jitter",), (2, 4), torus),
     "dumbbell": ("train", None, None, lambda: multi_sphere(
         n_seg=52, n_rows=49, lobe_radii=(0.72, 0.62), spacings=(1.45,), neck=0.19,
         window_skew=0.6)),
@@ -513,16 +484,15 @@ def _deform(shape, mesh: TriangleMesh, sym: Optional[np.ndarray], kind: str, str
     """Returns (mesh, correspondence to null, symmetry or None); bending and
     decimation read the RevolutionShape `shape` that `mesh` was built from."""
     identity = np.arange(mesh.n_vertices, dtype=np.int64)
+    rng = np.random.default_rng(seed_seq)
     if kind == "rigid":
         return rigid_motion(mesh, strength), identity, sym
     if kind == "bend":
         return bend(mesh, shape.joints, strength), identity, sym
     if kind == "jitter":
-        rng = np.random.default_rng(seed_seq)
         sigma = strength * JITTER_DIAMETER_FRACTION * diameter
         return jitter(mesh, sigma, rng), identity, sym
     if kind == "holes":
-        rng = np.random.default_rng(seed_seq)
         radius = (HOLE_RADIUS_BASE_FRACTION + HOLE_RADIUS_STEP_FRACTION * strength) * diameter
         holed, kept = punch_holes(mesh, n_holes=strength, radius=radius, rng=rng)
         if sym is not None:
@@ -554,6 +524,16 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
         raise DataError(f"seed={spec.rng_seed} must be non-negative")
     entries: list[ManifestEntry] = []
     with output_dir(out_dir) as stage:
+
+        def write(shape_id, mesh, corr, sym, **fields):
+            """One shape's mesh and index maps, and its manifest entry."""
+            save_off(mesh, stage / f"{shape_id}.off")
+            for tag, values in (("corr", corr), ("sym", sym)):
+                if values is not None:
+                    fields[f"{tag}_path"] = f"{shape_id}.{tag}"
+                    save_index_map(values, stage / fields[f"{tag}_path"], tag)
+            entries.append(ManifestEntry(shape_id=shape_id, path=f"{shape_id}.off", **fields))
+
         for base_idx, base_name in enumerate(spec.base_shapes):
             split, deforms, strengths, build = _BASES[base_name]
             shape = build()
@@ -561,20 +541,7 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
                 base, base_sym = shape.mesh(), shape.symmetry()
             else:
                 base, base_sym = shape
-            save_off(base, stage / f"{base_name}.off")
-            sym_path = ""
-            if base_sym is not None:
-                sym_path = f"{base_name}.sym"
-                save_index_map(base_sym, stage / sym_path, "sym")
-            entries.append(
-                ManifestEntry(
-                    shape_id=base_name,
-                    path=f"{base_name}.off",
-                    class_label=base_name,
-                    split=split,
-                    sym_path=sym_path,
-                )
-            )
+            write(base_name, base, None, base_sym, class_label=base_name, split=split)
             deforms = spec.deformations if deforms is None else deforms
             strengths = range(1, spec.strengths + 1) if strengths is None else strengths
             if not deforms:
@@ -588,29 +555,13 @@ def generate_corpus(spec: SyntheticCorpusSpec, out_dir) -> list[ManifestEntry]:
                     )
                     dmesh, corr, sym = _deform(shape, base, base_sym, kind, strength, seed_seq,
                                                diameter)
-                    shape_id = f"{base_name}_{kind}_{strength}"
-                    save_off(dmesh, stage / f"{shape_id}.off")
-                    save_index_map(corr, stage / f"{shape_id}.corr", "corr")
-                    dsym_path = ""
-                    if sym is not None:
-                        dsym_path = f"{shape_id}.sym"
-                        save_index_map(sym, stage / dsym_path, "sym")
                     if split == "train":
                         # odd strengths train, even strengths are held out for
                         # the alpha sweep; shape ids never cross the split
                         dsplit = "train" if strength % 2 == 1 else "val"
                     else:
                         dsplit = split
-                    entries.append(
-                        ManifestEntry(
-                            shape_id=shape_id,
-                            path=f"{shape_id}.off",
-                            class_label=base_name,
-                            split=dsplit,
-                            null_id=base_name,
-                            corr_path=f"{shape_id}.corr",
-                            sym_path=dsym_path,
-                        )
-                    )
+                    write(f"{base_name}_{kind}_{strength}", dmesh, corr, sym,
+                          class_label=base_name, split=dsplit, null_id=base_name)
         write_manifest(entries, stage / "manifest.csv")
     return entries

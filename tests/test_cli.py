@@ -122,6 +122,14 @@ def test_config_unknown_key_rejected():
         parse_config_text("[spectral]\nm = 5\n")
 
 
+def test_config_key_set_twice_rejected():
+    with pytest.raises(ParseError, match=r"^line 3: key 's' already set on line 2$"):
+        parse_config_text("[spectral]\ns = 40\ns = 30\n")
+    # also across a repeated section, counting comment and blank lines
+    with pytest.raises(ParseError, match=r"^line 7: key 's' already set on line 2$"):
+        parse_config_text("[spectral]\ns = 40\n[basis]\nm = 8\n\n[spectral]  # again\ns = 30\n")
+
+
 def test_config_override_unique_keys():
     cfg = parse_config_text("")
     cfg.override("s", "55")
@@ -439,6 +447,17 @@ def test_missing_config_is_data_error():
     assert run(["spectrum", "--config", "/nonexistent.cfg"]) == 3
 
 
+def test_config_key_set_twice_is_data_error(mini_corpus, tmp_path, caplog):
+    config = tmp_path / "twice.cfg"
+    config.write_text(f"[shapes]\nmanifest = {mini_corpus / 'corpus' / 'manifest.csv'}\n"
+                      "[spectral]\ns = 40\ns = 30\n")
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        assert run(["spectrum", "--config", config, "--spectrum-cache", tmp_path]) == 3
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{config}: line 5: key 's' already set on line 4"]
+    assert not list(tmp_path.glob("*.spec"))
+
+
 def test_bad_override_is_usage_error(mini_corpus):
     config = mini_corpus / "config.cfg"
     assert run(["spectrum", "--config", config, "--bogus_key", "1"]) == 2
@@ -630,6 +649,27 @@ def test_damaged_cache_values_are_recomputed(pipeline_copy, caplog):
         fresh.spectrum(fresh.entry(shape))
         [rewritten] = cache.glob(f"{shape}.*.spec")
         assert rewritten.read_bytes() == (fresh.cache_dir / rewritten.name).read_bytes()
+
+
+def test_header_only_cache_entry_is_recomputed(pipeline_copy, caplog):
+    """An entry of magic, header and the mesh's own hash, with no vertices
+    and no pairs (49 bytes), is damage: it is solved again, not served."""
+    [entry] = (pipeline_copy / "corpus" / "spectra").glob("icosphere.*.spec")
+    raw = entry.read_bytes()
+    entry.write_bytes(raw[:8] + struct.pack("<II", 0, 0) + raw[16:8 + struct.calcsize("<IIB32s")])
+    assert entry.stat().st_size == 49
+    config = pipeline_copy / "config.cfg"
+    with caplog.at_level(logging.INFO, logger="specdesc"):
+        assert run(["describe", "--config", config, "--family", "hks",
+                    "--out", pipeline_copy / "out"]) == 0
+    assert any("spectrum cache unusable for icosphere" in m and "0 pairs for 0 vertices" in m
+               for m in (r.getMessage() for r in caplog.records))
+    cfg = parse_config(config)
+    mesh_hash = hashlib.sha256((pipeline_copy / "corpus" / "icosphere.off").read_bytes())
+    spectrum = load_spectrum(entry, mesh_hash.hexdigest())
+    assert spectrum.n_vertices == load_mesh(pipeline_copy / "corpus" / "icosphere.off").n_vertices
+    assert len(spectrum) >= cfg["s"]
+    assert (pipeline_copy / "out" / "icosphere.hks.dsc").is_file()
 
 
 def test_warm_describe_missing_mesh_is_data_error(pipeline_copy, caplog):

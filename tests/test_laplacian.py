@@ -259,10 +259,12 @@ def test_dense_subset_matches_full_eigh(mass_mode):
                                rtol=0, atol=1e-10)
 
 
-def test_lumped_lanczos_matches_full_dense_solve():
-    # lumped mass runs Lanczos on the standard form D^-1/2 K D^-1/2; the
-    # oracle is every pair of the dense generalized pencil (K, D)
-    op = assemble_fem(icosphere(3))
+@pytest.mark.parametrize("mass_mode", MASS_MODES)
+def test_lanczos_matches_full_dense_solve(mass_mode):
+    # lumped mass D runs Lanczos on the standard form D^-1/2 K D^-1/2,
+    # consistent mass M on the pencil (K, M); the oracle is every pair of
+    # the dense generalized pencil
+    op = assemble_fem(icosphere(3), mass_mode=mass_mode)
     assert op.n_vertices > DENSE_SOLVER_MAX_VERTICES  # the ARPACK path
     full_vals, full_funcs = eigh(op.stiffness.toarray(), op.mass.toarray())
     k = 25  # l = 0..4 on the sphere: a cut between clusters
@@ -428,6 +430,18 @@ def test_cache_entry_mode_follows_umask(tmp_path, ico4, ico4_spectrum):
     written = ["sphere.spec", "sphere.hks.dsc", "model.json", "report/table.csv", "sphere.off"]
     modes = {name: oct((tmp_path / name).stat().st_mode & 0o777) for name in written}
     assert modes == dict.fromkeys(written, "0o644")
+
+
+@pytest.mark.parametrize("nv, s", [(0, 0), (0, 3), (4, 0), (2, 3)])
+def test_spectrum_cache_pair_count_outside_vertex_count(tmp_path, nv, s):
+    # a well-formed entry whose pair count lies outside [1, V] is damage;
+    # the header-only one (V = s = 0) is 49 bytes
+    mesh_hash = "ab" * 32
+    path = tmp_path / "odd.spec"
+    path.write_bytes(b"SDSPEC01" + struct.pack("<IIB", nv, s, 0) + bytes.fromhex(mesh_hash)
+                     + struct.pack(f"<{s + nv * s}d", *range(s + nv * s)))
+    with pytest.raises(DataError, match=f"holds {s} pairs for {nv} vertices"):
+        load_spectrum(path, mesh_hash)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
