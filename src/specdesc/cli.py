@@ -96,7 +96,8 @@ class Workspace:
         self.base = manifest_path.parent
         self.cache_dir = Path(cache_dir) if cache_dir else self.base / "spectra"
         self._meshes: dict[str, TriangleMesh] = {}
-        self._last: tuple[Optional[str], Optional[Spectrum]] = (None, None)  # id, entry
+        self._held: Optional[Spectrum] = None  # the one cache entry in memory
+        self._held_id: Optional[str] = None  # its shape
         self._file_hashes: dict[str, str] = {}
         self._by_id = {e.shape_id: e for e in self.entries}
 
@@ -120,73 +121,54 @@ class Workspace:
             self._file_hashes[entry.shape_id] = hashlib.sha256(raw).hexdigest()
         return self._file_hashes[entry.shape_id]
 
-    def spectrum(self, entry: ManifestEntry, count: Optional[int] = None) -> Spectrum:
-        """The first `count` eigenpairs (at most one per vertex), served as a
-        prefix of the shape's cache entry; a miss, or an entry too short for
-        the request, solves `_solve_count(count)` pairs into the entry."""
+    def spectrum(self, entry: ManifestEntry, count: Optional[int] = None,
+                 nu: Optional[float] = None) -> Spectrum:
+        """The first `count` pairs (default s, at most one per vertex), a
+        prefix of the shape's cache entry; with `nu`, the whole entry once it
+        reaches that basis cutoff. A miss, or an entry too short for `count`,
+        solves `_solve_count(count)` pairs; one short of `nu` is solved again
+        once, its count aimed by Weyl's law (eigenvalue count grows linearly
+        with frequency). No entry is held while another is read or solved."""
         if count is None:
             count = self.cfg["s"]
-        shape_id, cached = self._last
-        if shape_id != entry.shape_id:
-            cached = self._load_entry(entry)
-            if cached is not None:
-                log.info("spectrum cache hit for %s (s=%d)", entry.shape_id, count)
-        served = cached.prefix(count) if cached is not None else None
-        if served is None:
-            served = self._solve(entry, _solve_count(count)).prefix(count)
+        if self._held_id != entry.shape_id:
+            self._held, self._held_id = None, entry.shape_id
+            cache_path = self._cache_path(entry)
+            if cache_path.is_file():
+                try:
+                    self._held = load_spectrum(cache_path, self.file_hash(entry),
+                                               self.cfg["mass_mode"])
+                    log.info("spectrum cache hit for %s (s=%d)", entry.shape_id, count)
+                except DataError as exc:
+                    log.warning("spectrum cache unusable for %s (%s); recomputing",
+                                entry.shape_id, exc)
+        if self._held is None or self._held.prefix(count) is None:
+            self._solve(entry, _solve_count(count))
             log.info("computed spectrum for %s (s=%d)", entry.shape_id, count)
-        return served
-
-    def spectrum_reaching(self, entry: ManifestEntry, nu_target: float) -> Spectrum:
-        """The shape's cache entry once it covers `nu_target` (basis cutoff).
-        An entry that falls short is solved again once, its count aimed by
-        Weyl's law (eigenvalue count grows linearly with frequency)."""
-        self.spectrum(entry)
-        spectrum = self._last[1]
-        top = float(spectrum.eigenvalues[-1])
-        if top * (1.0 + 1e-12) >= nu_target or len(spectrum) >= spectrum.n_vertices:
-            return spectrum
-        aim = math.ceil(len(spectrum) * nu_target / top)
-        log.info("extending spectrum of %s from %d pairs to reach nu=%.4g",
-                 entry.shape_id, len(spectrum), nu_target)
-        return self._solve(entry, _solve_count(aim))  # geometry_vectors checks the reach
+        if nu is None:
+            return self._held.prefix(count)
+        top = float(self._held.eigenvalues[-1])
+        if top * (1.0 + 1e-12) < nu and len(self._held) < self._held.n_vertices:
+            log.info("extending spectrum of %s from %d pairs to reach nu=%.4g",
+                     entry.shape_id, len(self._held), nu)
+            self._solve(entry, _solve_count(math.ceil(len(self._held) * nu / top)))
+        return self._held  # geometry_vectors checks the reach
 
     def _cache_path(self, entry: ManifestEntry) -> Path:
         key = spectrum_cache_key(self.file_hash(entry), self.cfg["mass_mode"])
         return self.cache_dir / f"{entry.shape_id}.{key}.spec"
 
-    def _load_entry(self, entry: ManifestEntry) -> Optional[Spectrum]:
-        """The shape's cache file, which replaces the entry held (an earlier
-        shape's is read again); None when it is missing or unusable. A hit
-        parses no mesh."""
-        self._last = (None, None)  # released before this shape's is read
-        cache_path = self._cache_path(entry)
-        if not cache_path.is_file():
-            return None
-        try:
-            spectrum = load_spectrum(cache_path, self.file_hash(entry))
-        except DataError as exc:
-            log.warning("spectrum cache unusable for %s (%s); recomputing",
-                        entry.shape_id, exc)
-            return None
-        self._last = (entry.shape_id, spectrum)
-        return spectrum
-
-    def _solve(self, entry: ManifestEntry, count: int) -> Spectrum:
+    def _solve(self, entry: ManifestEntry, count: int) -> None:
         """Solve `count` pairs (at most one per vertex) and make them the
-        shape's cache entry, replacing its file."""
+        shape's cache entry, replacing its file and the entry held."""
+        self._held = None
         mesh = self._meshes.get(entry.shape_id)
         if mesh is None:  # parsed, not kept: one mesh in memory at a time
             mesh = load_mesh(self.base / entry.path)
         op = assemble_fem(mesh, mass_mode=self.cfg["mass_mode"])
-        spectrum = compute_spectrum(op, min(count, mesh.n_vertices))
+        self._held = compute_spectrum(op, min(count, mesh.n_vertices))
         with output_dir(self.cache_dir) as stage:
-            save_spectrum(spectrum, self.file_hash(entry), stage / self._cache_path(entry).name)
-        self._last = (entry.shape_id, spectrum)
-        return spectrum
-
-    def geometry_vectors(self, entry: ManifestEntry, basis: FrequencyBasis) -> np.ndarray:
-        return geometry_vectors(self.spectrum_reaching(entry, basis.nu_max), basis)
+            save_spectrum(self._held, self.file_hash(entry), stage / self._cache_path(entry).name)
 
     def correspondence(self, entry: ManifestEntry) -> Optional[np.ndarray]:
         """Index map of `entry` onto its null shape, or None."""
@@ -232,8 +214,7 @@ def _training_basis(ws: Workspace) -> FrequencyBasis:
     tops = []
     for entry in entries:
         ws.mesh(entry)  # held for the pair sampler, so a cold solve parses it once
-        spectrum = ws.spectrum(entry)
-        tops.append(float(spectrum.eigenvalues[min(count, len(spectrum)) - 1]))
+        tops.append(float(ws.spectrum(entry).eigenvalues[:count][-1]))  # a float: no view kept
     nu_max = float(np.percentile(tops, cfg["nu_max_percentile"]))
     return FrequencyBasis(nu_max=nu_max, m=cfg["m"])
 
@@ -281,6 +262,7 @@ def cmd_spectrum(args, cfg: PipelineConfig) -> int:
         spectrum = ws.spectrum(entry)
         print(f"{entry.shape_id}: {len(spectrum)} eigenpairs, "
               f"nu_max={spectrum.eigenvalues[-1]:.6g}")
+        del spectrum  # no entry outlives its shape's step
     return EXIT_OK
 
 
@@ -289,7 +271,7 @@ def _describe_field(ws: Workspace, entry: ManifestEntry, family: str,
     cfg = ws.cfg
     n = cfg["n"]
     if family == "learned":
-        spectrum = ws.spectrum_reaching(entry, model.basis.nu_max)
+        spectrum = ws.spectrum(entry, nu=model.basis.nu_max)
         try:  # the model's basis against this shape's spectrum
             return apply_response(geometry_vectors(spectrum, model.basis), model)
         except DataError as exc:
@@ -336,26 +318,30 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     """Sweep the alpha grid on the held-out split unless the config pins
     alpha (`--alpha ""` unpins it), then solve once at the chosen alpha."""
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
+    best_alpha = cfg["alpha"]
+    val_entries = ws.by_split("val", "val_neg")
     with output_dir(args.out) as stage:
+        if best_alpha is None and not val_entries:
+            raise DataError("manifest has no val shapes")
         basis = _training_basis(ws)
         entries = ws.by_split("train", "train_neg")
         train_pairs = _sample_split(ws, entries, "train", "")
         log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
-        # generators: one shape's vectors at a time beside their stack
-        stats = estimate_covariances(train_pairs, (ws.geometry_vectors(e, basis) for e in entries),
-                                     ridge=cfg["ridge"])
+
+        def vectors(shapes):  # a generator: one shape's vectors at a time beside their stack
+            return (geometry_vectors(ws.spectrum(e, nu=basis.nu_max), basis) for e in shapes)
+
+        stats = estimate_covariances(train_pairs, vectors(entries), ridge=cfg["ridge"])
         del train_pairs  # the sweep's held-out data takes its place
         n = cfg["n"]
         table = []
-        best_alpha = cfg["alpha"]
         if best_alpha is None:
-            entries = ws.by_split("val", "val_neg")
             best_alpha, table = sweep_alpha(
                 stats,
                 cfg["alpha_grid"],
                 n,
-                _sample_split(ws, entries, "val", ""),
-                (ws.geometry_vectors(e, basis) for e in entries),
+                _sample_split(ws, val_entries, "val", ""),
+                vectors(val_entries),
                 mode=cfg["mode"],
                 work_point=cfg["work_point"],
             )
@@ -496,6 +482,9 @@ def _cmc_pair(ws: Workspace, eval_entries):
     target_id = ws.cfg["cmc_target"].strip()
     if target_id:
         target = ws.entry(target_id)
+        if target.split not in ("eval", "eval_neg"):
+            raise DataError(f"cmc_target={target_id}: in split {target.split}, "
+                            "not eval or eval_neg")
         if target.null_id != source.shape_id:
             raise DataError(f"cmc_target={target_id}: its null shape is "
                             f"{target.null_id or 'unset'}, not the CMC source {source.shape_id}")
@@ -621,6 +610,8 @@ def _apply_overrides(cfg: Optional[PipelineConfig], extra: list[str]) -> None:
             raise ParseError(f"unrecognized arguments: {' '.join(extra[i:])}")
         if i + 1 == len(extra):
             raise ParseError(f"bad override: {extra[i]} has no value")
+        if extra[i] in extra[:i:2]:
+            raise ParseError(f"bad override: {extra[i]} given more than once")
         cfg.override(extra[i][2:], extra[i + 1])
 
 

@@ -78,14 +78,13 @@ def assemble_fem(mesh: TriangleMesh, mass_mode: str = "lumped") -> FemOperator:
     v2 = mesh.vertices[tri[:, 1]]
     v3 = mesh.vertices[tri[:, 2]]
     e12, e23, e31 = v2 - v1, v3 - v2, v1 - v3
-    double_area = np.linalg.norm(np.cross(e12, -e31), axis=1)
-    area = 0.5 * double_area
+    area = mesh.face_areas  # |e12 x -e31| / 2, so 4 * area is exact
 
     # half-cotangent opposite each edge: cot(angle at k) / 2 for edge (i, j)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c12 = np.einsum("ij,ij->i", e23, -e31) / (2.0 * double_area)
-        c23 = np.einsum("ij,ij->i", e31, -e12) / (2.0 * double_area)
-        c31 = np.einsum("ij,ij->i", e12, -e23) / (2.0 * double_area)
+        c12 = np.einsum("ij,ij->i", e23, -e31) / (4.0 * area)
+        c23 = np.einsum("ij,ij->i", e31, -e12) / (4.0 * area)
+        c31 = np.einsum("ij,ij->i", e12, -e23) / (4.0 * area)
     half_clamp = 0.5 * COT_CLAMP
     cots = np.stack([c12, c23, c31])
     bad = ~np.isfinite(cots) | (np.abs(cots) > half_clamp)
@@ -281,9 +280,9 @@ def compute_spectrum(op: FemOperator, count: int) -> Spectrum:
 def _check_residuals(op: FemOperator, vals: np.ndarray, funcs: np.ndarray) -> None:
     """Relative residual check per pair; null-space modes are compared to the
     operator scale instead (their stiffness image is pure roundoff)."""
-    res = op.stiffness @ funcs - op.mass @ funcs * vals[None, :]
-    res_norm = np.linalg.norm(res, axis=0)
-    img_norm = np.linalg.norm(op.stiffness @ funcs, axis=0)
+    image = op.stiffness @ funcs
+    res_norm = np.linalg.norm(image - op.mass @ funcs * vals[None, :], axis=0)
+    img_norm = np.linalg.norm(image, axis=0)
     scale = np.abs(op.stiffness.diagonal()).max()
     null = img_norm <= 1e-9 * scale * np.sqrt(op.n_vertices)
     bad = ~null & (res_norm > 1e-6 * img_norm)
@@ -312,15 +311,16 @@ def save_spectrum(spectrum: Spectrum, mesh_hash: str, path) -> None:
     _CACHE.write(path, header, spectrum.eigenvalues, spectrum.eigenfunctions)
 
 
-def load_spectrum(path, mesh_hash: str) -> Spectrum:
-    """Load a cached spectrum of the mesh file whose SHA-256 is `mesh_hash`;
-    raises DataError on any mismatch or damage, including non-finite values
-    and eigenvalues out of ascending order."""
+def load_spectrum(path, mesh_hash: str, mass_mode: str) -> Spectrum:
+    """Load a cached `mass_mode` spectrum of the mesh file whose SHA-256 is
+    `mesh_hash`; raises DataError on any mismatch or damage, including a
+    mass mode tag of another mode, non-finite values and eigenvalues out of
+    ascending order."""
     raw, (nv, s, mode_idx, digest) = _CACHE.read(path)
     if digest.hex() != mesh_hash:
         raise DataError(f"{path}: cached spectrum belongs to a different mesh")
-    if mode_idx >= len(MASS_MODES):
-        raise DataError(f"{path}: unknown mass mode tag {mode_idx}")
+    if mode_idx != MASS_MODES.index(mass_mode):
+        raise DataError(f"{path}: cached spectrum is not {mass_mode} (mass mode tag {mode_idx})")
     if not 1 <= s <= nv:
         raise DataError(f"{path}: cached spectrum holds {s} pairs for {nv} vertices")
     flat = _CACHE.floats(raw, _CACHE.size, s + nv * s, path)
@@ -329,7 +329,7 @@ def load_spectrum(path, mesh_hash: str) -> Spectrum:
     return Spectrum(
         eigenvalues=flat[:s],
         eigenfunctions=flat[s:].reshape(nv, s),
-        mass_mode=MASS_MODES[mode_idx],
+        mass_mode=mass_mode,
     )
 
 

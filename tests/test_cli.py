@@ -410,8 +410,40 @@ def test_commands_hold_one_shape_spectrum_at_a_time(mini_corpus, tmp_path, monke
                     "--out", tmp_path / family]) == 0
     # the train shapes are read for the basis cutoff and again for their vectors
     assert len(counts) > 3 * n_shapes
-    # the entry held and, while the next one is made, the caller's last one
-    assert max(counts) <= 2
+    # no earlier entry is alive while the next one is made
+    assert max(counts) == 1
+
+
+def test_no_entry_is_alive_while_the_next_is_read(mini_pipeline, tmp_path, monkeypatch):
+    """The entry served for one shape, and every view of its arrays, is dead
+    when load_spectrum runs for the next shape: in the workspace, for count
+    and cutoff requests, and in the commands that read many entries."""
+    import specdesc.cli
+
+    real = specdesc.cli.load_spectrum
+    served = []  # weak references to each entry read and to its array buffer
+
+    def load(*args):
+        assert all(ref() is None for ref in served), "an earlier entry is alive"
+        spectrum = real(*args)
+        served.extend([weakref.ref(spectrum), weakref.ref(spectrum.eigenfunctions.base)])
+        return spectrum
+
+    monkeypatch.setattr(specdesc.cli, "load_spectrum", load)
+    ws = Workspace(parse_config(mini_pipeline / "config.cfg"))
+    first, second, third = ws.entries[:3]
+    ws.spectrum(first)
+    ws.spectrum(second)
+    ws.spectrum(third, nu=1e-9)  # reached: the whole entry is served
+    ws.spectrum(first, nu=1e-9)  # read again
+    assert len(served) == 8
+    del ws
+    common = ["--config", mini_pipeline / "config.cfg"]
+    model = mini_pipeline / "train" / "model.json"
+    assert run(["train", *common, "--out", tmp_path / "train"]) == 0
+    for family in ("hks", "learned"):
+        assert run(["describe", *common, "--family", family, "--model", model,
+                    "--out", tmp_path / family]) == 0
 
 
 def test_short_cache_entry_grows_once(mini_corpus, tmp_path, monkeypatch):
@@ -420,15 +452,15 @@ def test_short_cache_entry_grows_once(mini_corpus, tmp_path, monkeypatch):
     Workspace(cfg, cache_dir=tmp_path).spectrum(torus, 4)
     [path] = tmp_path.glob("torus.*.spec")
     mesh_hash = hashlib.sha256((mini_corpus / "corpus" / "torus.off").read_bytes()).hexdigest()
-    short = load_spectrum(path, mesh_hash)
+    short = load_spectrum(path, mesh_hash, "lumped")
     nu = 2.0 * float(short.eigenvalues[-1])
 
     solves = counted_solves(monkeypatch)
-    grown = Workspace(cfg, cache_dir=tmp_path).spectrum_reaching(torus, nu)
+    grown = Workspace(cfg, cache_dir=tmp_path).spectrum(torus, nu=nu)
     assert len(solves) == 1
     assert len(grown) > len(short) and grown.eigenvalues[-1] >= nu
     assert list(tmp_path.glob("torus.*.spec")) == [path]
-    replaced = load_spectrum(path, mesh_hash)
+    replaced = load_spectrum(path, mesh_hash, "lumped")
     np.testing.assert_array_equal(replaced.eigenfunctions, grown.eigenfunctions)
     # the configured count is now a prefix of the longer entry: no solve
     served = Workspace(cfg, cache_dir=tmp_path).spectrum(torus)
@@ -470,6 +502,15 @@ def test_nonpositive_pair_count_is_data_error(mini_corpus, tmp_path, caplog, cou
                     "--spectrum-cache", tmp_path, "--s", count]) == 3
     assert any(f"s={count} must be at least 1" in r.getMessage() for r in caplog.records)
     assert not list(tmp_path.glob("*.spec"))  # rejected before the first solve
+
+
+def test_repeated_override_is_usage_error(mini_corpus, tmp_path, caplog):
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        assert run(["spectrum", "--config", mini_corpus / "config.cfg",
+                    "--spectrum-cache", tmp_path, "--s", "40", "--n", "2", "--s", "30"]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == ["bad override: --s given more than once"]
+    assert not list(tmp_path.glob("*.spec"))
 
 
 def test_override_applies(mini_corpus, caplog):
@@ -666,10 +707,29 @@ def test_header_only_cache_entry_is_recomputed(pipeline_copy, caplog):
                for m in (r.getMessage() for r in caplog.records))
     cfg = parse_config(config)
     mesh_hash = hashlib.sha256((pipeline_copy / "corpus" / "icosphere.off").read_bytes())
-    spectrum = load_spectrum(entry, mesh_hash.hexdigest())
+    spectrum = load_spectrum(entry, mesh_hash.hexdigest(), "lumped")
     assert spectrum.n_vertices == load_mesh(pipeline_copy / "corpus" / "icosphere.off").n_vertices
     assert len(spectrum) >= cfg["s"]
     assert (pipeline_copy / "out" / "icosphere.hks.dsc").is_file()
+
+
+def test_cache_entry_of_another_mass_mode_is_recomputed(pipeline_copy, caplog):
+    """A lumped entry whose mass mode tag (header byte 16) reads consistent
+    is not served as a hit: it is logged as unusable and solved again."""
+    [entry] = (pipeline_copy / "corpus" / "spectra").glob("torus.*.spec")
+    raw = bytearray(entry.read_bytes())
+    assert raw[16] == 0
+    raw[16] = 1
+    entry.write_bytes(bytes(raw))
+    with caplog.at_level(logging.INFO, logger="specdesc"):
+        assert run(["describe", "--config", pipeline_copy / "config.cfg", "--family", "hks",
+                    "--out", pipeline_copy / "out"]) == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert not any(m.startswith("spectrum cache hit for torus ") for m in messages)
+    assert any(m.startswith("spectrum cache unusable for torus ")
+               and m.endswith("is not lumped (mass mode tag 1)); recomputing") for m in messages)
+    assert entry.read_bytes()[16] == 0
+    assert (pipeline_copy / "out" / "torus.hks.dsc").is_file()
 
 
 def test_warm_describe_missing_mesh_is_data_error(pipeline_copy, caplog):
@@ -894,16 +954,35 @@ def test_geometry_vectors_need_one_row_per_vertex(pipeline_copy, caplog):
     # a cache entry of the right mesh file whose eigenfunctions lack a row
     mesh_hash = hashlib.sha256((pipeline_copy / "corpus" / "dumbbell.off").read_bytes()).hexdigest()
     [path] = (pipeline_copy / "corpus" / "spectra").glob("dumbbell.*.spec")
-    full = load_spectrum(path, mesh_hash)
+    full = load_spectrum(path, mesh_hash, "lumped")
     save_spectrum(Spectrum(full.eigenvalues, full.eigenfunctions[:-1], full.mass_mode),
                   mesh_hash, path)
     with caplog.at_level(logging.ERROR, logger="specdesc"):
         code = run(["train", "--config", pipeline_copy / "config.cfg",
                     "--out", pipeline_copy / "train"])
     assert code == 3
-    rows = load_spectrum(path, mesh_hash).eigenfunctions.shape[0]
+    rows = load_spectrum(path, mesh_hash, "lumped").eigenfunctions.shape[0]
     assert any(r.getMessage() == f"shape dumbbell: {rows} vector rows for {rows + 1} vertices"
                for r in caplog.records)
+
+
+def test_train_without_val_shapes_fails_first(pipeline_copy, caplog):
+    manifest = pipeline_copy / "corpus" / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(line for line in lines
+                                if line.split(",")[3] not in ("val", "val_neg")))
+    with caplog.at_level(logging.INFO, logger="specdesc"):
+        code = run(["train", "--config", pipeline_copy / "config.cfg",
+                    "--out", pipeline_copy / "train"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == ["manifest has no val shapes"]
+    # checked before any spectrum is read or pair sampled
+    assert not [r for r in caplog.records if r.getMessage().startswith(("spectrum", "training"))]
+    assert not (pipeline_copy / "train").exists()
+    # a pinned alpha needs no val shapes
+    assert run(["train", "--config", pipeline_copy / "config.cfg", "--alpha", "0.1",
+                "--out", pipeline_copy / "train"]) == 0
 
 
 def test_train_empty_alpha_forces_sweep(pipeline_copy):
@@ -1195,6 +1274,24 @@ def test_eval_cmc_target_must_map_into_source(mini_pipeline, tmp_path, caplog):
     assert not [r for r in caplog.records if r.getMessage().startswith("eval triplets")]
     assert not (tmp_path / "torus").exists()
     assert run([*common, "--out", tmp_path / "ok", "--cmc_target", "multisphere_jitter_2"]) == 0
+
+
+def test_eval_cmc_target_outside_eval_splits_fails_before_work(pipeline_copy, caplog):
+    manifest = pipeline_copy / "corpus" / "manifest.csv"
+    rows = [line.split(",") for line in manifest.read_text().splitlines()]
+    for row in rows:
+        if row[0] == "multisphere_jitter_2":
+            row[3] = "val"  # split
+    manifest.write_text("".join(",".join(row) + "\n" for row in rows))
+    with caplog.at_level(logging.INFO, logger="specdesc"):
+        code = run(["eval", "--config", pipeline_copy / "config.cfg",
+                    "--descriptors", f"hks={pipeline_copy / 'desc'}",
+                    "--out", pipeline_copy / "report", "--cmc_target", "multisphere_jitter_2"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == ["cmc_target=multisphere_jitter_2: in split val, not eval or eval_neg"]
+    assert not [r for r in caplog.records if r.getMessage().startswith("eval triplets")]
+    assert not (pipeline_copy / "report").exists()
 
 
 def test_eval_cmc_target_without_correspondence_fails_before_work(pipeline_copy, caplog):

@@ -354,7 +354,7 @@ def test_spectrum_cache_roundtrip(tmp_path, ico4_spectrum):
     path = tmp_path / "sphere.spec"
     mesh_hash = hashlib.sha256(b"sphere mesh file").hexdigest()
     save_spectrum(ico4_spectrum, mesh_hash, path)
-    loaded = load_spectrum(path, mesh_hash)
+    loaded = load_spectrum(path, mesh_hash, "lumped")
     np.testing.assert_array_equal(loaded.eigenvalues, ico4_spectrum.eigenvalues)
     np.testing.assert_array_equal(loaded.eigenfunctions, ico4_spectrum.eigenfunctions)
     assert loaded.mass_mode == ico4_spectrum.mass_mode
@@ -372,7 +372,7 @@ def test_spectrum_cache_golden_layout(tmp_path):
     spectrum = Spectrum(eigenvalues=vals, eigenfunctions=funcs, mass_mode="consistent")
     save_spectrum(spectrum, mesh_hash, path)
     assert path.read_bytes() == expected
-    loaded = load_spectrum(path, mesh_hash)
+    loaded = load_spectrum(path, mesh_hash, "consistent")
     np.testing.assert_array_equal(loaded.eigenfunctions, funcs)
     assert loaded.mass_mode == "consistent"
 
@@ -381,7 +381,18 @@ def test_spectrum_cache_hash_mismatch(tmp_path, ico4_spectrum):
     path = tmp_path / "sphere.spec"
     save_spectrum(ico4_spectrum, hashlib.sha256(b"sphere mesh file").hexdigest(), path)
     with pytest.raises(DataError, match="different mesh"):
-        load_spectrum(path, "0" * 64)
+        load_spectrum(path, "0" * 64, "lumped")
+
+
+@pytest.mark.parametrize("tag, mode", [(0, "consistent"), (1, "lumped"), (7, "lumped")])
+def test_spectrum_cache_mass_mode_mismatch(tmp_path, tag, mode):
+    # the mode tag must name the mode the caller asks for; any other is damage
+    mesh_hash = "ab" * 32
+    path = tmp_path / "odd.spec"
+    path.write_bytes(b"SDSPEC01" + struct.pack("<IIB", 2, 1, tag) + bytes.fromhex(mesh_hash)
+                     + struct.pack("<3d", 0.0, 1.0, 1.0))
+    with pytest.raises(DataError, match=rf"is not {mode} \(mass mode tag {tag}\)"):
+        load_spectrum(path, mesh_hash, mode)
 
 
 def test_spectrum_cache_truncated(tmp_path, ico4_spectrum):
@@ -391,7 +402,7 @@ def test_spectrum_cache_truncated(tmp_path, ico4_spectrum):
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(DataError, match="truncated"):
-        load_spectrum(path, mesh_hash)
+        load_spectrum(path, mesh_hash, "lumped")
 
 
 def test_interleaved_cache_writers_leave_a_loadable_entry(tmp_path, ico4_spectrum):
@@ -404,9 +415,9 @@ def test_interleaved_cache_writers_leave_a_loadable_entry(tmp_path, ico4_spectru
         # staging and its commit
         with output_dir(tmp_path) as other:
             save_spectrum(short, mesh_hash, other / path.name)
-        seen = load_spectrum(path, mesh_hash)
+        seen = load_spectrum(path, mesh_hash, "lumped")
         np.testing.assert_array_equal(seen.eigenfunctions, short.eigenfunctions)
-    final = load_spectrum(path, mesh_hash)
+    final = load_spectrum(path, mesh_hash, "lumped")
     np.testing.assert_array_equal(final.eigenfunctions, ico4_spectrum.eigenfunctions)
     assert list(tmp_path.iterdir()) == [path]  # no staging directory left behind
 
@@ -441,7 +452,7 @@ def test_spectrum_cache_pair_count_outside_vertex_count(tmp_path, nv, s):
     path.write_bytes(b"SDSPEC01" + struct.pack("<IIB", nv, s, 0) + bytes.fromhex(mesh_hash)
                      + struct.pack(f"<{s + nv * s}d", *range(s + nv * s)))
     with pytest.raises(DataError, match=f"holds {s} pairs for {nv} vertices"):
-        load_spectrum(path, mesh_hash)
+        load_spectrum(path, mesh_hash, "lumped")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -454,4 +465,4 @@ def test_spectrum_cache_non_finite_eigenfunction(tmp_path, ico4_spectrum, value)
     mesh_hash = hashlib.sha256(b"sphere mesh file").hexdigest()
     save_spectrum(spectrum, mesh_hash, path)
     with pytest.raises(DataError, match="non-finite"):
-        load_spectrum(path, mesh_hash)
+        load_spectrum(path, mesh_hash, "lumped")
