@@ -23,7 +23,6 @@ from .config import ManifestEntry, PipelineConfig, parse_config, read_manifest
 from .container import output_dir, read_file, write_table
 from .descriptors import (
     DESCRIPTOR_FAMILIES,
-    DescriptorField,
     FrequencyBasis,
     ResponseModel,
     apply_response,
@@ -203,12 +202,11 @@ def _solve_count(count: int) -> int:
     return int(count * 1.3) + 8
 
 
-def _training_basis(ws: Workspace) -> FrequencyBasis:
+def _training_basis(ws: Workspace, entries) -> FrequencyBasis:
     """Basis cutoff at the configured percentile of the top eigenvalue over
-    the training shapes."""
+    the training shapes `entries`."""
     cfg = ws.cfg
     count = cfg["s"]
-    entries = ws.by_split("train", "train_neg")
     if not entries:
         raise DataError("manifest has no train shapes")
     tops = []
@@ -221,6 +219,15 @@ def _training_basis(ws: Workspace) -> FrequencyBasis:
 
 _SAMPLING_KEYS = ("refs_per_shape", "positives_per_ref", "negatives_per_ref",
                   "cross_negatives_per_ref", "rng_seed")
+
+
+def _check_classes(ws: Workspace, entries, ref_split: str, prefix: str) -> None:
+    """The sampler's one-class failure, met before any spectrum or descriptor
+    is read: cross-class negatives need a second class among `entries`."""
+    classes = {e.class_label for e in entries}
+    if ws.cfg[prefix + "cross_negatives_per_ref"] > 0 and len(classes) == 1:
+        raise DataError(f"cross-class negatives requested but the {ref_split} and "
+                        f"{ref_split}_neg shapes are all of class {classes.pop()!r}")
 
 
 def _sample_split(ws: Workspace, entries, ref_split: str, prefix: str):
@@ -267,7 +274,7 @@ def cmd_spectrum(args, cfg: PipelineConfig) -> int:
 
 
 def _describe_field(ws: Workspace, entry: ManifestEntry, family: str,
-                    model: Optional[ResponseModel], model_path: Optional[str]) -> DescriptorField:
+                    model: Optional[ResponseModel], model_path: Optional[str]) -> np.ndarray:
     cfg = ws.cfg
     n = cfg["n"]
     if family == "learned":
@@ -300,10 +307,11 @@ def cmd_describe(args, cfg: PipelineConfig) -> int:
         model = load_response_model(args.model)
     with output_dir(args.out) as stage:
         for entry in ws.entries:
-            field = _describe_field(ws, entry, args.family, model, args.model)
-            save_descriptor_binary(field, stage / f"{entry.shape_id}.{args.family}.dsc")
-            save_descriptor_csv(field, stage / f"{entry.shape_id}.{args.family}.csv")
-            log.info("described %s (%s, n=%d)", entry.shape_id, args.family, field.dim)
+            values = _describe_field(ws, entry, args.family, model, args.model)
+            name = f"{entry.shape_id}.{args.family}"
+            save_descriptor_binary(values, args.family, stage / f"{name}.dsc")
+            save_descriptor_csv(values, stage / f"{name}.csv")
+            log.info("described %s (%s, n=%d)", entry.shape_id, args.family, values.shape[1])
     print(f"describe: {len(ws.entries)} shapes -> {args.out}")
     return EXIT_OK
 
@@ -319,12 +327,14 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     alpha (`--alpha ""` unpins it), then solve once at the chosen alpha."""
     ws = Workspace(cfg, cache_dir=args.spectrum_cache)
     best_alpha = cfg["alpha"]
-    val_entries = ws.by_split("val", "val_neg")
+    val_entries = ws.by_split("val", "val_neg") if best_alpha is None else []
     with output_dir(args.out) as stage:
         if best_alpha is None and not val_entries:
             raise DataError("manifest has no val shapes")
-        basis = _training_basis(ws)
         entries = ws.by_split("train", "train_neg")
+        for shapes, split in ((entries, "train"), (val_entries, "val")):
+            _check_classes(ws, shapes, split, "")
+        basis = _training_basis(ws, entries)
         train_pairs = _sample_split(ws, entries, "train", "")
         log.info("training pairs: %d triplets %s", len(train_pairs), train_pairs.tag_counts())
 
@@ -360,23 +370,22 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 def _load_family_fields(ws: Workspace, family: str, directory: Path,
                         entries) -> dict[str, np.ndarray]:
-    """Each entry's `family` descriptor values, checked against the header's
-    family, the mesh's vertex count and the family's first file's columns."""
+    """Each entry's `family` descriptor values, checked against the mesh's
+    vertex count and the family's first file's columns."""
     fields = {}
     first = None  # path and column count of the family's first file
     for entry in entries:
         path = directory / f"{entry.shape_id}.{family}.dsc"
-        field = load_descriptor_binary(path)
-        if field.family != family:
-            raise DataError(f"{path}: holds {field.family!r} descriptors, not {family!r}")
+        values = load_descriptor_binary(path, family)
+        rows, dim = values.shape
         n = ws.mesh(entry).n_vertices
-        if len(field) != n:
-            raise DataError(f"{path}: {len(field)} rows for a mesh with {n} vertices")
+        if rows != n:
+            raise DataError(f"{path}: {rows} rows for a mesh with {n} vertices")
         if first is None:
-            first = (path, field.dim)
-        elif field.dim != first[1]:
-            raise DataError(f"{path}: {field.dim} columns, but {first[0]} has {first[1]}")
-        fields[entry.shape_id] = field.values
+            first = (path, dim)
+        elif dim != first[1]:
+            raise DataError(f"{path}: {dim} columns, but {first[0]} has {first[1]}")
+        fields[entry.shape_id] = values
     return fields
 
 
@@ -407,6 +416,7 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
         raise DataError("manifest has no eval shapes")
     source, target = _cmc_pair(ws, eval_entries)
     all_entries = eval_entries + neg_entries
+    _check_classes(ws, all_entries, "eval", "eval_")
     families = list(family_dirs)
     # CMC references: farthest points of the source in the descriptor space
     # of the learned family, else the first family
@@ -451,11 +461,11 @@ def cmd_eval(args, cfg: PipelineConfig) -> int:
                  family, curve.auc, work_point, tp_at_fp, work_point, tn_at_fn)
         roc_files.extend(write_roc(stage, i, curve))
         ref_values = fields[source.shape_id][refs]
-        hits = cmc(ref_values, fields[target.shape_id], balls, max_rank)
-        cmc_rows.append((family, hits.rank1(), max_rank))
+        hit_rate = cmc(ref_values, fields[target.shape_id], balls, max_rank)
+        cmc_rows.append((family, float(hit_rate[0]), max_rank))
         log.info("cmc %s: rank-1 %.4f (K=%d, %d refs)",
-                 family, hits.rank1(), max_rank, hits.n_refs)
-        cmc_files.extend(write_cmc(stage, i, hits))
+                 family, hit_rate[0], max_rank, len(refs))
+        cmc_files.extend(write_cmc(stage, i, hit_rate))
         maps = distance_maps([fields[e.shape_id] for e in map_group], ref_values[0])
         for j, (values, entry) in enumerate(zip(maps, map_group), i * len(map_group)):
             map_files.extend(write_map(stage, j, values, ws.mesh(entry)))

@@ -221,9 +221,15 @@ def read_manifest(path) -> list[ManifestEntry]:
         entries.append(entry)
     if not entries:
         raise DataError(f"{p}: manifest lists no shapes")
-    ids = [e.shape_id for e in entries]
-    if len(set(ids)) != len(ids):
+    ids = {e.shape_id for e in entries}
+    if len(ids) != len(entries):
         raise ParseError(f"{p}: duplicate shape ids")
+    for e in entries:
+        if e.corr_path and not e.null_id:
+            raise ParseError(f"{p}: shape {e.shape_id}: corr_path needs a null_id in the manifest")
+        if e.null_id and e.null_id not in ids:
+            raise ParseError(f"{p}: shape {e.shape_id}: null_id {e.null_id!r} "
+                             "is not in the manifest")
     return entries
 
 

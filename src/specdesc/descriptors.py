@@ -26,7 +26,6 @@ from .laplacian import Spectrum
 __all__ = [
     "FrequencyBasis",
     "ResponseModel",
-    "DescriptorField",
     "hks",
     "hks_default_times",
     "wks",
@@ -121,32 +120,12 @@ class ResponseModel:
         return self.coefficients.shape[0]
 
 
-@dataclass
-class DescriptorField:
-    """Per-vertex descriptor vectors plus the family tag."""
-
-    values: np.ndarray  # (V, n)
-    family: str
-
-    def __post_init__(self):
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        if self.family not in DESCRIPTOR_FAMILIES:
-            raise DataError(f"unknown descriptor family {self.family!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # fixed descriptors
 # ---------------------------------------------------------------------------
 
 
-def hks(spectrum: Spectrum, times) -> DescriptorField:
+def hks(spectrum: Spectrum, times) -> np.ndarray:
     """Heat kernel signature: remaining heat at each vertex after each time.
 
     p_i(x) = sum_k exp(-nu_k t_i) phi_k(x)^2
@@ -157,7 +136,7 @@ def hks(spectrum: Spectrum, times) -> DescriptorField:
     if len(spectrum) == 0:
         raise DataError("empty spectrum")
     weights = np.exp(-np.outer(spectrum.eigenvalues, t))
-    return DescriptorField(values=spectrum.squared() @ weights, family="hks")
+    return spectrum.squared() @ weights
 
 
 def hks_default_times(spectrum: Spectrum, n: int) -> np.ndarray:
@@ -169,7 +148,7 @@ def hks_default_times(spectrum: Spectrum, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def wks(spectrum: Spectrum, energies, sigma: float) -> DescriptorField:
+def wks(spectrum: Spectrum, energies, sigma: float) -> np.ndarray:
     """Wave kernel signature: time-averaged presence probability of a quantum
     particle prepared in log-normal energy bands.
 
@@ -200,7 +179,7 @@ def wks(spectrum: Spectrum, energies, sigma: float) -> DescriptorField:
         total = band.sum()
         if total > 0:
             out[:, i] = sq @ (band / total)
-    return DescriptorField(values=out, family="wks")
+    return out
 
 
 def wks_default_bands(spectrum: Spectrum, n: int) -> tuple[np.ndarray, float]:
@@ -220,15 +199,12 @@ def wks_default_bands(spectrum: Spectrum, n: int) -> tuple[np.ndarray, float]:
     return np.exp(log_e), float(sigma)
 
 
-def shape_dna_field(spectrum: Spectrum, n: int) -> DescriptorField:
+def shape_dna_field(spectrum: Spectrum, n: int) -> np.ndarray:
     """Truncated eigenvalue sequence broadcast to every vertex, so the global
     descriptor can run through the same point-wise evaluation protocols."""
     if n < 1 or n > len(spectrum):
         raise DataError(f"n={n} outside [1, {len(spectrum)}]")
-    row = spectrum.eigenvalues[:n]
-    return DescriptorField(
-        values=np.tile(row, (spectrum.n_vertices, 1)), family="shapedna"
-    )
+    return np.tile(spectrum.eigenvalues[:n], (spectrum.n_vertices, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +231,14 @@ def geometry_vectors(spectrum: Spectrum, basis: FrequencyBasis) -> np.ndarray:
     return spectrum.squared() @ design
 
 
-def apply_response(gvecs: np.ndarray, model: ResponseModel) -> DescriptorField:
+def apply_response(gvecs: np.ndarray, model: ResponseModel) -> np.ndarray:
     """Linear map from (V, m) geometry vectors to descriptors, vertex by vertex."""
     if model.coefficients.shape[1] != gvecs.shape[1]:
         raise DataError(
             f"model expects {model.coefficients.shape[1]}-dim geometry vectors, "
             f"field has {gvecs.shape[1]}"
         )
-    return DescriptorField(values=gvecs @ model.coefficients.T, family="learned")
+    return gvecs @ model.coefficients.T
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +278,21 @@ def load_response_model(path) -> ResponseModel:
     return ResponseModel(basis=basis, coefficients=coef)
 
 
-def save_descriptor_csv(field: DescriptorField, path) -> None:
-    header = "vertex," + ",".join(f"d{j}" for j in range(field.dim))
-    write_table(path, [header], ([i, *row] for i, row in enumerate(field.values.tolist())))
+def save_descriptor_csv(values: np.ndarray, path) -> None:
+    header = "vertex," + ",".join(f"d{j}" for j in range(values.shape[1]))
+    write_table(path, [header], ([i, *row] for i, row in enumerate(values.tolist())))
 
 
 _DESC = Container(b"SDDESC01", "<IIB", "descriptor")
 
 
-def save_descriptor_binary(field: DescriptorField, path) -> None:
-    fam = field.family.encode()
-    _DESC.write(path, (len(field), field.dim, len(fam)), fam, field.values)
+def save_descriptor_binary(values: np.ndarray, family: str, path) -> None:
+    fam = family.encode()
+    _DESC.write(path, (*values.shape, len(fam)), fam, values)
 
 
-def load_descriptor_binary(path) -> DescriptorField:
+def load_descriptor_binary(path, family: str) -> np.ndarray:
+    """The (V, n) values of a descriptor file that must hold `family`."""
     raw, (nv, n, fam_len) = _DESC.read(path)
     try:
         fam = raw[_DESC.size:_DESC.size + fam_len].decode()
@@ -323,5 +300,6 @@ def load_descriptor_binary(path) -> DescriptorField:
         raise DataError(f"{path}: descriptor family name is not UTF-8") from exc
     if fam not in DESCRIPTOR_FAMILIES:
         raise DataError(f"{path}: unknown descriptor family {fam!r}")
-    values = _DESC.floats(raw, _DESC.size + fam_len, nv * n, path)
-    return DescriptorField(values=values.reshape(nv, n), family=fam)
+    if fam != family:
+        raise DataError(f"{path}: holds {fam!r} descriptors, not {family!r}")
+    return _DESC.floats(raw, _DESC.size + fam_len, nv * n, path).reshape(nv, n)

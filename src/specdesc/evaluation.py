@@ -17,7 +17,6 @@ from .mesh import TriangleMesh, save_coff
 
 __all__ = [
     "RocCurve",
-    "CmcCurve",
     "roc",
     "work_points",
     "cmc",
@@ -41,8 +40,6 @@ class RocCurve:
     thresholds: np.ndarray  # (k,) ascending; leading -inf for the (0, 0) point
     fp_rate: np.ndarray  # (k,) nondecreasing from 0 to 1
     tp_rate: np.ndarray  # (k,) nondecreasing from 0 to 1
-    n_pos: int
-    n_neg: int
     auc: float
 
 
@@ -62,8 +59,7 @@ def roc(distances_pos, distances_neg) -> RocCurve:
     twice_area = int((np.diff(fp) * (tp[:-1] + tp[1:])).sum())
     return RocCurve(
         thresholds=np.concatenate([[-np.inf], sweep]), fp_rate=fp / neg.size,
-        tp_rate=tp / pos.size, n_pos=int(pos.size), n_neg=int(neg.size),
-        auc=twice_area / (2 * pos.size * neg.size),
+        tp_rate=tp / pos.size, auc=twice_area / (2 * pos.size * neg.size),
     )
 
 
@@ -82,27 +78,18 @@ def work_points(curve: RocCurve, rate: float) -> tuple[float, float]:
     return float(np.interp(rate, fp, best_tp)), float(np.interp(1.0 - rate, tp, best_fp))
 
 
-@dataclass
-class CmcCurve:
-    """Cumulative match characteristic: hit rate within the first k matches."""
-
-    hit_rate: np.ndarray  # (K,) nondecreasing, values in [0, 1]
-    n_refs: int
-
-    def rank1(self) -> float:
-        return float(self.hit_rate[0])
-
-
 def cmc(
     ref_descriptors: np.ndarray,
     target_field: np.ndarray,
     ground_truth: np.ndarray,
     max_rank: int,
-) -> CmcCurve:
-    """Rank target vertices by descriptor distance per reference (ties broken
-    by vertex index) and accumulate the first-correct-match ranks, counted
-    without a sort. `ground_truth` holds one bool row of acceptable target
-    vertices per reference, as `mesh.geodesic_balls` returns them."""
+) -> np.ndarray:
+    """Cumulative match characteristic: the (max_rank,) hit rates within the
+    first k = 1 .. max_rank matches. Ranks target vertices by descriptor
+    distance per reference (ties broken by vertex index) and counts the
+    first-correct-match ranks without a sort. `ground_truth` holds one bool
+    row of acceptable target vertices per reference, as `mesh.geodesic_balls`
+    returns them."""
     refs = np.atleast_2d(np.asarray(ref_descriptors, dtype=np.float64))
     field = np.atleast_2d(np.asarray(target_field, dtype=np.float64))
     balls = np.asarray(ground_truth, dtype=bool)
@@ -124,8 +111,7 @@ def cmc(
         d_best = dist[best]
         first_hit[i] = np.count_nonzero(dist < d_best) + np.count_nonzero(dist[:best] == d_best)
     ranks = np.arange(1, max_rank + 1)
-    hit_rate = (first_hit[None, :] < ranks[:, None]).mean(axis=1)
-    return CmcCurve(hit_rate=hit_rate, n_refs=refs.shape[0])
+    return (first_hit[None, :] < ranks[:, None]).mean(axis=1)
 
 
 def distance_maps(fields: Sequence[np.ndarray], ref_descriptor) -> list[np.ndarray]:
@@ -241,14 +227,13 @@ def write_roc(out: Path, i: int, curve: RocCurve) -> list[str]:
     return [f"{name}.csv", f"{name}.svg"]
 
 
-def write_cmc(out: Path, i: int, curve: CmcCurve) -> list[str]:
+def write_cmc(out: Path, i: int, hit_rate: np.ndarray) -> list[str]:
     """Write cmc_NNN.csv and cmc_NNN.svg into `out`; returns their names."""
     name = f"cmc_{i:03d}"
-    write_table(out / f"{name}.csv", ["rank,hit_rate"],
-                enumerate(curve.hit_rate.tolist(), start=1))
-    ranks = np.arange(1, len(curve.hit_rate) + 1)
+    write_table(out / f"{name}.csv", ["rank,hit_rate"], enumerate(hit_rate.tolist(), start=1))
+    ranks = np.arange(1, len(hit_rate) + 1)
     _svg_plot(out / f"{name}.svg", 360, [
-        (ranks, curve.hit_rate, (1, max(int(ranks[-1]), 2)), (0.0, 1.0),
+        (ranks, hit_rate, (1, max(int(ranks[-1]), 2)), (0.0, 1.0),
          (40, 20, 290, 270), "hit rate vs rank"),
     ])
     return [f"{name}.csv", f"{name}.svg"]

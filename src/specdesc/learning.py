@@ -364,17 +364,10 @@ def _row_distances(values: np.ndarray, rows):
     return d_pos, d_neg
 
 
-def pair_distances(
-    pairs: PairIndices,
-    per_shape_values: Iterable[np.ndarray],
-    coefficients: Optional[np.ndarray] = None,
-):
+def pair_distances(pairs: PairIndices, per_shape_values: Iterable[np.ndarray]):
     """Distances of the positive and negative pairs, from sampled triplet
-    rows plus the per-shape vectors whose stack they index: between the
-    stacked rows mapped once through `coefficients` (n x m), or between the
-    rows themselves when it is None."""
-    values = _stacked(pairs, per_shape_values)
-    return _row_distances(values if coefficients is None else values @ coefficients.T, pairs.rows)
+    rows plus the per-shape vectors whose stack they index."""
+    return _row_distances(_stacked(pairs, per_shape_values), pairs.rows)
 
 
 def sweep_alpha(

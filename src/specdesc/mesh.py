@@ -53,21 +53,19 @@ class TriangleMesh:
         Vertex positions; arbitrary length units, kept exactly as given.
     faces : (F, 3) array_like
         Vertex index triples.
-    validate : bool
-        Run the full structural validation (index ranges, degenerate faces,
-        edge manifoldness, single connected component). Only disable for
-        meshes that already passed it.
+
+    Every mesh passes the full structural validation (index ranges,
+    degenerate faces, edge manifoldness, single connected component).
     """
 
-    def __init__(self, vertices, faces, validate: bool = True):
+    def __init__(self, vertices, faces):
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshValidationError("vertices must be an array of shape (V, 3)")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshValidationError("faces must be an array of shape (F, 3)")
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- basic counts -----------------------------------------------------
 
@@ -365,12 +363,11 @@ def geodesic_balls(mesh: TriangleMesh, centers, symmetry, radii) -> list[np.ndar
     return balls
 
 
-def _fps(distance_from, k: int, record_pairs: bool = False):
+def _fps(distance_from, k: int):
     """Greedy farthest point sampling from vertex 0.
 
     `distance_from(v)` returns the per-vertex distance field of vertex v.
-    Returns (selected indices, max pairwise distance over selected) where the
-    second value is only tracked when `record_pairs`.
+    Returns (selected indices, max pairwise distance over selected).
     """
     selected = np.empty(k, dtype=np.int64)
     selected[0] = 0
@@ -380,8 +377,7 @@ def _fps(distance_from, k: int, record_pairs: bool = False):
         nxt = int(np.argmax(dmin))  # ties resolve to the smallest index
         selected[i] = nxt
         field = distance_from(nxt)
-        if record_pairs:
-            max_pair = max(max_pair, float(field[selected[:i]].max()))
+        max_pair = max(max_pair, float(field[selected[:i]].max()))
         dmin = np.minimum(dmin, field)
     return selected, max_pair
 
@@ -407,6 +403,5 @@ def intrinsic_diameter(mesh: TriangleMesh, samples: int) -> float:
     if samples < 2:
         raise DataError("samples must be at least 2")
     samples = min(samples, mesh.n_vertices)
-    _, diameter = _fps(lambda v: geodesic_distance_fields(mesh, [v])[0], samples,
-                       record_pairs=True)
+    _, diameter = _fps(lambda v: geodesic_distance_fields(mesh, [v])[0], samples)
     return diameter

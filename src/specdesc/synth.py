@@ -31,7 +31,6 @@ from .mesh import TriangleMesh, geodesic_balls, intrinsic_diameter, save_off
 __all__ = [
     "SyntheticCorpusSpec",
     "icosphere",
-    "grid_mesh",
     "flat_annulus",
     "torus",
     "capsule",
@@ -107,24 +106,6 @@ def _quad_faces(a, b, c, d) -> np.ndarray:
     row-major order of the equally shaped corner-id arrays."""
     a, b, c, d = (np.ravel(corner) for corner in (a, b, c, d))
     return np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
-
-
-def grid_mesh(nx: int, ny: Optional[int] = None, width: float = 1.0,
-              height: Optional[float] = None) -> TriangleMesh:
-    """Planar rectangle split into `nx` x `ny` cells, two triangles each.
-
-    All cells share the same diagonal direction, so on a square grid the
-    cotangent stiffness reduces to the classic 5-point stencil.
-    """
-    ny = nx if ny is None else ny
-    height = width if height is None else height
-    xs = np.linspace(0.0, width, nx + 1)
-    ys = np.linspace(0.0, height, ny + 1)
-    gx, gy = np.meshgrid(xs, ys, indexing="xy")
-    vertices = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    ids = np.arange(gx.size).reshape(ny + 1, nx + 1)
-    return TriangleMesh(vertices, _quad_faces(ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:],
-                                              ids[1:, :-1]))
 
 
 def torus(n_u: int = 40, n_v: int = 24, major: float = 1.0,
@@ -307,7 +288,7 @@ def rigid_motion(mesh: TriangleMesh, strength: int) -> TriangleMesh:
     rot = _rotation_matrix(np.array([1.0, 2.0, 3.0]), strength * (2.0 * np.pi / 12.0))
     scale = float(np.linalg.norm(np.ptp(mesh.vertices, axis=0)))
     shift = strength * 0.05 * scale * np.array([0.31, -0.17, 0.23])
-    return TriangleMesh(mesh.vertices @ rot.T + shift, mesh.faces, validate=False)
+    return TriangleMesh(mesh.vertices @ rot.T + shift, mesh.faces)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -345,13 +326,13 @@ def bend(mesh: TriangleMesh, joints: Sequence[float], strength: int,
     out = verts.copy()
     out[:, 0] = np.interp(z, grid, cx) + verts[:, 0] * np.cos(theta)
     out[:, 2] = np.interp(z, grid, cz) - verts[:, 0] * np.sin(theta)
-    return TriangleMesh(out, mesh.faces, validate=False)
+    return TriangleMesh(out, mesh.faces)
 
 
 def jitter(mesh: TriangleMesh, sigma: float, rng: np.random.Generator) -> TriangleMesh:
     """Gaussian vertex displacement with per-coordinate std `sigma`."""
     noise = rng.standard_normal(mesh.vertices.shape) * sigma
-    return TriangleMesh(mesh.vertices + noise, mesh.faces, validate=False)
+    return TriangleMesh(mesh.vertices + noise, mesh.faces)
 
 
 def punch_holes(mesh: TriangleMesh, n_holes: int, radius: float,

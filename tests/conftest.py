@@ -1,10 +1,31 @@
 import logging
 import time
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from specdesc.laplacian import assemble_fem, compute_spectrum
-from specdesc.synth import grid_mesh, icosphere
+from specdesc.mesh import TriangleMesh
+from specdesc.synth import _quad_faces, icosphere
+
+
+def grid_mesh(nx: int, ny: Optional[int] = None, width: float = 1.0,
+              height: Optional[float] = None) -> TriangleMesh:
+    """Planar rectangle split into `nx` x `ny` cells, two triangles each.
+
+    All cells share the same diagonal direction, so on a square grid the
+    cotangent stiffness reduces to the classic 5-point stencil.
+    """
+    ny = nx if ny is None else ny
+    height = width if height is None else height
+    xs = np.linspace(0.0, width, nx + 1)
+    ys = np.linspace(0.0, height, ny + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="xy")
+    vertices = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    ids = np.arange(gx.size).reshape(ny + 1, nx + 1)
+    return TriangleMesh(vertices, _quad_faces(ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:],
+                                              ids[1:, :-1]))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import read_table
+from conftest import grid_mesh, read_table
 from specdesc.descriptors import (
     FrequencyBasis,
     ResponseModel,
@@ -29,7 +29,7 @@ from specdesc.learning import (
     tradeoff_matrix,
 )
 from specdesc.mesh import TriangleMesh
-from specdesc.synth import grid_mesh, icosphere, multi_sphere
+from specdesc.synth import icosphere, multi_sphere
 
 SPHERE_CLUSTERS = np.array([2.0] * 3 + [6.0] * 5 + [12.0] * 7)
 
@@ -94,7 +94,7 @@ def test_criterion_03_heat_trace_decade():
     assert 2.0 * np.sqrt(times[0]) >= 3.0 * h  # heat support >= 3 edges
     assert 2.0 * np.sqrt(times[-1]) <= 0.25  # and <= 1/4 of the domain width
     center = (n // 2) * (n + 1) + n // 2
-    values = hks(spectrum, times).values[center]
+    values = hks(spectrum, times)[center]
     rel = np.abs(values * (4.0 * np.pi * times) - 1.0)
     _report(
         3,
@@ -188,7 +188,8 @@ def test_criterion_05_whitening_equivariance():
                             negatives[n_train:] @ mult.T)
         stats = estimate_covariances(*train, ridge=0.0)
         coef, _ = solve_tradeoff(stats, 0.2, 4)
-        return pair_distances(*held, coef)
+        indices, values = held
+        return pair_distances(indices, [v @ coef.T for v in values])
 
     d0 = np.concatenate(held_distances(np.eye(m)))
     d1 = np.concatenate(held_distances(transform))
@@ -213,17 +214,16 @@ def test_criterion_06_isometry_invariance():
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    moved = TriangleMesh(mesh.vertices @ q.T + [2.0, -1.0, 0.5], mesh.faces,
-                         validate=False)
+    moved = TriangleMesh(mesh.vertices @ q.T + [2.0, -1.0, 0.5], mesh.faces)
     spec_a = compute_spectrum(assemble_fem(mesh), 40)
     spec_b = compute_spectrum(assemble_fem(moved), 40)
 
     worst = {}
     times = np.geomspace(0.05, 5.0, 8)
-    a, b = hks(spec_a, times).values, hks(spec_b, times).values
+    a, b = hks(spec_a, times), hks(spec_b, times)
     worst["hks"] = np.abs(a - b).max() / np.abs(a).max()
     energies, sigma = wks_default_bands(spec_a, 8)
-    a, b = wks(spec_a, energies, sigma).values, wks(spec_b, energies, sigma).values
+    a, b = wks(spec_a, energies, sigma), wks(spec_b, energies, sigma)
     worst["wks"] = np.abs(a - b).max() / np.abs(a).max()
 
     # the learned family: train once, apply the same responses to both meshes
@@ -237,8 +237,8 @@ def test_criterion_06_isometry_invariance():
     pairs = sample_pair_indices([sample], 0.04, 0.1, 40, 12, 5, positives_per_ref=6)
     stats = estimate_covariances(pairs, [ga], ridge=1e-4)
     model = ResponseModel(basis=basis, coefficients=solve_tradeoff(stats, 0.3, 5)[0])
-    a = apply_response(ga, model).values
-    b = apply_response(gb, model).values
+    a = apply_response(ga, model)
+    b = apply_response(gb, model)
     worst["learned"] = np.abs(a - b).max() / np.abs(a).max()
 
     detail = ", ".join(f"{k} {v:.2e}" for k, v in worst.items())
@@ -406,10 +406,9 @@ def test_distance_map_minimum_localization(corpus_run):
     cfg = parse_config(corpus_run["config"])
     ws = Workspace(cfg)
     src, tgt = ws.entry("multisphere"), ws.entry("multisphere_bend_3")
-    fs = load_descriptor_binary(
-        corpus_run["desc_sens"] / "multisphere.learned.dsc").values
+    fs = load_descriptor_binary(corpus_run["desc_sens"] / "multisphere.learned.dsc", "learned")
     ft = load_descriptor_binary(
-        corpus_run["desc_sens"] / "multisphere_bend_3.learned.dsc").values
+        corpus_run["desc_sens"] / "multisphere_bend_3.learned.dsc", "learned")
     refs = farthest_point_sample(fs, 100)
     radius = 0.02 * intrinsic_diameter(ws.mesh(tgt), 32)
     sym = ws.symmetry(tgt)

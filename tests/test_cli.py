@@ -21,7 +21,6 @@ from specdesc.config import SETTINGS, parse_config, parse_config_text, read_mani
 from specdesc.container import output_dir, write_table
 from specdesc.descriptors import (
     DESCRIPTOR_FAMILIES,
-    DescriptorField,
     load_descriptor_binary,
     save_descriptor_binary,
 )
@@ -744,9 +743,8 @@ def test_warm_describe_missing_mesh_is_data_error(pipeline_copy, caplog):
 
 
 def test_describe_dimension_defaults(mini_pipeline):
-    field = load_descriptor_binary(mini_pipeline / "desc" / "dumbbell.hks.dsc")
-    assert field.dim == 3  # [descriptor] n from the config
-    assert field.family == "hks"
+    values = load_descriptor_binary(mini_pipeline / "desc" / "dumbbell.hks.dsc", "hks")
+    assert values.shape[1] == 3  # [descriptor] n from the config
 
 
 def test_describe_unknown_family_usage_error(mini_corpus):
@@ -985,6 +983,37 @@ def test_train_without_val_shapes_fails_first(pipeline_copy, caplog):
                 "--out", pipeline_copy / "train"]) == 0
 
 
+def _val_of_one_class(line):
+    # dumbbell_jitter_2 leaves val, and only flat_annulus shapes stay held out
+    return line.replace(",val,", ",train,") if line.startswith("dumbbell_jitter_2,") else line
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("train", _val_of_one_class, "the val and val_neg shapes are all of class 'flat_annulus'"),
+    ("eval", lambda line: "" if line.startswith("torus") else line,
+     "the eval and eval_neg shapes are all of class 'multisphere'"),
+], ids=["train", "eval"])
+def test_one_class_split_fails_before_work(pipeline_copy, caplog, monkeypatch,
+                                           command, edit, message):
+    manifest = pipeline_copy / "corpus" / "manifest.csv"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(map(edit, lines)))
+
+    def refuse(*args):
+        raise AssertionError("a spectrum or descriptor file was read")
+
+    monkeypatch.setattr(Workspace, "spectrum", refuse)
+    monkeypatch.setattr(specdesc.cli, "load_descriptor_binary", refuse)
+    extra = ["--descriptors", f"hks={pipeline_copy / 'desc'}"] if command == "eval" else []
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run([command, "--config", pipeline_copy / "config.cfg", *extra,
+                    "--out", pipeline_copy / "out"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"cross-class negatives requested but {message}"]
+    assert not (pipeline_copy / "out").exists()
+
+
 def test_train_empty_alpha_forces_sweep(pipeline_copy):
     config = pipeline_copy / "config.cfg"
     pinned = pipeline_copy / "pinned.cfg"
@@ -1052,21 +1081,20 @@ def test_eval_rejects_bad_index_map(pipeline_copy, caplog, case):
 
 def test_eval_rejects_short_descriptor(pipeline_copy, caplog):
     path = pipeline_copy / "desc" / "torus.hks.dsc"
-    field = load_descriptor_binary(path)
-    save_descriptor_binary(DescriptorField(field.values[:-1], field.family), path)
+    values = load_descriptor_binary(path, "hks")
+    save_descriptor_binary(values[:-1], "hks", path)
     with caplog.at_level(logging.ERROR, logger="specdesc"):
         code = run(["eval", "--config", pipeline_copy / "config.cfg",
                     "--descriptors", f"hks={pipeline_copy / 'desc'}",
                     "--out", pipeline_copy / "report"])
     assert code == 3
-    assert any(r.getMessage().startswith(f"{path}: {len(field) - 1} rows for a mesh with")
+    assert any(r.getMessage().startswith(f"{path}: {len(values) - 1} rows for a mesh with")
                for r in caplog.records)
 
 
 def _drop_column(desc):
     path = desc / "torus.hks.dsc"
-    field = load_descriptor_binary(path)
-    save_descriptor_binary(DescriptorField(field.values[:, :-1], field.family), path)
+    save_descriptor_binary(load_descriptor_binary(path, "hks")[:, :-1], "hks", path)
     # the family's first file is another shape's, with the configured 3 columns
     return path, "hks", r"2 columns, but \S+\.hks\.dsc has 3$"
 
@@ -1087,10 +1115,9 @@ def _non_utf8_family(desc):
 
 def _nan_value(desc):
     path = desc / "torus.hks.dsc"
-    field = load_descriptor_binary(path)
-    values = field.values.copy()
+    values = load_descriptor_binary(path, "hks")
     values[-1, 0] = np.nan
-    save_descriptor_binary(DescriptorField(values, field.family), path)
+    save_descriptor_binary(values, "hks", path)
     return path, "hks", "descriptor file holds non-finite values"
 
 
@@ -1142,8 +1169,8 @@ def test_eval_bad_last_family_leaves_no_report(pipeline_copy, caplog):
     # the last family's pass rejects the file, and the staged report of the
     # families before it is never committed
     path = pipeline_copy / "desc" / "torus.wks.dsc"
-    field = load_descriptor_binary(path)
-    save_descriptor_binary(DescriptorField(field.values[:-1], field.family), path)
+    values = load_descriptor_binary(path, "wks")
+    save_descriptor_binary(values[:-1], "wks", path)
     out = pipeline_copy / "report"
     with caplog.at_level(logging.ERROR, logger="specdesc"):
         code = run(["eval", "--config", pipeline_copy / "config.cfg",
@@ -1151,7 +1178,7 @@ def test_eval_bad_last_family_leaves_no_report(pipeline_copy, caplog):
                     f"wks={pipeline_copy / 'desc'}", "--out", out])
     assert code == 3
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-    assert errors == [f"{path}: {len(field) - 1} rows for a mesh with {len(field)} vertices"]
+    assert errors == [f"{path}: {len(values) - 1} rows for a mesh with {len(values)} vertices"]
     assert not out.exists()
 
 
@@ -1159,8 +1186,7 @@ def _overflowing_last_family(root):
     """Make every value of the last family's torus.wks.dsc under `root` 1e200:
     finite values that pass the checks, but whose pair distances overflow."""
     path = root / "desc" / "torus.wks.dsc"
-    field = load_descriptor_binary(path)
-    save_descriptor_binary(DescriptorField(np.full_like(field.values, 1e200), field.family), path)
+    save_descriptor_binary(np.full_like(load_descriptor_binary(path, "wks"), 1e200), "wks", path)
 
 
 def _eval_hks_wks(root, caplog):
@@ -1239,10 +1265,10 @@ def test_eval_stages_each_family_before_reading_the_next(mini_pipeline, tmp_path
     reads = []  # (family, names staged) per descriptor file read
     real = specdesc.cli.load_descriptor_binary
 
-    def spy(path):
+    def spy(path, family):
         staged = sorted(p.name for stage in out.glob(".staging.*") for p in stage.iterdir())
         reads.append((Path(path).name.split(".")[-2], staged))
-        return real(path)
+        return real(path, family)
 
     monkeypatch.setattr(specdesc.cli, "load_descriptor_binary", spy)
     families = ["learned", "hks", "wks"]
@@ -1590,6 +1616,26 @@ def test_manifest_row_with_wrong_field_count_is_parse_error(pipeline_copy, caplo
     assert code == 3
     errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
     assert errors == [f"{path}: line 3: {fields} fields, but the header has 7"]
+
+
+@pytest.mark.parametrize("null_id, message", [
+    ("", "corr_path needs a null_id in the manifest"),
+    ("nosuch", "null_id 'nosuch' is not in the manifest"),
+], ids=["empty", "unknown"])
+def test_manifest_null_id_must_name_a_listed_shape(pipeline_copy, caplog, null_id, message):
+    # the correspondence of dumbbell_jitter_1 maps into its null shape
+    path = pipeline_copy / "corpus" / "manifest.csv"
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")
+    assert row[0] == "dumbbell_jitter_1" and row[5]
+    row[4] = null_id
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.ERROR, logger="specdesc"):
+        code = run(["spectrum", "--config", pipeline_copy / "config.cfg"])
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [f"{path}: shape dumbbell_jitter_1: {message}"]
 
 
 @pytest.mark.parametrize("name", ["config.cfg", "corpus/manifest.csv"])

@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import grid_mesh
 from specdesc.descriptors import (
-    DescriptorField,
     FrequencyBasis,
     ResponseModel,
     apply_response,
@@ -24,7 +24,7 @@ from specdesc.errors import DataError
 from specdesc.evaluation import distance_maps
 from specdesc.laplacian import Spectrum, assemble_fem, compute_spectrum
 from specdesc.mesh import TriangleMesh
-from specdesc.synth import grid_mesh, icosphere
+from specdesc.synth import icosphere
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +113,7 @@ def test_hks_long_time_limit(ico4_spectrum):
     area = 1.0 / ico4_spectrum.eigenfunctions[0, 0] ** 2  # phi_1^2 = 1/area
     t = 100.0 / ico4_spectrum.eigenvalues[1]
     field = hks(ico4_spectrum, [t])
-    np.testing.assert_allclose(field.values[:, 0], 1.0 / area, rtol=0.01)
+    np.testing.assert_allclose(field[:, 0], 1.0 / area, rtol=0.01)
 
 
 def test_hks_flat_grid_matches_plane_kernel():
@@ -122,7 +122,7 @@ def test_hks_flat_grid_matches_plane_kernel():
     spec = compute_spectrum(assemble_fem(mesh), mesh.n_vertices)
     t = 10.0 / n**2  # heat support a few edges wide, far from the boundary
     center = (n // 2) * (n + 1) + n // 2
-    value = hks(spec, [t]).values[center, 0]
+    value = hks(spec, [t])[center, 0]
     assert value == pytest.approx(1.0 / (4 * np.pi * t), rel=0.05)
 
 
@@ -130,13 +130,13 @@ def test_hks_icosphere_matches_analytic_series(ico4_spectrum):
     t = 0.1
     ls = np.arange(0, 80)
     analytic = ((2 * ls + 1) * np.exp(-ls * (ls + 1) * t)).sum() / (4 * np.pi)
-    got = hks(ico4_spectrum, [t]).values[:, 0]
+    got = hks(ico4_spectrum, [t])[:, 0]
     assert np.abs(got / analytic - 1.0).max() <= 0.05
 
 
 def test_hks_monotone_in_time(ico4_spectrum):
     times = np.geomspace(0.05, 20.0, 12)
-    values = hks(ico4_spectrum, times).values
+    values = hks(ico4_spectrum, times)
     assert (np.diff(values, axis=1) <= 1e-12).all()
 
 
@@ -159,8 +159,8 @@ def test_hks_sign_flip_invariance(ico4_spectrum):
         eigenfunctions=ico4_spectrum.eigenfunctions * -1.0,
         mass_mode=ico4_spectrum.mass_mode,
     )
-    a = hks(ico4_spectrum, [0.2]).values
-    b = hks(flipped, [0.2]).values
+    a = hks(ico4_spectrum, [0.2])
+    b = hks(flipped, [0.2])
     np.testing.assert_array_equal(a, b)
 
 
@@ -176,8 +176,8 @@ def test_wks_single_isolated_band_is_eigenfunction_squared(rect_spectrum):
     assert np.sort(gaps)[1] > 0.05  # isolated at many band widths
     field = wks(rect_spectrum, [nu5], sigma=5e-3)
     expected = rect_spectrum.eigenfunctions[:, 4] ** 2
-    cos = np.dot(field.values[:, 0], expected) / (
-        np.linalg.norm(field.values[:, 0]) * np.linalg.norm(expected)
+    cos = np.dot(field[:, 0], expected) / (
+        np.linalg.norm(field[:, 0]) * np.linalg.norm(expected)
     )
     assert cos == pytest.approx(1.0, abs=1e-9)
 
@@ -186,21 +186,21 @@ def test_wks_band_above_spectrum_warns_and_zeroes(ico4_spectrum):
     top = ico4_spectrum.eigenvalues[-1]
     with pytest.warns(RuntimeWarning, match="no eigenvalue"):
         field = wks(ico4_spectrum, [top * 1e6], sigma=0.05)
-    assert np.abs(field.values).max() == 0.0
+    assert np.abs(field).max() == 0.0
 
 
 def test_wks_sphere_degree_two_band(ico4_spectrum):
     # eigenfunction-addition over the degree-2 cluster is constant; the
     # normalized band weight makes the value 1 / (4 pi)
     field = wks(ico4_spectrum, [6.0], sigma=0.05)
-    values = field.values[:, 0]
+    values = field[:, 0]
     assert values.std() / values.mean() < 0.05
     assert values.mean() == pytest.approx(1.0 / (4 * np.pi), rel=0.05)
 
 
 def test_wks_band_locality(ico4_spectrum):
     energies, sigma = wks_default_bands(ico4_spectrum, 6)
-    full = wks(ico4_spectrum, energies, sigma).values
+    full = wks(ico4_spectrum, energies, sigma)
     target = 3
     keep = np.abs(np.log(ico4_spectrum.eigenvalues[1:]) - np.log(energies[target])) <= 4 * sigma
     pruned = Spectrum(
@@ -208,7 +208,7 @@ def test_wks_band_locality(ico4_spectrum):
         eigenfunctions=ico4_spectrum.eigenfunctions[:, 1:][:, keep],
         mass_mode=ico4_spectrum.mass_mode,
     )
-    local = wks(pruned, [energies[target]], sigma).values[:, 0]
+    local = wks(pruned, [energies[target]], sigma)[:, 0]
     rel = np.abs(local - full[:, target]) / np.abs(full[:, target]).max()
     assert rel.max() < 1e-4
 
@@ -258,7 +258,7 @@ def test_geometry_vectors_rigid_invariance(ico4_spectrum):
     mesh = icosphere(2)
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    moved = TriangleMesh(mesh.vertices @ q.T + 5.0, mesh.faces, validate=False)
+    moved = TriangleMesh(mesh.vertices @ q.T + 5.0, mesh.faces)
     spec_a = compute_spectrum(assemble_fem(mesh), 25)
     spec_b = compute_spectrum(assemble_fem(moved), 25)
     # cutoff in the wide spectral gap between the degree-3 and degree-4
@@ -274,14 +274,14 @@ def test_apply_response_identity(ico4_spectrum, sphere_basis):
     gvecs = geometry_vectors(ico4_spectrum, sphere_basis)
     model = ResponseModel(basis=sphere_basis, coefficients=np.eye(sphere_basis.m))
     out = apply_response(gvecs, model)
-    np.testing.assert_array_equal(out.values, gvecs)
+    np.testing.assert_array_equal(out, gvecs)
 
 
 def test_apply_response_zero(ico4_spectrum, sphere_basis):
     field = geometry_vectors(ico4_spectrum, sphere_basis)
     model = ResponseModel(basis=sphere_basis,
                           coefficients=np.zeros((3, sphere_basis.m)))
-    assert np.abs(apply_response(field, model).values).max() == 0.0
+    assert np.abs(apply_response(field, model)).max() == 0.0
 
 
 def test_apply_response_matches_direct_hks(ico4_spectrum, sphere_basis):
@@ -292,8 +292,8 @@ def test_apply_response_matches_direct_hks(ico4_spectrum, sphere_basis):
     coef, *_ = np.linalg.lstsq(design, np.exp(-grid * t), rcond=None)
     model = ResponseModel(basis=sphere_basis, coefficients=coef[None, :])
     field = geometry_vectors(ico4_spectrum, sphere_basis)
-    approx = apply_response(field, model).values[:, 0]
-    direct = hks(ico4_spectrum, [t]).values[:, 0]
+    approx = apply_response(field, model)[:, 0]
+    direct = hks(ico4_spectrum, [t])[:, 0]
     assert np.abs(approx / direct - 1.0).max() < 0.01
 
 
@@ -304,10 +304,10 @@ def test_apply_response_linearity(ico4_spectrum, sphere_basis):
     b = rng.standard_normal((4, sphere_basis.m))
     lhs = apply_response(
         field, ResponseModel(basis=sphere_basis, coefficients=2.0 * a - 0.5 * b)
-    ).values
+    )
     rhs = (
-        2.0 * apply_response(field, ResponseModel(sphere_basis, a)).values
-        - 0.5 * apply_response(field, ResponseModel(sphere_basis, b)).values
+        2.0 * apply_response(field, ResponseModel(sphere_basis, a))
+        - 0.5 * apply_response(field, ResponseModel(sphere_basis, b))
     )
     np.testing.assert_allclose(lhs, rhs, atol=1e-12 * np.abs(rhs).max())
 
@@ -357,9 +357,8 @@ def test_distance_triangle_inequality():
 
 def test_shape_dna_field_broadcast(ico4_spectrum):
     field = shape_dna_field(ico4_spectrum, 6)
-    assert field.family == "shapedna"
-    assert field.values.shape == (ico4_spectrum.n_vertices, 6)
-    assert (field.values == field.values[0]).all()
+    assert field.shape == (ico4_spectrum.n_vertices, 6)
+    assert (field == field[0]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +388,8 @@ def test_response_model_bad_file(tmp_path):
 def test_descriptor_binary_roundtrip(tmp_path, ico4_spectrum):
     field = hks(ico4_spectrum, [0.1, 1.0])
     path = tmp_path / "field.dsc"
-    save_descriptor_binary(field, path)
-    loaded = load_descriptor_binary(path)
-    assert loaded.family == "hks"
-    np.testing.assert_array_equal(loaded.values, field.values)
+    save_descriptor_binary(field, "hks", path)
+    np.testing.assert_array_equal(load_descriptor_binary(path, "hks"), field)
 
 
 def test_descriptor_binary_golden_layout(tmp_path):
@@ -402,19 +399,19 @@ def test_descriptor_binary_golden_layout(tmp_path):
     expected = (b"SDDESC01" + struct.pack("<IIB", 3, 2, 3) + b"wks"
                 + struct.pack("<6d", *values.ravel()))
     path = tmp_path / "tiny.dsc"
-    save_descriptor_binary(DescriptorField(values=values, family="wks"), path)
+    save_descriptor_binary(values, "wks", path)
     assert path.read_bytes() == expected
-    loaded = load_descriptor_binary(path)
-    assert loaded.family == "wks"
-    np.testing.assert_array_equal(loaded.values, values)
+    np.testing.assert_array_equal(load_descriptor_binary(path, "wks"), values)
+    with pytest.raises(DataError, match=r"tiny.dsc: holds 'wks' descriptors, not 'hks'"):
+        load_descriptor_binary(path, "hks")
 
 
 def test_descriptor_binary_truncated(tmp_path, ico4_spectrum):
     path = tmp_path / "field.dsc"
-    save_descriptor_binary(hks(ico4_spectrum, [0.1, 1.0]), path)
+    save_descriptor_binary(hks(ico4_spectrum, [0.1, 1.0]), "hks", path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DataError, match="truncated"):
-        load_descriptor_binary(path)
+        load_descriptor_binary(path, "hks")
 
 
 def test_descriptor_csv_schema(tmp_path, ico4_spectrum):
@@ -426,4 +423,4 @@ def test_descriptor_csv_schema(tmp_path, ico4_spectrum):
     assert len(lines) == 1 + ico4_spectrum.n_vertices
     first = lines[1].split(",")
     assert first[0] == "0"
-    assert float(first[1]) == field.values[0, 0]
+    assert float(first[1]) == field[0, 0]

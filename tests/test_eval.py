@@ -9,7 +9,6 @@ from specdesc.container import output_dir
 from specdesc.errors import DataError
 from specdesc import evaluation
 from specdesc.evaluation import (
-    CmcCurve,
     cmc,
     distance_maps,
     emit_report,
@@ -92,7 +91,6 @@ def test_roc_monotone_and_bounded():
     assert (np.diff(curve.fp_rate) >= 0).all()
     assert (np.diff(curve.tp_rate) >= 0).all()
     assert 0.0 <= curve.auc <= 1.0
-    assert curve.n_pos == 300 and curve.n_neg == 200
 
 
 def test_roc_rejects_empty_and_nonfinite():
@@ -166,9 +164,9 @@ def test_cmc_self_match_injective():
     rng = np.random.default_rng(2)
     field = rng.standard_normal((50, 4))
     gt = np.eye(10, 50, dtype=bool)  # reference i matches vertex i alone
-    curve = cmc(field[:10], field, gt, max_rank=5)
-    assert curve.rank1() == 1.0
-    assert (curve.hit_rate == 1.0).all()
+    hit_rate = cmc(field[:10], field, gt, max_rank=5)
+    assert hit_rate[0] == 1.0
+    assert (hit_rate == 1.0).all()
 
 
 def test_cmc_nondecreasing_and_complete():
@@ -178,9 +176,9 @@ def test_cmc_nondecreasing_and_complete():
     gt = np.zeros((8, 60), dtype=bool)
     for row in gt:
         row[rng.choice(60, size=4, replace=False)] = True
-    curve = cmc(refs, field, gt, max_rank=60)
-    assert (np.diff(curve.hit_rate) >= 0).all()
-    assert curve.hit_rate[-1] == 1.0  # ground truth is nonempty
+    hit_rate = cmc(refs, field, gt, max_rank=60)
+    assert (np.diff(hit_rate) >= 0).all()
+    assert hit_rate[-1] == 1.0  # ground truth is nonempty
 
 
 def test_cmc_constant_field_matches_hypergeometric_chance():
@@ -195,19 +193,19 @@ def test_cmc_constant_field_matches_hypergeometric_chance():
     gt = np.zeros((n_refs, v), dtype=bool)
     for row in gt:
         row[rng.choice(v, size=b, replace=False)] = True
-    curve = cmc(refs, field, gt, max_rank=k)
+    hit_rate = cmc(refs, field, gt, max_rank=k)
     expected = 1.0 - comb(v - k, b) / comb(v, b)
     spread = 3.0 * np.sqrt(expected * (1 - expected) / n_refs)
-    assert abs(curve.hit_rate[k - 1] - expected) <= spread
+    assert abs(hit_rate[k - 1] - expected) <= spread
 
 
 def test_cmc_tie_break_by_vertex_index():
     field = np.zeros((6, 1))
     refs = np.zeros((1, 1))
     gt = np.array([[False, False, True, False, False, False]])
-    curve = cmc(refs, field, gt, max_rank=6)
+    hit_rate = cmc(refs, field, gt, max_rank=6)
     # all distances tie, ranking is 0,1,2,...: the hit lands at rank 3
-    np.testing.assert_array_equal(curve.hit_rate, [0, 0, 1, 1, 1, 1])
+    np.testing.assert_array_equal(hit_rate, [0, 0, 1, 1, 1, 1])
 
 
 def test_cmc_rank_equals_stable_argsort_rank():
@@ -226,7 +224,7 @@ def test_cmc_rank_equals_stable_argsort_rank():
         expected = (np.arange(1, n + 1) > first).astype(float)
         ball = np.zeros((1, n), dtype=bool)
         ball[0, truth] = True
-        np.testing.assert_array_equal(cmc(ref, field, ball, max_rank=n).hit_rate, expected)
+        np.testing.assert_array_equal(cmc(ref, field, ball, max_rank=n), expected)
 
 
 def test_cmc_validation():
@@ -257,7 +255,7 @@ def test_ground_truth_balls():
         np.testing.assert_array_equal(gt[i], d <= 0.4)
         assert gt[i, ref]
     # each reference's own vertex, at distance 0, is a correct first match
-    assert cmc(mesh.vertices[refs], mesh.vertices, gt, max_rank=1).rank1() == 1.0
+    assert cmc(mesh.vertices[refs], mesh.vertices, gt, max_rank=1)[0] == 1.0
 
 
 def test_ground_truth_includes_symmetric_ball():
@@ -273,7 +271,7 @@ def test_ground_truth_includes_symmetric_ball():
     # a reference at the antipode's descriptor is matched at rank 1 through
     # the symmetric half of the ball
     ref = mesh.vertices[[antipode[3]]]
-    assert cmc(ref, mesh.vertices, gt, max_rank=1).rank1() == 1.0
+    assert cmc(ref, mesh.vertices, gt, max_rank=1)[0] == 1.0
 
 
 def test_ground_truth_limited_search_matches_full_fields():
@@ -377,7 +375,7 @@ def test_emit_report_one_roc_curve(tmp_path):
 
 def test_emit_report_writes_each_artefact_as_it_arrives(tmp_path):
     curves = [roc([1.0, 3.0], [2.0, 4.0]), roc([1.0, 2.0], [1.5, 4.0])]
-    hits = CmcCurve(hit_rate=np.array([0.5, 1.0]), n_refs=2)
+    hits = np.array([0.5, 1.0])
     mesh = icosphere(0)
     roc_files, cmc_files, map_files = [], [], []
     for i, curve in enumerate(curves):
@@ -467,7 +465,7 @@ def test_roc_svg_keeps_every_pixel_column_extreme(steps, monotone, panel):
 
 def test_emit_report_deterministic_bytes(tmp_path):
     curve = roc(np.linspace(0, 1, 50), np.linspace(0.5, 2, 60))
-    cmc_curve = CmcCurve(hit_rate=np.linspace(0.2, 1.0, 10), n_refs=25)
+    cmc_curve = np.linspace(0.2, 1.0, 10)
     mesh = icosphere(0)
     for out in (tmp_path / "a", tmp_path / "b"):
         with output_dir(out) as stage:

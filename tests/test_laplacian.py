@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from conftest import grid_mesh
 from specdesc.container import output_dir
 from specdesc.errors import DataError
 from specdesc.laplacian import (
@@ -21,7 +22,6 @@ from specdesc.laplacian import (
     save_spectrum,
 )
 from specdesc.descriptors import (
-    DescriptorField,
     FrequencyBasis,
     ResponseModel,
     save_descriptor_binary,
@@ -30,7 +30,7 @@ from specdesc.descriptors import (
 )
 from specdesc.evaluation import emit_report
 from specdesc.mesh import TriangleMesh, save_off
-from specdesc.synth import grid_mesh, icosphere
+from specdesc.synth import icosphere
 
 SPHERE_CLUSTERS = np.array([0.0] + [2.0] * 3 + [6.0] * 5 + [12.0] * 7)
 
@@ -44,8 +44,7 @@ def rotated(mesh, seed=0):
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
-    return TriangleMesh(mesh.vertices @ q.T + [0.3, -1.2, 2.5], mesh.faces,
-                        validate=False)
+    return TriangleMesh(mesh.vertices @ q.T + [0.3, -1.2, 2.5], mesh.faces)
 
 
 def heron_area(mesh):
@@ -306,7 +305,7 @@ def test_rigid_motion_invariance(ico4, ico4_spectrum):
 
 def test_scaling_covariance(ico4, ico4_spectrum):
     c = 2.5
-    scaled = TriangleMesh(ico4.vertices * c, ico4.faces, validate=False)
+    scaled = TriangleMesh(ico4.vertices * c, ico4.faces)
     spec2 = compute_spectrum(assemble_fem(scaled), 16)
     a = ico4_spectrum.eigenvalues[1:16]
     b = spec2.eigenvalues[1:16] * c**2
@@ -319,7 +318,7 @@ def test_scaling_covariance(ico4, ico4_spectrum):
 
 
 def shape_dna(spectrum, length):
-    return shape_dna_field(spectrum, length).values[0]
+    return shape_dna_field(spectrum, length)[0]
 
 
 def test_shape_dna_sphere(ico4_spectrum):
@@ -430,7 +429,7 @@ def test_cache_entry_mode_follows_umask(tmp_path, ico4, ico4_spectrum):
     try:
         save_spectrum(ico4_spectrum, hashlib.sha256(b"sphere mesh file").hexdigest(),
                       tmp_path / "sphere.spec")
-        save_descriptor_binary(DescriptorField(ico4_spectrum.eigenfunctions[:, :3], "hks"),
+        save_descriptor_binary(ico4_spectrum.eigenfunctions[:, :3], "hks",
                                tmp_path / "sphere.hks.dsc")
         save_response_model(model, tmp_path / "model.json")
         with output_dir(tmp_path / "report") as stage:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import grid_mesh
 from specdesc.descriptors import FrequencyBasis, ResponseModel
 from specdesc.errors import DataError, NumericalError
 from specdesc.learning import (
@@ -21,7 +22,7 @@ from specdesc.learning import (
 )
 from specdesc.learning import MAX_REF_RESAMPLES
 from specdesc.mesh import geodesic_balls, geodesic_distance_fields
-from specdesc.synth import grid_mesh, icosphere, multi_sphere
+from specdesc.synth import icosphere, multi_sphere
 
 
 def pair_indices(rows, shape_sizes):
@@ -455,8 +456,8 @@ def test_per_shape_generator_gives_bit_equal_results():
     again = estimate_covariances(indices, generated())
     for name in ("cov_pos", "cov_neg", "cov_g"):
         assert np.array_equal(getattr(again, name), getattr(stats, name))
-    for expected, got in zip(pair_distances(indices, values, coef),
-                             pair_distances(indices, generated(), coef)):
+    for expected, got in zip(pair_distances(indices, [v @ coef.T for v in values]),
+                             pair_distances(indices, (v @ coef.T for v in generated()))):
         assert np.array_equal(got, expected)
     alphas = [0.0, 0.3, 0.6]
     listed = sweep_alpha(stats, alphas, 2, indices, values, work_point=0.1)
@@ -651,7 +652,8 @@ def test_whitening_equivariance_of_distances():
         pairs = make_pairset(anchors @ mult.T, positives @ mult.T, negatives @ mult.T)
         stats = estimate_covariances(*pairs, ridge=0.0)
         coef, _ = solve_tradeoff(stats, 0.2, 4)
-        return pair_distances(*pairs, coef)
+        indices, values = pairs
+        return pair_distances(indices, [v @ coef.T for v in values])
 
     d0_pos, d0_neg = train_and_score(np.eye(m))
     d1_pos, d1_neg = train_and_score(transform)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import grid_mesh
 from specdesc.errors import DataError, MeshValidationError, ParseError
 from specdesc.mesh import (
     TriangleMesh,
@@ -17,7 +18,6 @@ from specdesc.mesh import (
 )
 from specdesc.synth import (
     capsule,
-    grid_mesh,
     icosphere,
     jitter,
     load_index_map,
@@ -276,7 +276,7 @@ def test_triangle_inequality_along_edges(ico4):
 def test_dijkstra_invariant_under_face_permutation(ico4):
     rng = np.random.default_rng(11)
     perm = rng.permutation(ico4.n_faces)
-    shuffled = TriangleMesh(ico4.vertices.copy(), ico4.faces[perm], validate=False)
+    shuffled = TriangleMesh(ico4.vertices.copy(), ico4.faces[perm])
     d0 = geodesic_distance_fields(ico4, [5])[0]
     d1 = geodesic_distance_fields(shuffled, [5])[0]
     np.testing.assert_array_equal(d0, d1)
